@@ -29,7 +29,7 @@ from .calibration import (
     estimate_type1_error,
 )
 from .errors import DiffswitchError, InvalidParam, IoFailure
-from .rng import DEFAULT_SEED, parallel_map, replicate_rng
+from .rng import DEFAULT_SEED, replicate_rng
 from .simulators import compose_scenario, scenario_preset
 from .trajectory import save_csv
 
@@ -55,7 +55,6 @@ class ExperimentSpec:
     calib_replicates: int = 10_001
     calib_seed: int = DEFAULT_SEED
     cache_path: str | None = None
-    threads: int = 1
     label: bool = True
     external_detector: str | None = None
 
@@ -137,9 +136,12 @@ def run_cell(spec, param, k, thresholds, quantiles=None):
     cell_tag = (spec.param_values.index(param), spec.k_values.index(k))
     do_label = spec.label and quantiles is not None
 
-    def one(rep):
-        rng = replicate_rng(spec.seed, *cell_tag, rep)
-        traj, _ = compose_scenario(scenario, rng=rng)
+    counts = {cat: 0 for cat in DIFF_CATEGORIES}
+    qualifying_points = []
+    label_hits = label_total = failures = 0
+    start = time.perf_counter()
+    for rep in range(spec.replicates):
+        traj, _ = compose_scenario(scenario, rng=replicate_rng(spec.seed, *cell_tag, rep))
         try:
             if spec.external_detector:
                 points = _run_external(spec.external_detector, traj)
@@ -150,31 +152,18 @@ def run_cell(spec, param, k, thresholds, quantiles=None):
                 )
                 points = report.change_points
                 labels = report.raw_labels
-        except DiffswitchError as exc:
-            return ("failure", type(exc).__name__)
-        correct_labels = None
-        if labels is not None and len(points) == n_true:
-            correct_labels = [s.label for s in labels] == truth
-        return ("ok", _diff_category(len(points), n_true), points, correct_labels)
-
-    start = time.perf_counter()
-    results = parallel_map(one, range(spec.replicates), threads=spec.threads)
-    runtime = time.perf_counter() - start
-
-    counts = {cat: 0 for cat in DIFF_CATEGORIES}
-    qualifying_points = []
-    label_hits = label_total = failures = 0
-    for res in results:
-        if res[0] == "failure":
+        except DiffswitchError:
             failures += 1
             continue
-        _, cat, points, correct = res
+        cat = _diff_category(len(points), n_true)
         counts[cat] += 1
         if cat == "0":
             qualifying_points.append(points)
-            if correct is not None:
+            if labels is not None:
                 label_total += 1
-                label_hits += int(correct)
+                label_hits += [s.label for s in labels] == truth
+    runtime = time.perf_counter() - start
+
     scored = spec.replicates - failures
     proportions = {cat: (counts[cat] / scored if scored else 0.0) for cat in DIFF_CATEGORIES}
     if qualifying_points:
@@ -204,7 +193,7 @@ def run_experiment(spec):
     if spec.label and not spec.external_detector:
         quantiles = SegmentQuantiles(
             store=table, alpha=spec.alpha, replicates=spec.calib_replicates,
-            seed=spec.calib_seed, threads=spec.threads,
+            seed=spec.calib_seed,
         )
     report = ExperimentReport(
         spec_summary={
@@ -221,12 +210,7 @@ def run_experiment(spec):
             n, k, variant=spec.variant, alpha=spec.alpha,
             replicates=spec.calib_replicates, seed=spec.calib_seed,
         )
-        if table is not None:
-            thresholds = cache_get_or_calibrate(table, key, threads=spec.threads)
-        else:
-            from .calibration import calibrate
-
-            thresholds = calibrate(key, threads=spec.threads)
+        thresholds = cache_get_or_calibrate(table, key)
         for param in spec.param_values:
             report.cells.append(run_cell(spec, param, k, thresholds, quantiles))
     return report
@@ -245,7 +229,6 @@ class Type1Spec:
     calib_replicates: int = 10_001
     calib_seed: int = DEFAULT_SEED
     cache_path: str | None = None
-    threads: int = 1
 
 
 def run_type1_experiment(spec):
@@ -266,16 +249,10 @@ def run_type1_experiment(spec):
                     n, k, variant=variant, alpha=spec.alpha,
                     replicates=spec.calib_replicates, seed=spec.calib_seed,
                 )
-                if table is not None:
-                    thresholds = cache_get_or_calibrate(table, key, threads=spec.threads)
-                else:
-                    from .calibration import calibrate
-
-                    thresholds = calibrate(key, threads=spec.threads)
+                thresholds = cache_get_or_calibrate(table, key)
                 start = time.perf_counter()
                 p, se = estimate_type1_error(
-                    n, k, key.c, key.c_star, thresholds, spec.replicates, spec.seed,
-                    threads=spec.threads,
+                    n, k, key.c, key.c_star, thresholds, spec.replicates, spec.seed
                 )
                 report.cells.append(
                     {

@@ -14,16 +14,17 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._version import __version__
+from .detection import default_cluster_params, find_clusters
 from .errors import CorruptCache, Degenerate, InvalidParam, IoFailure
-from .rng import DEFAULT_SEED, parallel_map, replicate_rng
+from .rng import DEFAULT_SEED, replicate_rng
 from .simulators import gen_brownian
-from .stats import ThresholdPair, backward_forward, statistic_T
+from .stats import ThresholdPair, backward_forward, phi, statistic_T
 from .trajectory import TimeGrid
 
 STRICT = "strict"
@@ -35,6 +36,9 @@ CACHE_SCHEMA_VERSION = 1
 # Segment lengths (in steps) at which labelling quantiles are
 # precalibrated; arbitrary lengths snap to the nearest entry.
 SEGMENT_LENGTH_GRID = (25, 50, 100, 150, 200, 300, 500)
+
+# Null replicates simulated and passed to the sliding kernel per call.
+REPLICATE_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -62,12 +66,6 @@ class CalibrationKey:
                 raise InvalidParam("cluster window c exceeds the statistic range")
 
 
-def default_cluster_params(k):
-    """Recommended cluster window and count threshold for window size k."""
-    c = max(2, k // 2)
-    return c, math.ceil(0.75 * c)
-
-
 def default_key(n, k, variant=RELAXED, alpha=0.05, replicates=10_001, seed=DEFAULT_SEED):
     c, c_star = default_cluster_params(k)
     return CalibrationKey(
@@ -91,20 +89,19 @@ def _quantile_index(p, n):
     return min(max(int(p * n), 1), n) - 1
 
 
-def _replicate_extremes(n, k, c, ranks, rng, sigma=1.0, delta=1.0):
-    """One Brownian replicate: (min_r s_r, max_r S_r) for each requested rank."""
+def _null_stacks(n, replicates, seed, sigma=1.0, delta=1.0):
+    """Planar Brownian null paths in stacks of up to REPLICATE_BATCH positions.
+
+    Replicate r always comes from its own stream replicate_rng(seed, r),
+    so results do not depend on how replicates are batched.
+    """
     grid = TimeGrid(t0=0.0, delta=delta, n_steps=n)
-    traj = gen_brownian(grid, 2, sigma, rng)
-    B, A = backward_forward(traj, k)
-    d_sorted = np.sort(sliding_window_view(np.minimum(B, A), c), axis=1)
-    D_sorted = np.sort(sliding_window_view(np.maximum(B, A), c), axis=1)
-    out = {}
-    for q in ranks:
-        out[q] = (float(d_sorted[:, q - 1].min()), float(D_sorted[:, c - q - 1].max()))
-    return out
+    for lo in range(0, replicates, REPLICATE_BATCH):
+        reps = range(lo, min(lo + REPLICATE_BATCH, replicates))
+        yield np.stack([gen_brownian(grid, 2, sigma, replicate_rng(seed, r)).positions for r in reps])
 
 
-def calibrate_both(n, k, c, c_star, alpha, replicates, seed, threads=1, sigma=1.0, delta=1.0):
+def calibrate_both(n, k, c, c_star, alpha, replicates, seed, sigma=1.0, delta=1.0):
     """Calibrate strict and relaxed pairs from one shared replicate set.
 
     Returns {variant: ThresholdPair}. The two variants differ only in
@@ -114,36 +111,34 @@ def calibrate_both(n, k, c, c_star, alpha, replicates, seed, threads=1, sigma=1.
     the replicate simulation; the statistics are scale invariant, so
     they move the result within Monte Carlo error only.
     """
+    if replicates < 1000:
+        raise InvalidParam(f"need at least 1000 replicates, got {replicates}")
     ranks = {STRICT: _order_rank(STRICT, c, c_star), RELAXED: _order_rank(RELAXED, c, c_star)}
-    unique = sorted(set(ranks.values()))
-
-    def one(rep):
-        return _replicate_extremes(n, k, c, unique, replicate_rng(seed, rep), sigma, delta)
-
-    results = parallel_map(one, range(replicates), threads=threads)
+    # Per rank q, each replicate's (min_r s_r, max_r S_r) over its c-windows.
+    extremes = {q: ([], []) for q in set(ranks.values())}
+    for stack in _null_stacks(n, replicates, seed, sigma, delta):
+        B, A = backward_forward(stack, k)
+        d_sorted = np.sort(sliding_window_view(np.minimum(B, A), c, axis=-1), axis=-1)
+        D_sorted = np.sort(sliding_window_view(np.maximum(B, A), c, axis=-1), axis=-1)
+        for q, (minima, maxima) in extremes.items():
+            minima.append(d_sorted[..., q - 1].min(axis=-1))
+            maxima.append(D_sorted[..., c - q - 1].max(axis=-1))
     pairs = {}
     i_lo = _quantile_index(alpha / 2, replicates)
     i_hi = _quantile_index(1 - alpha / 2, replicates)
     for variant, q in ranks.items():
-        m = np.sort(np.array([r[q][0] for r in results]))
-        M = np.sort(np.array([r[q][1] for r in results]))
+        m = np.sort(np.concatenate(extremes[q][0]))
+        M = np.sort(np.concatenate(extremes[q][1]))
         pairs[variant] = ThresholdPair(gamma1=float(m[i_lo]), gamma2=float(M[i_hi]))
     return pairs
 
 
-def calibrate(key, threads=1):
+def calibrate(key):
     """Monte Carlo estimate of the cut-off pair for one calibration key."""
-    if key.variant == SEGMENT_TEST:
-        return calibrate_segment_test(key.n, key.alpha, key.replicates, key.seed, threads=threads)
-    if key.replicates < 1000:
-        raise InvalidParam(f"need at least 1000 replicates, got {key.replicates}")
-    pairs = calibrate_both(
-        key.n, key.k, key.c, key.c_star, key.alpha, key.replicates, key.seed, threads=threads
-    )
-    return pairs[key.variant]
+    return cache_get_or_calibrate(None, key)
 
 
-def calibrate_segment_test(n, alpha, replicates, seed, threads=1):
+def calibrate_segment_test(n, alpha, replicates, seed):
     """Quantiles (q1, q2) of the whole-segment statistic under the null.
 
     Used for a-posteriori segment labelling: subdiffusive below q1,
@@ -154,11 +149,10 @@ def calibrate_segment_test(n, alpha, replicates, seed, threads=1):
     if replicates < 1000:
         raise InvalidParam(f"need at least 1000 replicates, got {replicates}")
     grid = TimeGrid(t0=0.0, delta=1.0, n_steps=n)
-
-    def one(rep):
-        return statistic_T(gen_brownian(grid, 2, 1.0, replicate_rng(seed, rep)))
-
-    values = np.sort(np.array(parallel_map(one, range(replicates), threads=threads)))
+    values = np.sort(np.array([
+        statistic_T(gen_brownian(grid, 2, 1.0, replicate_rng(seed, rep)))
+        for rep in range(replicates)
+    ]))
     q1 = float(values[_quantile_index(alpha / 2, replicates)])
     q2 = float(values[_quantile_index(1 - alpha / 2, replicates)])
     return ThresholdPair(gamma1=q1, gamma2=q2)
@@ -223,36 +217,31 @@ class ThresholdTable:
         self.entries[key] = pair
 
 
-def cache_get_or_calibrate(store, key, threads=1):
+def _as_table(store):
+    return store if store is None or isinstance(store, ThresholdTable) else ThresholdTable(store)
+
+
+def cache_get_or_calibrate(store, key):
     """Cached calibration: exact key hit returns immediately, miss calibrates.
 
-    `store` is a ThresholdTable or a path to one. A miss for a strict or
-    relaxed key persists both variants, since they share the simulations.
+    `store` is a ThresholdTable, a path to one, or None to calibrate
+    without persisting. A miss for a strict or relaxed key persists both
+    variants, since they share the simulations.
     """
-    table = store if isinstance(store, ThresholdTable) else ThresholdTable(store)
-    hit = table.get(key)
+    table = _as_table(store)
+    hit = table.get(key) if table is not None else None
     if hit is not None:
         return hit
     if key.variant == SEGMENT_TEST:
-        pair = calibrate_segment_test(key.n, key.alpha, key.replicates, key.seed, threads=threads)
-        table.put(key, pair)
+        pairs = {key: calibrate_segment_test(key.n, key.alpha, key.replicates, key.seed)}
     else:
-        if key.replicates < 1000:
-            raise InvalidParam(f"need at least 1000 replicates, got {key.replicates}")
-        pairs = calibrate_both(
-            key.n, key.k, key.c, key.c_star, key.alpha, key.replicates, key.seed, threads=threads
-        )
-        for variant, p in pairs.items():
-            table.put(
-                CalibrationKey(
-                    n=key.n, k=key.k, c=key.c, c_star=key.c_star, alpha=key.alpha,
-                    variant=variant, replicates=key.replicates, seed=key.seed,
-                ),
-                p,
-            )
-        pair = pairs[key.variant]
-    table.save()
-    return pair
+        both = calibrate_both(key.n, key.k, key.c, key.c_star, key.alpha, key.replicates, key.seed)
+        pairs = {replace(key, variant=variant): p for variant, p in both.items()}
+    if table is not None:
+        for stored_key, p in pairs.items():
+            table.put(stored_key, p)
+        table.save()
+    return pairs[key]
 
 
 class SegmentQuantiles:
@@ -262,50 +251,34 @@ class SegmentQuantiles:
     length, so arbitrary lengths snap to the nearest grid entry.
     """
 
-    def __init__(self, store=None, alpha=0.05, replicates=10_001, seed=DEFAULT_SEED, threads=1):
-        if store is None or isinstance(store, ThresholdTable):
-            self.table = store
-        else:
-            self.table = ThresholdTable(store)
+    def __init__(self, store=None, alpha=0.05, replicates=10_001, seed=DEFAULT_SEED):
+        self.table = _as_table(store)
         self.alpha = alpha
         self.replicates = replicates
         self.seed = seed
-        self.threads = threads
         self._memo = {}
 
     def __call__(self, n_steps):
         length = min(SEGMENT_LENGTH_GRID, key=lambda g: (abs(g - n_steps), g))
         if length not in self._memo:
             key = segment_test_key(length, self.alpha, self.replicates, self.seed)
-            if self.table is not None:
-                pair = cache_get_or_calibrate(self.table, key, threads=self.threads)
-            else:
-                pair = calibrate_segment_test(
-                    length, self.alpha, self.replicates, self.seed, threads=self.threads
-                )
+            pair = cache_get_or_calibrate(self.table, key)
             self._memo[length] = (pair.gamma1, pair.gamma2)
         return self._memo[length]
 
 
-def estimate_type1_error(n, k, c, c_star, thresholds, replicates, seed, threads=1):
+def estimate_type1_error(n, k, c, c_star, thresholds, replicates, seed):
     """Fraction of fully Brownian trajectories with a detected change point.
 
     Returns (proportion, binomial standard error).
     """
-    from .detection import find_clusters  # local import avoids a module cycle
-
     if replicates < 500:
         raise InvalidParam(f"need at least 500 replicates, got {replicates}")
-    from .stats import sliding_stats
-
-    grid = TimeGrid(t0=0.0, delta=1.0, n_steps=n)
-
-    def one(rep):
-        traj = gen_brownian(grid, 2, 1.0, replicate_rng(seed, rep))
-        stats = sliding_stats(traj, k, thresholds)
-        return bool(find_clusters(stats.Q, c, c_star))
-
-    hits = sum(parallel_map(one, range(replicates), threads=threads))
+    hits = 0
+    for stack in _null_stacks(n, replicates, seed):
+        B, A = backward_forward(stack, k)
+        Q = phi(A, thresholds) - phi(B, thresholds)
+        hits += sum(bool(find_clusters(row, c, c_star)) for row in Q)
     p = hits / replicates
     se = math.sqrt(p * (1 - p) / replicates)
     return p, se

@@ -6,6 +6,7 @@ parse arguments, wire caches, and serialize results.
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
@@ -31,7 +32,6 @@ def _add_common(parser):
     parser.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED,
                         help="master seed, or 'random'")
     parser.add_argument("--cache", default=None, help="threshold cache JSON path")
-    parser.add_argument("--threads", type=int, default=1)
 
 
 def _scenario_from_args(args):
@@ -48,21 +48,19 @@ def _scenario_from_args(args):
         return scenario_from_json(fh.read())
 
 
+def _key_from_args(args, n, replicates=10_001, seed=DEFAULT_SEED):
+    key = calibration.default_key(
+        n, args.k, variant=args.variant, alpha=args.alpha, replicates=replicates, seed=seed
+    )
+    if getattr(args, "c", None):
+        key = dataclasses.replace(key, c=args.c, c_star=args.c_star or key.c_star)
+    return key
+
+
 def _thresholds_from_args(args, n):
     if args.gamma1 is not None and args.gamma2 is not None:
         return ThresholdPair(args.gamma1, args.gamma2)
-    key = calibration.default_key(
-        n, args.k, variant=args.variant, alpha=args.alpha, seed=DEFAULT_SEED
-    )
-    if getattr(args, "c", None):
-        key = calibration.CalibrationKey(
-            n=n, k=args.k, c=args.c, c_star=args.c_star or key.c_star,
-            alpha=args.alpha, variant=args.variant,
-            replicates=key.replicates, seed=key.seed,
-        )
-    if args.cache:
-        return calibration.cache_get_or_calibrate(args.cache, key, threads=args.threads)
-    return calibration.calibrate(key, threads=args.threads)
+    return calibration.cache_get_or_calibrate(args.cache, _key_from_args(args, n))
 
 
 def _write_stats_csv(stream, stats):
@@ -93,20 +91,8 @@ def cmd_stats(args):
 
 
 def cmd_calibrate(args):
-    key = calibration.default_key(
-        args.n, args.k, variant=args.variant, alpha=args.alpha,
-        replicates=args.replicates, seed=args.seed,
-    )
-    if args.c:
-        key = calibration.CalibrationKey(
-            n=args.n, k=args.k, c=args.c, c_star=args.c_star or key.c_star,
-            alpha=args.alpha, variant=args.variant,
-            replicates=args.replicates, seed=args.seed,
-        )
-    if args.cache:
-        pair = calibration.cache_get_or_calibrate(args.cache, key, threads=args.threads)
-    else:
-        pair = calibration.calibrate(key, threads=args.threads)
+    key = _key_from_args(args, args.n, args.replicates, args.seed)
+    pair = calibration.cache_get_or_calibrate(args.cache, key)
     print(json.dumps({"gamma1": pair.gamma1, "gamma2": pair.gamma2, "key": vars(key)}))
     return 0
 
@@ -119,9 +105,7 @@ def cmd_detect(args):
     )
     quantiles = None
     if args.label:
-        quantiles = calibration.SegmentQuantiles(
-            store=args.cache, alpha=args.alpha, threads=args.threads
-        )
+        quantiles = calibration.SegmentQuantiles(store=args.cache, alpha=args.alpha)
     report = detection.run_procedure(traj, config, labelling=args.label, quantiles=quantiles)
     if args.stats_csv:
         with open(args.stats_csv, "w", newline="", encoding="utf-8") as fh:
@@ -135,7 +119,7 @@ def cmd_bench(args):
         spec = bench.Type1Spec(
             n_values=tuple(args.n_list), k_values=tuple(args.k_list),
             variants=tuple(args.variants), replicates=args.replicates,
-            seed=args.seed, alpha=args.alpha, cache_path=args.cache, threads=args.threads,
+            seed=args.seed, alpha=args.alpha, cache_path=args.cache,
         )
         report = bench.run_type1_experiment(spec)
     else:
@@ -152,7 +136,6 @@ def cmd_bench(args):
             variant=args.variant,
             alpha=args.alpha,
             cache_path=args.cache,
-            threads=args.threads,
             label=not args.no_label,
             external_detector=args.external,
         )

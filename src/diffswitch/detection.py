@@ -25,6 +25,12 @@ UNDETERMINED = "undetermined"
 MIN_LABEL_POINTS = 10
 
 
+def default_cluster_params(k):
+    """Recommended cluster window and count threshold for window size k."""
+    c = max(2, k // 2)
+    return c, math.ceil(0.75 * c)
+
+
 @dataclass(frozen=True)
 class DetectionConfig:
     """Tuning parameters of the detection procedure.
@@ -41,8 +47,12 @@ class DetectionConfig:
 
     def __post_init__(self):
         if self.c is None:
-            object.__setattr__(self, "c", max(2, self.k // 2))
-        if self.c_star is None:
+            c, c_star = default_cluster_params(self.k)
+            object.__setattr__(self, "c", c)
+            if self.c_star is None:
+                object.__setattr__(self, "c_star", c_star)
+        elif self.c_star is None:
+            # An explicit c keeps the recommended ratio.
             object.__setattr__(self, "c_star", math.ceil(0.75 * self.c))
         if self.k < 1:
             raise InvalidParam(f"window size must be >= 1, got {self.k}")

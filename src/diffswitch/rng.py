@@ -1,12 +1,9 @@
 """Reproducible random streams for Monte Carlo replication.
 
 Every replicate derives its own generator from (master seed, replicate
-index) through numpy's SeedSequence spawn keys, so serial and parallel
-runs produce bit-identical results regardless of worker count or
-scheduling order.
+index) through numpy's SeedSequence spawn keys, so results do not depend
+on the order in which replicates are simulated or how they are batched.
 """
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -20,16 +17,3 @@ def replicate_rng(seed, *indices):
     mapping is pure, so the same tuple always yields the same stream.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(indices)))
-
-
-def parallel_map(fn, items, threads=1):
-    """Map fn over items, optionally on a thread pool.
-
-    Results come back in input order, so reductions downstream are
-    independent of the worker count.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

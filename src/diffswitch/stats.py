@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParam, NoMotion, NoMotionWindow, TooShort, WindowTooLarge
-from .trajectory import Segment
+from .trajectory import Segment, Trajectory
 
 SUBDIFFUSIVE = 1
 SUPERDIFFUSIVE = 2
@@ -68,8 +67,33 @@ def phi(x, thresholds):
 
 
 def _step_norms_sq(positions):
-    steps = np.diff(positions, axis=0)
-    return np.einsum("ij,ij->i", steps, steps)
+    steps = np.diff(positions, axis=-2)
+    return np.einsum("...i,...i->...", steps, steps)
+
+
+def _unit_scaled(positions):
+    """Positions divided by the power of two at or above their largest absolute step.
+
+    Stacks are scaled per trajectory. Dividing by a power of two is exact,
+    so the scale-invariant statistics keep every bit, while squared
+    distances stay near 1 instead of overflowing or underflowing at
+    extreme position scales.
+    """
+    largest = np.abs(np.diff(positions, axis=-2)).max(axis=(-2, -1), keepdims=True)
+    return np.ldexp(positions, -np.frexp(largest)[1])
+
+
+def _require_finite(*values):
+    if not all(np.isfinite(v).all() for v in values):
+        raise InvalidParam("statistic is not finite; positions span too wide a range")
+
+
+def _sigma2(positions, delta):
+    total = math.fsum(_step_norms_sq(positions))
+    if total == 0.0:
+        raise NoMotion("all steps are zero; diffusion coefficient undefined")
+    n_steps, dim = positions.shape[0] - 1, positions.shape[1]
+    return total / (n_steps * dim * delta)
 
 
 def estimate_sigma2(traj, seg=None):
@@ -82,11 +106,7 @@ def estimate_sigma2(traj, seg=None):
         seg = Segment(0, traj.n_steps)
     if seg.n_points < 2:
         raise TooShort("segment needs at least 2 points")
-    ssq = _step_norms_sq(traj.positions[seg.start_index : seg.end_index + 1])
-    total = math.fsum(ssq)
-    if total == 0.0:
-        raise NoMotion("all steps are zero; diffusion coefficient undefined")
-    return total / (seg.n_steps * traj.dim * traj.grid.delta)
+    return _sigma2(traj.positions[seg.start_index : seg.end_index + 1], traj.grid.delta)
 
 
 def statistic_T(traj, seg=None):
@@ -99,12 +119,14 @@ def statistic_T(traj, seg=None):
         seg = Segment(0, traj.n_steps)
     if seg.n_steps < 2:
         raise TooShort("statistic needs at least 2 steps")
-    sigma2 = estimate_sigma2(traj, seg)
-    pos = traj.positions[seg.start_index : seg.end_index + 1]
+    pos = _unit_scaled(traj.positions[seg.start_index : seg.end_index + 1])
+    sigma2 = _sigma2(pos, traj.grid.delta)
     disp = pos[1:] - pos[0]
     excursion = np.sqrt(np.einsum("ij,ij->i", disp, disp)).max()
     span = seg.n_steps * traj.grid.delta
-    return excursion / math.sqrt(span * sigma2)
+    T = excursion / math.sqrt(span * sigma2)
+    _require_finite(T)
+    return T
 
 
 def backward_forward(traj, k):
@@ -114,37 +136,50 @@ def backward_forward(traj, k):
     X_{t_i}; A_i mirrors it forward. Both denominators use the window
     span k*delta and the diffusion estimate from that window's own
     steps. Raises NoMotionWindow if any window has zero motion.
+
+    `traj` is a Trajectory or a stack of positions of shape (..., n+1, d)
+    on a unit time grid; a stack gives (..., n-2k+1) arrays whose rows
+    equal the single-trajectory results exactly. Memory is O(n) per
+    trajectory: one pass per lag j = 1..k shares the squared distances
+    s_j[t] = ||X_{t+j} - X_t||^2 between B (which reads s_j[i-j]) and
+    A (which reads s_j[i]).
     """
-    n = traj.n_steps
+    if isinstance(traj, Trajectory):
+        pos, delta = traj.positions, traj.grid.delta
+    else:
+        pos, delta = np.asarray(traj, dtype=float), 1.0
+    n = pos.shape[-2] - 1
     if k < 1 or k > n // 2:
         raise WindowTooLarge(f"need 1 <= k <= n/2 = {n // 2}, got {k}")
-    pos = traj.positions
-    d = traj.dim
-    delta = traj.grid.delta
+    d = pos.shape[-1]
+    m = n - 2 * k + 1
+    pos = _unit_scaled(pos)
 
     ssq = _step_norms_sq(pos)
-    # Left-to-right accumulation keeps each window sum identical to a
-    # naive sequential loop over that window.
-    win_ssq = np.add.accumulate(sliding_window_view(ssq, k), axis=1)[:, -1]
-    # win_ssq[j] = sum of squared steps j .. j+k-1 (step j links points j, j+1).
-    idx = np.arange(k, n - k + 1)
-    sig2_back = win_ssq[idx - k] / (k * d * delta)
-    sig2_fwd = win_ssq[idx] / (k * d * delta)
-    bad = np.flatnonzero((sig2_back == 0) | (sig2_fwd == 0))
-    if bad.size:
-        raise NoMotionWindow(int(idx[bad[0]]))
+    # win[t] = sum of squared steps t .. t+k-1 (step t links points t, t+1),
+    # accumulated left to right like a naive sequential loop over the window.
+    win = ssq[..., : n - k + 1].copy()
+    for j in range(1, k):
+        win += ssq[..., j : n - k + 1 + j]
+    sig2_back = win[..., :m] / (k * d * delta)
+    sig2_fwd = win[..., k:] / (k * d * delta)
+    bad = (sig2_back == 0) | (sig2_fwd == 0)
+    if bad.any():
+        raise NoMotionWindow(k + int(np.nonzero(bad)[-1].min()))
 
-    windows = sliding_window_view(pos, k + 1, axis=0)  # (n+1-k, d, k+1)
-    back = windows[idx - k]
-    diff_b = back[:, :, :-1] - back[:, :, -1:]
-    max_b = np.sqrt(np.einsum("mdj,mdj->mj", diff_b, diff_b)).max(axis=1)
-    fwd = windows[idx]
-    diff_f = fwd[:, :, 1:] - fwd[:, :, :1]
-    max_f = np.sqrt(np.einsum("mdj,mdj->mj", diff_f, diff_f)).max(axis=1)
+    max_b = np.zeros(pos.shape[:-2] + (m,))
+    max_f = np.zeros_like(max_b)
+    for j in range(1, k + 1):
+        # s[u] = s_j[k - j + u] for u = 0 .. m + j - 1.
+        diff = pos[..., k : n - k + j + 1, :] - pos[..., k - j : n - k + 1, :]
+        s = np.einsum("...i,...i->...", diff, diff)
+        np.maximum(max_b, s[..., :m], out=max_b)
+        np.maximum(max_f, s[..., j:], out=max_f)
 
     span = k * delta
-    B = max_b / np.sqrt(span * sig2_back)
-    A = max_f / np.sqrt(span * sig2_fwd)
+    B = np.sqrt(max_b) / np.sqrt(span * sig2_back)
+    A = np.sqrt(max_f) / np.sqrt(span * sig2_fwd)
+    _require_finite(B, A)
     return B, A
 
 

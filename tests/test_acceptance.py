@@ -31,6 +31,7 @@ from diffswitch import (
     save_csv,
     scenario_preset,
 )
+from diffswitch import calibration
 from diffswitch.bench import run_cell
 from diffswitch.calibration import RELAXED, STRICT, calibrate_both, default_cluster_params
 from diffswitch.rng import DEFAULT_SEED
@@ -56,7 +57,7 @@ def calibrated():
     for n, k in PUBLISHED_CUTOFFS:
         c, c_star = default_cluster_params(k)
         out[(n, k)] = calibrate_both(
-            n, k, c, c_star, 0.05, CALIB_REPLICATES, DEFAULT_SEED, threads=8
+            n, k, c, c_star, 0.05, CALIB_REPLICATES, DEFAULT_SEED
         )
     return out
 
@@ -69,7 +70,7 @@ def verdict(criterion, ok, detail):
 def bench_spec(**kw):
     base = dict(
         scenario=1, param_values=(0.6, 1.0, 2.0), k_values=(20, 30, 40),
-        replicates=200, seed=DEFAULT_SEED, label=False, threads=8,
+        replicates=200, seed=DEFAULT_SEED, label=False,
     )
     base.update(kw)
     return ExperimentSpec(**base)
@@ -96,10 +97,10 @@ def test_criterion_2_type1_control(calibrated):
     for (n, k), pairs in calibrated.items():
         c, c_star = default_cluster_params(k)
         p_rel, _ = estimate_type1_error(
-            n, k, c, c_star, pairs[RELAXED], 2000, DEFAULT_SEED, threads=8
+            n, k, c, c_star, pairs[RELAXED], 2000, DEFAULT_SEED
         )
         p_str, _ = estimate_type1_error(
-            n, k, c, c_star, pairs[STRICT], 2000, DEFAULT_SEED, threads=8
+            n, k, c, c_star, pairs[STRICT], 2000, DEFAULT_SEED
         )
         rows.append(f"(n={n},k={k}): relaxed {100*p_rel:.2f}%, strict {100*p_str:.2f}%")
         ok = ok and 0.03 <= p_rel <= 0.07 and p_str < 0.025
@@ -144,7 +145,7 @@ def test_criterion_4_confinement_window_collapse(calibrated):
 
 def test_criterion_5_labelling_accuracy(calibrated):
     spec = bench_spec(label=True)
-    quantiles = SegmentQuantiles(replicates=CALIB_REPLICATES, seed=DEFAULT_SEED, threads=8)
+    quantiles = SegmentQuantiles(replicates=CALIB_REPLICATES, seed=DEFAULT_SEED)
     cell = run_cell(spec, 2.0, 30, calibrated[(300, 30)][RELAXED], quantiles=quantiles)
     ok = cell.label_accuracy is not None and cell.label_accuracy >= 0.80
     verdict(5, ok, f"v=2,k=30 correct-label fraction {cell.label_accuracy:.3f} >= 0.80")
@@ -168,7 +169,7 @@ def test_criterion_6_worked_example():
     verdict(6, ok, f"(c=15, c*=10) -> {clusters}; (c=15, c*=15) -> no clusters")
 
 
-def test_criterion_7_property_suite(tmp_path):
+def test_criterion_7_property_suite(tmp_path, monkeypatch):
     checks = {}
 
     # Scale invariance of B/A/Q and of the full report.
@@ -195,12 +196,12 @@ def test_criterion_7_property_suite(tmp_path):
         np.allclose(B, A_r[::-1], rtol=1e-10) and np.allclose(A, B_r[::-1], rtol=1e-10)
     )
 
-    # Worker-count determinism of the calibration pipeline.
-    runs = [
-        calibrate_both(150, 20, 10, 8, 0.05, 1000, DEFAULT_SEED, threads=t)
-        for t in (1, 4, 8)
-    ]
-    checks["thread determinism"] = runs[0] == runs[1] == runs[2]
+    # Batch-size determinism of the calibration pipeline.
+    runs = []
+    for batch in (1, calibration.REPLICATE_BATCH, 7):
+        monkeypatch.setattr(calibration, "REPLICATE_BATCH", batch)
+        runs.append(calibrate_both(150, 20, 10, 8, 0.05, 1000, DEFAULT_SEED))
+    checks["batch determinism"] = runs[0] == runs[1] == runs[2]
 
     # CSV round-trip preserves positions exactly.
     path = tmp_path / "round_trip.csv"

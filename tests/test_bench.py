@@ -6,7 +6,9 @@ import stat
 
 import pytest
 
-from diffswitch import ExperimentSpec, ThresholdPair, Type1Spec, export_report
+from diffswitch import (
+    ExperimentSpec, SegmentQuantiles, ThresholdPair, Type1Spec, calibration, export_report,
+)
 from diffswitch.bench import (
     DIFF_CATEGORIES,
     ExperimentReport,
@@ -16,6 +18,7 @@ from diffswitch.bench import (
     run_experiment,
     run_type1_experiment,
 )
+from diffswitch.calibration import SEGMENT_LENGTH_GRID
 from diffswitch.errors import InvalidParam
 
 THRESHOLDS = ThresholdPair(0.74, 3.26)  # published relaxed pair for n=300, k=30
@@ -76,17 +79,29 @@ class TestRunCell:
         if cell.n_qualifying == 1:
             assert cell.tau_sd == [None, None]
 
-    def test_thread_count_does_not_change_tallies(self):
-        a = run_cell(spec_1(threads=1), 2.0, 30, THRESHOLDS)
-        b = run_cell(spec_1(threads=4), 2.0, 30, THRESHOLDS)
-        assert a.proportions == b.proportions
-        assert a.tau_mean == b.tau_mean
-
     def test_label_accuracy_with_quantiles(self):
         spec = spec_1(replicates=20, label=True)
         cell = run_cell(spec, 2.0, 30, THRESHOLDS, quantiles=lambda n: (0.60, 2.60))
         assert cell.label_accuracy is not None
         assert 0.0 <= cell.label_accuracy <= 1.0
+
+    def test_labelling_calibrates_each_grid_length_once(self, monkeypatch):
+        calls = []
+
+        def counting(n, *args, **kwargs):
+            calls.append(n)
+            return original(n, *args, **kwargs)
+
+        original = calibration.calibrate_segment_test
+        monkeypatch.setattr(calibration, "calibrate_segment_test", counting)
+        quantiles = SegmentQuantiles(replicates=1000, seed=3)
+        spec = spec_1(replicates=20, label=True)
+        run_cell(spec, 2.0, 30, THRESHOLDS, quantiles=quantiles)
+        assert calls and len(calls) == len(set(calls))
+        assert set(calls) <= set(SEGMENT_LENGTH_GRID)
+        before = list(calls)
+        run_cell(spec, 2.0, 30, THRESHOLDS, quantiles=quantiles)
+        assert calls == before
 
     def test_seed_determinism(self):
         a = run_cell(spec_1(), 2.0, 30, THRESHOLDS)
@@ -117,7 +132,6 @@ class TestRunExperiment:
         spec = Type1Spec(
             n_values=(300,), k_values=(30,), replicates=500, seed=11,
             calib_replicates=1000, cache_path=str(tmp_path / "cache.json"),
-            threads=4,
         )
         report = run_type1_experiment(spec)
         assert len(report.cells) == 1

@@ -17,6 +17,7 @@ from diffswitch import (
     gen_brownian,
     statistic_T,
 )
+from diffswitch import calibration
 from diffswitch.calibration import (
     RELAXED,
     SEGMENT_LENGTH_GRID,
@@ -84,12 +85,12 @@ class TestQuantileIndex:
 
 @pytest.fixture(scope="module")
 def pairs():
-    return calibrate_both(300, 30, 15, 12, 0.05, REPS, seed=7, threads=4)
+    return calibrate_both(300, 30, 15, 12, 0.05, REPS, seed=7)
 
 
 @pytest.fixture(scope="module")
 def q100():
-    return calibrate_segment_test(100, 0.05, REPS, seed=5, threads=4)
+    return calibrate_segment_test(100, 0.05, REPS, seed=5)
 
 
 class TestCalibrateBoth:
@@ -109,8 +110,10 @@ class TestCalibrateBoth:
         again = calibrate_both(300, 30, 15, 12, 0.05, REPS, seed=7)
         assert again == pairs
 
-    def test_thread_count_does_not_change_result(self, pairs):
-        assert calibrate_both(300, 30, 15, 12, 0.05, REPS, seed=7, threads=8) == pairs
+    def test_batch_size_does_not_change_result(self, pairs, monkeypatch):
+        for batch in (1, calibration.REPLICATE_BATCH, 7):
+            monkeypatch.setattr(calibration, "REPLICATE_BATCH", batch)
+            assert calibrate_both(300, 30, 15, 12, 0.05, REPS, seed=7) == pairs
 
     def test_seed_changes_result(self, pairs):
         other = calibrate_both(300, 30, 15, 12, 0.05, REPS, seed=8)
@@ -188,6 +191,13 @@ class TestThresholdTable:
         path.write_text(json.dumps({"version": 999, "entries": []}))
         assert ThresholdTable(path).entries == {}
 
+    def test_no_store_calibrates_without_persisting(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        pair = cache_get_or_calibrate(None, self.key(seed=7))
+        assert pair == calibrate(self.key(seed=7))
+        assert pair == cache_get_or_calibrate(tmp_path / "cache.json", self.key(seed=7))
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+
     def test_file_is_schema_versioned_json(self, tmp_path):
         path = tmp_path / "cache.json"
         cache_get_or_calibrate(path, segment_test_key(25, replicates=REPS, seed=2))
@@ -230,6 +240,10 @@ class TestType1Error:
         with pytest.raises(InvalidParam):
             estimate_type1_error(300, 30, 15, 12, ThresholdPair(0.7, 3.2), 100, seed=1)
 
-    def test_thread_count_does_not_change_result(self):
+    def test_batch_size_does_not_change_result(self, monkeypatch):
         args = (300, 30, 15, 12, ThresholdPair(0.74, 3.26), 500, 1)
-        assert estimate_type1_error(*args, threads=1) == estimate_type1_error(*args, threads=4)
+        results = []
+        for batch in (1, calibration.REPLICATE_BATCH, 7):
+            monkeypatch.setattr(calibration, "REPLICATE_BATCH", batch)
+            results.append(estimate_type1_error(*args))
+        assert results[0] == results[1] == results[2]

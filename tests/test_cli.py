@@ -113,7 +113,7 @@ class TestCalibrate:
         cache = tmp_path / "cache.json"
         args = (
             "calibrate", "--n", "300", "--k", "30", "--replicates", "1000",
-            "--cache", str(cache), "--seed", "7", "--threads", "4",
+            "--cache", str(cache), "--seed", "7",
         )
         code, stdout, _ = run(capsys, *args)
         assert code == 0
@@ -138,8 +138,7 @@ class TestBench:
         cache = tmp_path / "cache.json"
         code, stdout, _ = run(
             capsys, "bench", "--type1", "--n-list", "300", "--k-list", "30",
-            "--replicates", "500", "--cache", str(cache), "--threads", "4",
-            "--out", str(out),
+            "--replicates", "500", "--cache", str(cache), "--out", str(out),
         )
         assert code == 0
         assert json.loads(stdout)["cells"] == 1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,8 +112,15 @@ class TestStatisticT:
     def test_scale_invariant(self):
         rng = np.random.default_rng(3)
         traj = gen_brownian(TimeGrid(0.0, 1.0, 100), 2, 1.0, rng)
-        scaled = make(traj.positions * 7.3)
-        assert statistic_T(scaled) == pytest.approx(statistic_T(traj), rel=1e-12)
+        for scale in (7.3, 1e160, 1e-160):
+            scaled = make(traj.positions * scale)
+            assert statistic_T(scaled) == pytest.approx(statistic_T(traj), rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_raises(self):
+        # Finite positions whose difference overflows.
+        with pytest.raises(InvalidParam):
+            statistic_T(make([[0, 0], [1.5e308, 0], [-1.5e308, 0]]))
 
     def test_delta_invariant(self):
         pos = np.random.default_rng(4).normal(size=(60, 2)).cumsum(axis=0)
@@ -141,10 +149,40 @@ class TestBackwardForward:
 
     def test_scale_invariance(self, brownian_300):
         B, A = backward_forward(brownian_300, 25)
-        scaled = make(brownian_300.positions * 100.0)
-        B2, A2 = backward_forward(scaled, 25)
-        assert np.allclose(B, B2, rtol=1e-12)
-        assert np.allclose(A, A2, rtol=1e-12)
+        for scale in (100.0, 1e160, 1e-160):
+            scaled = make(brownian_300.positions * scale)
+            B2, A2 = backward_forward(scaled, 25)
+            assert np.allclose(B, B2, rtol=1e-12)
+            assert np.allclose(A, A2, rtol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_raises(self):
+        pos = np.zeros((21, 2))
+        pos[1::2, 0] = 1.5e308
+        pos[2::2, 0] = -1.5e308
+        with pytest.raises(InvalidParam):
+            backward_forward(make(pos), 5)
+
+    def test_stack_rows_match_single_trajectory(self):
+        grid = TimeGrid(0.0, 1.0, 120)
+        trajs = [gen_brownian(grid, 2, 1.0, np.random.default_rng(seed)) for seed in range(6)]
+        stack = np.stack([t.positions for t in trajs]).reshape(2, 3, 121, 2)
+        B, A = backward_forward(stack, 20)
+        assert B.shape == A.shape == (2, 3, 120 - 2 * 20 + 1)
+        for row, traj in enumerate(trajs):
+            B1, A1 = backward_forward(traj, 20)
+            assert np.array_equal(B[row // 3, row % 3], B1)
+            assert np.array_equal(A[row // 3, row % 3], A1)
+
+    def test_memory_linear_in_length(self):
+        traj = gen_brownian(TimeGrid(0.0, 1.0, 100_000), 2, 1.0, np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            backward_forward(traj, 300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
 
     def test_time_reversal_swaps_roles(self, brownian_300):
         B, A = backward_forward(brownian_300, 25)
