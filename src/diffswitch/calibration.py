@@ -23,9 +23,7 @@ from ._version import __version__
 from .detection import default_cluster_params, find_clusters
 from .errors import CorruptCache, Degenerate, InvalidParam, IoFailure
 from .rng import DEFAULT_SEED, replicate_rng
-from .simulators import gen_brownian
 from .stats import ThresholdPair, backward_forward, phi, statistic_T
-from .trajectory import TimeGrid
 
 STRICT = "strict"
 RELAXED = "relaxed"
@@ -92,13 +90,21 @@ def _quantile_index(p, n):
 def _null_stacks(n, replicates, seed, sigma=1.0, delta=1.0):
     """Planar Brownian null paths in stacks of up to REPLICATE_BATCH positions.
 
-    Replicate r always comes from its own stream replicate_rng(seed, r),
-    so results do not depend on how replicates are batched.
+    Each stack has shape (b, n+1, 2) and starts at the origin. Replicate r
+    always draws its increments from its own stream replicate_rng(seed, r),
+    exactly as gen_brownian does, so results do not depend on how
+    replicates are batched.
     """
-    grid = TimeGrid(t0=0.0, delta=delta, n_steps=n)
+    if sigma <= 0 or delta <= 0:
+        raise InvalidParam(f"need sigma > 0 and delta > 0, got ({sigma}, {delta})")
+    scale = sigma * math.sqrt(delta)
     for lo in range(0, replicates, REPLICATE_BATCH):
         reps = range(lo, min(lo + REPLICATE_BATCH, replicates))
-        yield np.stack([gen_brownian(grid, 2, sigma, replicate_rng(seed, r)).positions for r in reps])
+        stack = np.zeros((len(reps), n + 1, 2))
+        for row, r in zip(stack, reps):
+            row[1:] = replicate_rng(seed, r).normal(0.0, scale, size=(n, 2))
+        np.cumsum(stack, axis=1, out=stack)
+        yield stack
 
 
 def calibrate_both(n, k, c, c_star, alpha, replicates, seed, sigma=1.0, delta=1.0):
@@ -148,11 +154,7 @@ def calibrate_segment_test(n, alpha, replicates, seed):
         raise InvalidParam(f"alpha must be in (0, 1), got {alpha}")
     if replicates < 1000:
         raise InvalidParam(f"need at least 1000 replicates, got {replicates}")
-    grid = TimeGrid(t0=0.0, delta=1.0, n_steps=n)
-    values = np.sort(np.array([
-        statistic_T(gen_brownian(grid, 2, 1.0, replicate_rng(seed, rep)))
-        for rep in range(replicates)
-    ]))
+    values = np.sort(np.concatenate([statistic_T(s) for s in _null_stacks(n, replicates, seed)]))
     q1 = float(values[_quantile_index(alpha / 2, replicates)])
     q2 = float(values[_quantile_index(1 - alpha / 2, replicates)])
     return ThresholdPair(gamma1=q1, gamma2=q2)
@@ -184,11 +186,14 @@ class ThresholdTable:
             for entry in doc["entries"]:
                 key = CalibrationKey(**entry["key"])
                 self.entries[key] = ThresholdPair(entry["gamma1"], entry["gamma2"])
-        except CorruptCache:
+        except (CorruptCache, OSError, ValueError, KeyError, TypeError):
+            # Corrupt or other-schema cache: move it aside so that the next
+            # save cannot overwrite it, and recalibrate on demand.
             self.entries = {}
-        except (OSError, ValueError, KeyError, TypeError):
-            # Corrupt cache: recalibrate on demand rather than crash.
-            self.entries = {}
+            try:
+                os.replace(self.path, f"{self.path}.unreadable")
+            except OSError:
+                pass
 
     def save(self):
         doc = {

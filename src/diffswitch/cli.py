@@ -52,9 +52,10 @@ def _key_from_args(args, n, replicates=10_001, seed=DEFAULT_SEED):
     key = calibration.default_key(
         n, args.k, variant=args.variant, alpha=args.alpha, replicates=replicates, seed=seed
     )
-    if getattr(args, "c", None):
-        key = dataclasses.replace(key, c=args.c, c_star=args.c_star or key.c_star)
-    return key
+    c, c_star = detection.default_cluster_params(
+        args.k, getattr(args, "c", None), getattr(args, "c_star", None)
+    )
+    return dataclasses.replace(key, c=c, c_star=c_star)
 
 
 def _thresholds_from_args(args, n):

@@ -25,18 +25,24 @@ UNDETERMINED = "undetermined"
 MIN_LABEL_POINTS = 10
 
 
-def default_cluster_params(k):
-    """Recommended cluster window and count threshold for window size k."""
-    c = max(2, k // 2)
-    return c, math.ceil(0.75 * c)
+def default_cluster_params(k, c=None, c_star=None):
+    """Cluster window and count threshold (c, c_star) for window size k.
+
+    Values left as None follow the recommendation c = k/2 (at least 2)
+    and c_star = ceil(0.75 c), taken from the given c when only c is set.
+    """
+    if c is None:
+        c = max(2, k // 2)
+    if c_star is None:
+        c_star = math.ceil(0.75 * c)
+    return c, c_star
 
 
 @dataclass(frozen=True)
 class DetectionConfig:
     """Tuning parameters of the detection procedure.
 
-    Defaults follow the recommendation c = k/2 (at least 2) and
-    c_star = ceil(0.75 c).
+    Unset c and c_star are resolved by default_cluster_params.
     """
 
     k: int
@@ -46,14 +52,9 @@ class DetectionConfig:
     alpha: float = 0.05
 
     def __post_init__(self):
-        if self.c is None:
-            c, c_star = default_cluster_params(self.k)
-            object.__setattr__(self, "c", c)
-            if self.c_star is None:
-                object.__setattr__(self, "c_star", c_star)
-        elif self.c_star is None:
-            # An explicit c keeps the recommended ratio.
-            object.__setattr__(self, "c_star", math.ceil(0.75 * self.c))
+        c, c_star = default_cluster_params(self.k, self.c, self.c_star)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c_star", c_star)
         if self.k < 1:
             raise InvalidParam(f"window size must be >= 1, got {self.k}")
         if not 1 <= self.c_star <= self.c:

@@ -89,11 +89,13 @@ def _require_finite(*values):
 
 
 def _sigma2(positions, delta):
-    total = math.fsum(_step_norms_sq(positions))
-    if total == 0.0:
+    """Diffusion estimate of each trajectory in a stack, from exact step sums."""
+    ssq = _step_norms_sq(positions)
+    n_steps, dim = ssq.shape[-1], positions.shape[-1]
+    total = np.array([math.fsum(row) for row in ssq.reshape(-1, n_steps).tolist()])
+    if (total == 0.0).any():
         raise NoMotion("all steps are zero; diffusion coefficient undefined")
-    n_steps, dim = positions.shape[0] - 1, positions.shape[1]
-    return total / (n_steps * dim * delta)
+    return total.reshape(ssq.shape[:-1]) / (n_steps * dim * delta)
 
 
 def estimate_sigma2(traj, seg=None):
@@ -106,7 +108,7 @@ def estimate_sigma2(traj, seg=None):
         seg = Segment(0, traj.n_steps)
     if seg.n_points < 2:
         raise TooShort("segment needs at least 2 points")
-    return _sigma2(traj.positions[seg.start_index : seg.end_index + 1], traj.grid.delta)
+    return float(_sigma2(traj.positions[seg.start_index : seg.end_index + 1], traj.grid.delta))
 
 
 def statistic_T(traj, seg=None):
@@ -114,17 +116,26 @@ def statistic_T(traj, seg=None):
 
     T = max_i ||X_{t_i} - X_{t_0}|| / sqrt((t_n - t_0) sigma2_hat).
     Under the Brownian null its law depends only on the number of steps.
+
+    `traj` is a Trajectory or a stack of positions of shape (..., n+1, d)
+    on a unit time grid; a stack gives a (...) array whose entries equal
+    the single-trajectory results exactly. Raises NoMotion if any
+    trajectory has no motion.
     """
-    if seg is None:
-        seg = Segment(0, traj.n_steps)
-    if seg.n_steps < 2:
+    if isinstance(traj, Trajectory):
+        pos, delta = traj.positions, traj.grid.delta
+    else:
+        pos, delta = np.asarray(traj, dtype=float), 1.0
+    if seg is not None:
+        pos = pos[..., seg.start_index : seg.end_index + 1, :]
+    n_steps = pos.shape[-2] - 1
+    if n_steps < 2:
         raise TooShort("statistic needs at least 2 steps")
-    pos = _unit_scaled(traj.positions[seg.start_index : seg.end_index + 1])
-    sigma2 = _sigma2(pos, traj.grid.delta)
-    disp = pos[1:] - pos[0]
-    excursion = np.sqrt(np.einsum("ij,ij->i", disp, disp)).max()
-    span = seg.n_steps * traj.grid.delta
-    T = excursion / math.sqrt(span * sigma2)
+    pos = _unit_scaled(pos)
+    sigma2 = _sigma2(pos, delta)
+    disp = pos[..., 1:, :] - pos[..., :1, :]
+    excursion = np.sqrt(np.einsum("...i,...i->...", disp, disp)).max(axis=-1)
+    T = excursion / np.sqrt(n_steps * delta * sigma2)
     _require_finite(T)
     return T
 
@@ -167,12 +178,18 @@ def backward_forward(traj, k):
     if bad.any():
         raise NoMotionWindow(k + int(np.nonzero(bad)[-1].min()))
 
+    # Coordinate-major copy, so each lag adds d contiguous rows of squared
+    # coordinate differences, in coordinate order.
+    pt = np.moveaxis(pos, -1, 0).copy()
     max_b = np.zeros(pos.shape[:-2] + (m,))
     max_f = np.zeros_like(max_b)
     for j in range(1, k + 1):
         # s[u] = s_j[k - j + u] for u = 0 .. m + j - 1.
-        diff = pos[..., k : n - k + j + 1, :] - pos[..., k - j : n - k + 1, :]
-        s = np.einsum("...i,...i->...", diff, diff)
+        x = pt[..., k : n - k + j + 1] - pt[..., k - j : n - k + 1]
+        x *= x
+        s = x[0]
+        for coord in x[1:]:
+            s += coord
         np.maximum(max_b, s[..., :m], out=max_b)
         np.maximum(max_f, s[..., j:], out=max_f)
 

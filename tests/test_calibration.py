@@ -22,6 +22,7 @@ from diffswitch.calibration import (
     RELAXED,
     SEGMENT_LENGTH_GRID,
     STRICT,
+    _null_stacks,
     _order_rank,
     _quantile_index,
     calibrate_both,
@@ -29,7 +30,7 @@ from diffswitch.calibration import (
     segment_test_key,
 )
 from diffswitch.errors import Degenerate, InvalidParam
-from diffswitch.rng import replicate_rng
+from diffswitch.rng import DEFAULT_SEED, replicate_rng
 from diffswitch.trajectory import TimeGrid
 
 # Small but honest replicate counts keep the unit suite fast; the
@@ -81,6 +82,39 @@ class TestQuantileIndex:
         assert _quantile_index(0.975, 10_001) == 9749
         assert _quantile_index(0.0001, 100) == 0  # clamps to rank 1
         assert _quantile_index(0.9999, 100) == 98  # floor(99.99) -> rank 99
+
+
+class TestNullStacks:
+    def test_rows_equal_gen_brownian(self, monkeypatch):
+        monkeypatch.setattr(calibration, "REPLICATE_BATCH", 4)
+        grid = TimeGrid(0.0, 0.5, 60)
+        stacks = list(_null_stacks(60, 10, 11, sigma=2.0, delta=0.5))
+        assert [s.shape for s in stacks] == [(4, 61, 2), (4, 61, 2), (2, 61, 2)]
+        for r, row in enumerate(np.concatenate(stacks)):
+            expected = gen_brownian(grid, 2, 2.0, replicate_rng(11, r)).positions
+            assert np.array_equal(row, expected)
+
+    def test_rejects_bad_nuisance_values(self):
+        with pytest.raises(InvalidParam):
+            next(_null_stacks(60, 10, 11, sigma=0.0))
+
+
+class TestGoldenCutoffs:
+    """Cut-offs pinned bit for bit, so kernel rewrites cannot move them."""
+
+    def test_calibrate_both(self):
+        pairs = calibrate_both(150, 20, 10, 8, 0.05, 1000, DEFAULT_SEED)
+        assert pairs[STRICT] == ThresholdPair(
+            float.fromhex("0x1.3170cce391758p-1"), float.fromhex("0x1.aeafbb51043fdp+1")
+        )
+        assert pairs[RELAXED] == ThresholdPair(
+            float.fromhex("0x1.73a03219222f4p-1"), float.fromhex("0x1.87c6be98d6d6ep+1")
+        )
+
+    def test_calibrate_segment_test(self):
+        assert calibrate_segment_test(100, 0.05, 1000, 5) == ThresholdPair(
+            float.fromhex("0x1.85a5406f576f1p-1"), float.fromhex("0x1.6894fed644639p+1")
+        )
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +185,11 @@ class TestSegmentTest:
         with pytest.raises(InvalidParam):
             calibrate_segment_test(100, 0.05, 10, seed=5)
 
+    def test_batch_size_does_not_change_result(self, q100, monkeypatch):
+        for batch in (1, calibration.REPLICATE_BATCH, 7):
+            monkeypatch.setattr(calibration, "REPLICATE_BATCH", batch)
+            assert calibrate_segment_test(100, 0.05, REPS, seed=5) == q100
+
 
 class TestThresholdTable:
     def key(self, **kw):
@@ -190,6 +229,16 @@ class TestThresholdTable:
         path = tmp_path / "cache.json"
         path.write_text(json.dumps({"version": 999, "entries": []}))
         assert ThresholdTable(path).entries == {}
+
+    def test_unreadable_file_is_kept_aside(self, tmp_path):
+        path = tmp_path / "cache.json"
+        newer = json.dumps({"version": 999, "entries": [{"from": "a newer library"}]})
+        path.write_text(newer)
+        table = ThresholdTable(path)
+        table.put(self.key(seed=7), ThresholdPair(0.5, 3.0))
+        table.save()
+        assert (tmp_path / "cache.json.unreadable").read_text() == newer
+        assert ThresholdTable(path).get(self.key(seed=7)) == ThresholdPair(0.5, 3.0)
 
     def test_no_store_calibrates_without_persisting(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

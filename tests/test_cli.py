@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from diffswitch import __version__, load_csv
+from diffswitch import ThresholdPair, __version__, calibration, detection, load_csv
 from diffswitch.cli import main
 
 
@@ -98,6 +98,32 @@ class TestStatsAndDetect:
         assert len(doc["change_points"]) == 2
         assert abs(doc["change_points"][0] - 100) <= 10
         assert abs(doc["change_points"][1] - 175) <= 10
+
+    @pytest.mark.parametrize("flags, expected", [
+        (("--c", "20"), (20, 15)),
+        (("--c-star", "10"), (15, 10)),
+        (("--c", "20", "--c-star", "9"), (20, 9)),
+    ])
+    def test_detect_calibrates_with_the_clustering_params(
+        self, traj_csv, capsys, monkeypatch, flags, expected
+    ):
+        keys, configs = [], []
+        run_procedure = detection.run_procedure
+
+        def fake_calibrate(store, key):
+            keys.append(key)
+            return ThresholdPair(0.74, 3.26)
+
+        def recording_run(traj, config, **kw):
+            configs.append(config)
+            return run_procedure(traj, config, **kw)
+
+        monkeypatch.setattr(calibration, "cache_get_or_calibrate", fake_calibrate)
+        monkeypatch.setattr(detection, "run_procedure", recording_run)
+        code, _, _ = run(capsys, "detect", "--input", traj_csv, "--k", "30", *flags)
+        assert code == 0
+        assert [(key.c, key.c_star) for key in keys] == [expected]
+        assert [(cfg.c, cfg.c_star) for cfg in configs] == [expected]
 
     def test_detect_missing_input(self, capsys):
         code, _, stderr = run(

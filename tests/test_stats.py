@@ -50,6 +50,26 @@ def naive_backward_forward(traj, k):
     return np.array(B), np.array(A)
 
 
+def lag_einsum_backward_forward(pos, k):
+    """The lag kernel with each squared distance from one einsum over d."""
+    n, d = pos.shape[0] - 1, pos.shape[1]
+    m = n - 2 * k + 1
+    steps = np.diff(pos, axis=0)
+    ssq = np.einsum("ij,ij->i", steps, steps)
+    win = ssq[: n - k + 1].copy()
+    for j in range(1, k):
+        win += ssq[j : n - k + 1 + j]
+    max_b, max_f = np.zeros(m), np.zeros(m)
+    for j in range(1, k + 1):
+        diff = pos[k : n - k + j + 1] - pos[k - j : n - k + 1]
+        s = np.einsum("ij,ij->i", diff, diff)
+        max_b = np.maximum(max_b, s[:m])
+        max_f = np.maximum(max_f, s[j:])
+    B = np.sqrt(max_b) / np.sqrt(k * (win[:m] / (k * d)))
+    A = np.sqrt(max_f) / np.sqrt(k * (win[k:] / (k * d)))
+    return B, A
+
+
 def make(positions, delta=1.0):
     positions = np.asarray(positions, dtype=float)
     return Trajectory(
@@ -132,6 +152,27 @@ class TestStatisticT:
         with pytest.raises(TooShort):
             statistic_T(make([[0, 0], [1, 0]]))
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stack_rows_match_single_trajectory(self, dim):
+        grid = TimeGrid(0.0, 1.0, 80)
+        trajs = [gen_brownian(grid, dim, 1.0, np.random.default_rng(seed)) for seed in range(6)]
+        trajs[4] = make(trajs[4].positions * 1e160)
+        stack = np.stack([t.positions for t in trajs]).reshape(3, 2, 81, dim)
+        T = statistic_T(stack)
+        assert T.shape == (3, 2)
+        for row, traj in enumerate(trajs):
+            assert np.array_equal(T[row // 2, row % 2], statistic_T(traj))
+        seg = Segment(10, 60)
+        T_seg = statistic_T(stack, seg)
+        for row, traj in enumerate(trajs):
+            assert np.array_equal(T_seg[row // 2, row % 2], statistic_T(traj, seg))
+
+    def test_stack_with_immobile_row_raises(self):
+        stack = np.random.default_rng(5).normal(size=(4, 51, 2)).cumsum(axis=1)
+        stack[2] = stack[2, 0]
+        with pytest.raises(NoMotion):
+            statistic_T(stack)
+
 
 class TestBackwardForward:
     @pytest.mark.parametrize("k", [2, 5, 20, 50])
@@ -142,6 +183,22 @@ class TestBackwardForward:
         # difference comes from einsum vs np.sum and stays within a few ulp.
         np.testing.assert_allclose(B, B_ref, rtol=1e-13, atol=0)
         np.testing.assert_allclose(A, A_ref, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("k", [1, 7, 30])
+    def test_matches_per_lag_einsum_oracle(self, k):
+        # Planar squared distances have two terms, so any summation order
+        # gives the same bits; in 3-D the order may move the last bit.
+        rng = np.random.default_rng(k)
+        for dim, rtol in ((2, 0.0), (3, 1e-15)):
+            for _ in range(5):
+                pos = rng.normal(size=(201, dim)).cumsum(axis=0)
+                B, A = backward_forward(make(pos), k)
+                B_ref, A_ref = lag_einsum_backward_forward(pos, k)
+                if rtol == 0.0:
+                    assert np.array_equal(B, B_ref) and np.array_equal(A, A_ref)
+                else:
+                    np.testing.assert_allclose(B, B_ref, rtol=rtol, atol=0)
+                    np.testing.assert_allclose(A, A_ref, rtol=rtol, atol=0)
 
     def test_output_length(self, brownian_300):
         B, A = backward_forward(brownian_300, 30)
