@@ -15,7 +15,7 @@ import os
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -132,7 +132,7 @@ def run_cell(spec, param, k, thresholds, quantiles=None):
     scenario = _scenario_spec(spec, param)
     truth = _truth_labels(scenario)
     n_true = len(scenario.change_points)
-    config = detection.DetectionConfig(k=k, thresholds=thresholds, alpha=spec.alpha)
+    config = detection.DetectionConfig(k=k, thresholds=thresholds)
     cell_tag = (spec.param_values.index(param), spec.k_values.index(k))
     do_label = spec.label and quantiles is not None
 
@@ -271,25 +271,7 @@ def run_type1_experiment(spec):
 
 
 def report_to_dict(report):
-    cells = []
-    for cell in report.cells:
-        if isinstance(cell, dict):
-            cells.append(dict(cell))
-        else:
-            cells.append(
-                {
-                    "param": cell.param,
-                    "k": cell.k,
-                    "proportions": dict(cell.proportions),
-                    "n_qualifying": cell.n_qualifying,
-                    "tau_mean": cell.tau_mean,
-                    "tau_sd": cell.tau_sd,
-                    "label_accuracy": cell.label_accuracy,
-                    "failures": cell.failures,
-                    "replicates": cell.replicates,
-                    "runtime_s": cell.runtime_s,
-                }
-            )
+    cells = [dict(cell) if isinstance(cell, dict) else asdict(cell) for cell in report.cells]
     return {"spec": report.spec_summary, "cells": cells}
 
 

@@ -102,7 +102,7 @@ def cmd_detect(args):
     traj = load_csv(args.input)
     thresholds = _thresholds_from_args(args, traj.n_steps)
     config = detection.DetectionConfig(
-        k=args.k, thresholds=thresholds, c=args.c, c_star=args.c_star, alpha=args.alpha
+        k=args.k, thresholds=thresholds, c=args.c, c_star=args.c_star
     )
     quantiles = None
     if args.label:

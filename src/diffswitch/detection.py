@@ -13,12 +13,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParam, NoMotion, TooShort
-from .stats import ThresholdPair, sliding_stats, statistic_T
+from .stats import REGIME_LABELS, ThresholdPair, phi, sliding_stats, statistic_T
+from .stats import BROWNIAN, SUBDIFFUSIVE, SUPERDIFFUSIVE  # re-exported segment labels
 from .trajectory import Segment
 
-BROWNIAN = "brownian"
-SUBDIFFUSIVE = "subdiffusive"
-SUPERDIFFUSIVE = "superdiffusive"
 UNDETERMINED = "undetermined"
 
 # Segments with fewer points carry too little signal to test.
@@ -49,7 +47,6 @@ class DetectionConfig:
     thresholds: ThresholdPair
     c: int = None
     c_star: int = None
-    alpha: float = 0.05
 
     def __post_init__(self):
         c, c_star = default_cluster_params(self.k, self.c, self.c_star)
@@ -59,8 +56,6 @@ class DetectionConfig:
             raise InvalidParam(f"window size must be >= 1, got {self.k}")
         if not 1 <= self.c_star <= self.c:
             raise InvalidParam(f"need 1 <= c_star <= c, got ({self.c_star}, {self.c})")
-        if not 0 < self.alpha < 1:
-            raise InvalidParam(f"alpha must be in (0, 1), got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -154,13 +149,7 @@ def _label_one(traj, lo, hi, lookup):
         T = statistic_T(traj, Segment(lo, hi))
     except (NoMotion, TooShort):
         return SegmentLabel(lo, hi, UNDETERMINED, None)
-    q1, q2 = lookup(hi - lo)
-    if T < q1:
-        label = SUBDIFFUSIVE
-    elif T > q2:
-        label = SUPERDIFFUSIVE
-    else:
-        label = BROWNIAN
+    label = REGIME_LABELS[int(phi(T, ThresholdPair(*lookup(hi - lo))))]
     return SegmentLabel(lo, hi, label, float(T))
 
 

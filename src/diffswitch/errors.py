@@ -45,10 +45,6 @@ class WindowTooLarge(DiffswitchError):
     """Window size k exceeds n/2."""
 
 
-class SizeLimit(DiffswitchError):
-    """Requested path length exceeds the exact-method size cap."""
-
-
 class Degenerate(DiffswitchError):
     """Calibration parameters degenerate (e.g. order statistic rank 0)."""
 

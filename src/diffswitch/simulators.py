@@ -4,7 +4,8 @@ Brownian motion is the null model; Brownian motion with drift models
 superdiffusion (drift vector (v, v)/sqrt(2) so its norm equals v); the
 Ornstein-Uhlenbeck process models subdiffusion and is sampled with its
 exact AR(1) Gaussian transition, not Euler-Maruyama. Fractional Brownian
-motion uses the Hosking recursion on the exact increment covariance.
+motion uses exact Davies-Harte circulant embedding of the increment
+covariance.
 """
 
 import json
@@ -13,11 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParam, SizeLimit
+from . import stats
+from .errors import InvalidParam
 from .rng import replicate_rng
 from .trajectory import TimeGrid, Trajectory
-
-FBM_MAX_STEPS = 10_000
 
 BROWNIAN = "brownian"
 BROWNIAN_DRIFT = "brownian_drift"
@@ -27,9 +27,9 @@ FRACTIONAL_BROWNIAN = "fractional_brownian"
 # Diffusion type implied by each regime kind, used for scenario validation
 # and as ground-truth labels in the bench harness.
 _DIFFUSION_TYPE = {
-    BROWNIAN: "brownian",
-    BROWNIAN_DRIFT: "superdiffusive",
-    ORNSTEIN_UHLENBECK: "subdiffusive",
+    BROWNIAN: stats.BROWNIAN,
+    BROWNIAN_DRIFT: stats.SUPERDIFFUSIVE,
+    ORNSTEIN_UHLENBECK: stats.SUBDIFFUSIVE,
 }
 
 
@@ -59,10 +59,10 @@ class RegimeSpec:
     def diffusion_type(self):
         if self.kind == FRACTIONAL_BROWNIAN:
             if self.hurst == 0.5:
-                return "brownian"
-            return "subdiffusive" if self.hurst < 0.5 else "superdiffusive"
+                return stats.BROWNIAN
+            return stats.SUBDIFFUSIVE if self.hurst < 0.5 else stats.SUPERDIFFUSIVE
         if self.kind == BROWNIAN_DRIFT and self.v == 0:
-            return "brownian"
+            return stats.BROWNIAN
         return _DIFFUSION_TYPE[self.kind]
 
 
@@ -160,53 +160,32 @@ def gen_ou(grid, sigma, lam, rng, theta=None, dim=2, start=None):
     return Trajectory(grid=grid, positions=pos)
 
 
-def _fgn_hosking(n, hurst, rng):
-    """Unit-variance fractional Gaussian noise by the Hosking recursion.
-
-    Exact for any n; O(n^2) time, O(n) memory.
-    """
-    idx = np.arange(n, dtype=float)
-    two_h = 2.0 * hurst
-    # rho[0] is the variance (1); rho[j] the lag-j autocovariance.
-    rho = 0.5 * ((idx + 1) ** two_h - 2 * idx**two_h + np.abs(idx - 1) ** two_h)
-    z = rng.standard_normal(n)
-    out = np.empty(n)
-    out[0] = z[0]
-    phi = np.empty(n)  # AR coefficients of the current order
-    var = 1.0
-    for i in range(1, n):
-        if i == 1:
-            kappa = rho[1]
-        else:
-            kappa = (rho[i] - np.dot(phi[: i - 1], rho[i - 1 : 0 : -1])) / var
-            phi[: i - 1] -= kappa * phi[i - 2 :: -1].copy()
-        phi[i - 1] = kappa
-        var *= 1.0 - kappa * kappa
-        mean = np.dot(phi[:i], out[i - 1 :: -1])
-        out[i] = mean + math.sqrt(var) * z[i]
-    return out
-
-
 def gen_fbm(grid, dim, sigma, hurst, rng, start=None):
     """Fractional Brownian path scaled by sigma, one independent fBm per axis.
 
-    Uses the exact increment covariance (Hosking recursion); capped at
-    FBM_MAX_STEPS because the recursion is quadratic in path length.
+    Exact Davies-Harte circulant embedding: the n x n Toeplitz covariance
+    of unit fractional Gaussian noise sits in a 2n-point circulant whose
+    eigenvalues come from one FFT, and the real part of the FFT of
+    eigenvalue-weighted complex normals has exactly that covariance.
+    O(n log n) time, O(n) memory, any path length and any hurst.
     """
     _require_sigma(sigma)
     if not 0 < hurst < 1:
         raise InvalidParam(f"hurst must be in (0, 1), got {hurst}")
-    if grid.n_steps > FBM_MAX_STEPS:
-        raise SizeLimit(f"fbm limited to {FBM_MAX_STEPS} steps, got {grid.n_steps}")
-    scale = sigma * grid.delta**hurst
-    inc = np.empty((grid.n_steps, dim))
-    for axis in range(dim):
-        if hurst == 0.5:
-            inc[:, axis] = rng.standard_normal(grid.n_steps)
-        else:
-            inc[:, axis] = _fgn_hosking(grid.n_steps, hurst, rng)
-    inc *= scale
-    return _walk(grid, dim, inc, start)
+    n = grid.n_steps
+    idx = np.arange(n + 1, dtype=float)
+    two_h = 2.0 * hurst
+    # rho[j] is the lag-j autocovariance of unit fGn (rho[0] = 1).
+    rho = 0.5 * ((idx + 1) ** two_h - 2 * idx**two_h + np.abs(idx - 1) ** two_h)
+    lam = np.fft.fft(np.concatenate([rho, rho[-2:0:-1]])).real
+    # Rounding leaves tiny negative eigenvalues when hurst is near 1.
+    if lam.min() < -1e-6 * lam.max():
+        raise InvalidParam(f"circulant embedding is not nonnegative definite at hurst={hurst}")
+    np.maximum(lam, 0.0, out=lam)
+    z = rng.standard_normal((2, dim, 2 * n))
+    z = z[0] + 1j * z[1]
+    fgn = np.fft.fft(np.sqrt(lam / (2 * n)) * z, axis=-1)[:, :n].real
+    return _walk(grid, dim, (sigma * grid.delta**hurst) * fgn.T, start)
 
 
 def _gen_regime(regime, grid, dim, rng, start):

@@ -13,12 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParam, NoMotion, NoMotionWindow, TooShort, WindowTooLarge
-from .trajectory import Segment, Trajectory
+from .errors import InvalidParam, NoMotion, NoMotionWindow, OutOfBounds, TooShort, WindowTooLarge
+from .trajectory import Trajectory
 
-SUBDIFFUSIVE = 1
-SUPERDIFFUSIVE = 2
-NEUTRAL = 0
+# Diffusion-regime labels, indexed by the codes phi returns.
+REGIME_LABELS = (BROWNIAN, SUBDIFFUSIVE, SUPERDIFFUSIVE) = (
+    "brownian",
+    "subdiffusive",
+    "superdiffusive",
+)
 
 
 @dataclass(frozen=True)
@@ -59,11 +62,12 @@ class SlidingStats:
 
 
 def phi(x, thresholds):
-    """Three-level step function: 1 below gamma1, 2 above gamma2, else 0."""
+    """Three-level step function: 1 below gamma1, 2 above gamma2, else 0.
+
+    Each code indexes its label in REGIME_LABELS.
+    """
     x = np.asarray(x)
-    return np.where(
-        x < thresholds.gamma1, SUBDIFFUSIVE, np.where(x > thresholds.gamma2, SUPERDIFFUSIVE, NEUTRAL)
-    )
+    return np.where(x < thresholds.gamma1, 1, np.where(x > thresholds.gamma2, 2, 0))
 
 
 def _step_norms_sq(positions):
@@ -81,6 +85,20 @@ def _unit_scaled(positions):
     """
     largest = np.abs(np.diff(positions, axis=-2)).max(axis=(-2, -1), keepdims=True)
     return np.ldexp(positions, -np.frexp(largest)[1])
+
+
+def _positions(traj, seg=None):
+    """(positions, delta) of a Trajectory or a unit-grid stack, cut to seg if given."""
+    if isinstance(traj, Trajectory):
+        pos, delta = traj.positions, traj.grid.delta
+    else:
+        pos, delta = np.asarray(traj, dtype=float), 1.0
+    if seg is not None:
+        last = pos.shape[-2] - 1
+        if seg.end_index > last:
+            raise OutOfBounds(f"segment end {seg.end_index} exceeds last index {last}")
+        pos = pos[..., seg.start_index : seg.end_index + 1, :]
+    return pos, delta
 
 
 def _require_finite(*values):
@@ -103,12 +121,9 @@ def estimate_sigma2(traj, seg=None):
 
     sigma2_hat = (1 / (m d delta)) * sum of squared step norms over the
     m steps of the segment; unbiased for Brownian motion in d dimensions.
+    Raises OutOfBounds if seg ends past the trajectory.
     """
-    if seg is None:
-        seg = Segment(0, traj.n_steps)
-    if seg.n_points < 2:
-        raise TooShort("segment needs at least 2 points")
-    return float(_sigma2(traj.positions[seg.start_index : seg.end_index + 1], traj.grid.delta))
+    return float(_sigma2(*_positions(traj, seg)))
 
 
 def statistic_T(traj, seg=None):
@@ -120,14 +135,9 @@ def statistic_T(traj, seg=None):
     `traj` is a Trajectory or a stack of positions of shape (..., n+1, d)
     on a unit time grid; a stack gives a (...) array whose entries equal
     the single-trajectory results exactly. Raises NoMotion if any
-    trajectory has no motion.
+    trajectory has no motion and OutOfBounds if seg ends past it.
     """
-    if isinstance(traj, Trajectory):
-        pos, delta = traj.positions, traj.grid.delta
-    else:
-        pos, delta = np.asarray(traj, dtype=float), 1.0
-    if seg is not None:
-        pos = pos[..., seg.start_index : seg.end_index + 1, :]
+    pos, delta = _positions(traj, seg)
     n_steps = pos.shape[-2] - 1
     if n_steps < 2:
         raise TooShort("statistic needs at least 2 steps")
@@ -155,10 +165,7 @@ def backward_forward(traj, k):
     s_j[t] = ||X_{t+j} - X_t||^2 between B (which reads s_j[i-j]) and
     A (which reads s_j[i]).
     """
-    if isinstance(traj, Trajectory):
-        pos, delta = traj.positions, traj.grid.delta
-    else:
-        pos, delta = np.asarray(traj, dtype=float), 1.0
+    pos, delta = _positions(traj)
     n = pos.shape[-2] - 1
     if k < 1 or k > n // 2:
         raise WindowTooLarge(f"need 1 <= k <= n/2 = {n // 2}, got {k}")

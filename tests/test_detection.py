@@ -11,12 +11,14 @@ from diffswitch import (
     find_clusters,
     label_segments,
     merge_same_label,
+    phi,
     run_procedure,
     scenario_preset,
     sliding_stats,
 )
 from diffswitch.detection import (
     BROWNIAN,
+    REGIME_LABELS,
     SUBDIFFUSIVE,
     SUPERDIFFUSIVE,
     UNDETERMINED,
@@ -151,6 +153,18 @@ class TestLabelling:
         # Unit-speed straight-line motion in 2-D gives T = sqrt(2 n):
         # excursion n over sqrt(n * n/2).
         assert labels[0].T == pytest.approx(np.sqrt(2 * 50))
+
+    def test_oscillating_segment_subdiffusive(self):
+        # Back and forth along x: excursion 1 over sqrt(n * n/2) = sqrt(2/n).
+        x = np.arange(51.0) % 2
+        traj = Trajectory(grid=TimeGrid(0.0, 1.0, 50), positions=np.stack([x, 0 * x], axis=1))
+        labels = label_segments(traj, [], self.QUANTILES)
+        assert labels[0].label == SUBDIFFUSIVE
+        assert labels[0].T == pytest.approx(np.sqrt(2 / 50))
+
+    def test_labels_are_indexed_by_phi_codes(self):
+        codes = phi([2.0, 0.5, 3.5], ThresholdPair(1.0, 3.0))
+        assert [REGIME_LABELS[c] for c in codes] == [BROWNIAN, SUBDIFFUSIVE, SUPERDIFFUSIVE]
 
     def test_short_segment_undetermined(self):
         labels = label_segments(self.straight_line(20), [5], self.QUANTILES)

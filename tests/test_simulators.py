@@ -14,11 +14,13 @@ from diffswitch import (
     gen_ou,
     scenario_preset,
 )
-from diffswitch.errors import InvalidParam, SizeLimit
+from diffswitch import detection
+from diffswitch.errors import InvalidParam
 from diffswitch.rng import replicate_rng
 from diffswitch.simulators import (
     BROWNIAN,
     BROWNIAN_DRIFT,
+    FRACTIONAL_BROWNIAN,
     ORNSTEIN_UHLENBECK,
     scenario_from_json,
     scenario_to_json,
@@ -97,6 +99,28 @@ class TestOrnsteinUhlenbeck:
             gen_ou(grid(10), 1.0, 0.0, np.random.default_rng(0))
 
 
+def lag1_autocorrelation(x):
+    """Known-mean (zero) lag-1 autocorrelation estimate of fGn."""
+    return np.dot(x[:-1], x[1:]) / np.dot(x, x)
+
+
+class BasisRng:
+    """Stands in for a Generator whose normal draws are unit vectors.
+
+    gen_fbm draws normals of shape (2, dim, 2n), real then imaginary
+    parts, so there are 4n unit vectors in all; each draw hands the next
+    one to each axis. After 2n planar paths every unit vector has been
+    used once, and the Gram matrix of all their increments is the
+    covariance of the generator's linear map.
+    """
+
+    def __init__(self, n):
+        self.units = iter(np.eye(4 * n).reshape(4 * n, 2, 2 * n))
+
+    def standard_normal(self, shape):
+        return np.stack([next(self.units) for _ in range(shape[1])], axis=1)
+
+
 class TestFractionalBrownian:
     def test_half_hurst_uncorrelated_increments(self):
         traj = gen_fbm(grid(5000), 2, 1.0, 0.5, np.random.default_rng(4))
@@ -111,19 +135,48 @@ class TestFractionalBrownian:
         for seed in range(3):
             traj = gen_fbm(grid(10_000), 2, 1.0, 0.8, np.random.default_rng(seed))
             inc = np.diff(traj.positions, axis=0)
-            rs += [np.corrcoef(inc[:-1, a], inc[1:, a])[0, 1] for a in range(2)]
+            rs += [lag1_autocorrelation(inc[:, a]) for a in range(2)]
         assert abs(np.mean(rs) - (2**0.6 - 1)) < 0.02
+
+    @pytest.mark.parametrize("hurst", [0.1, 0.3, 0.5, 0.8, 0.95])
+    @pytest.mark.parametrize("n", [1, 6, 17])
+    def test_exact_increment_covariance(self, hurst, n):
+        sigma, delta = 1.5, 0.25
+        rng = BasisRng(n)
+        paths = [gen_fbm(grid(n, delta), 2, sigma, hurst, rng) for _ in range(2 * n)]
+        inc = np.hstack([np.diff(p.positions, axis=0) for p in paths])
+        lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+        two_h = 2 * hurst
+        rho = 0.5 * ((lag + 1) ** two_h - 2 * lag**two_h + np.abs(lag - 1) ** two_h)
+        expected = sigma**2 * delta**two_h * rho
+        assert np.abs(inc @ inc.T - expected).max() < 1e-12
 
     def test_invalid_hurst(self):
         with pytest.raises(InvalidParam):
             gen_fbm(grid(10), 2, 1.0, 1.2, np.random.default_rng(0))
 
-    def test_size_limit(self):
-        with pytest.raises(SizeLimit):
-            gen_fbm(grid(10_001), 2, 1.0, 0.7, np.random.default_rng(0))
+    @pytest.mark.parametrize("hurst", [0.2, 0.8])
+    def test_long_path(self, hurst):
+        traj = gen_fbm(grid(100_000), 2, 1.0, hurst, np.random.default_rng(0))
+        inc = np.diff(traj.positions, axis=0)
+        assert traj.positions.shape == (100_001, 2)
+        assert abs(np.mean(inc**2) - 1.0) < 0.1
 
 
 class TestScenario:
+    def test_diffusion_types_are_segment_labels(self):
+        regimes = [
+            RegimeSpec(kind=BROWNIAN),
+            RegimeSpec(kind=BROWNIAN_DRIFT, v=1.0),
+            RegimeSpec(kind=BROWNIAN_DRIFT, v=0.0),
+            RegimeSpec(kind=ORNSTEIN_UHLENBECK),
+            RegimeSpec(kind=FRACTIONAL_BROWNIAN, hurst=0.3),
+            RegimeSpec(kind=FRACTIONAL_BROWNIAN, hurst=0.5),
+            RegimeSpec(kind=FRACTIONAL_BROWNIAN, hurst=0.7),
+        ]
+        brown, sub, sup = detection.BROWNIAN, detection.SUBDIFFUSIVE, detection.SUPERDIFFUSIVE
+        assert [r.diffusion_type() for r in regimes] == [brown, sup, brown, sub, sub, brown, sup]
+
     def test_scenario1_shape_and_truth(self):
         spec = scenario_preset(1, v=1.0, seed=5)
         traj, truth = compose_scenario(spec)

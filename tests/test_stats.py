@@ -20,6 +20,7 @@ from diffswitch.errors import (
     InvalidParam,
     NoMotion,
     NoMotionWindow,
+    OutOfBounds,
     TooShort,
     WindowTooLarge,
 )
@@ -122,6 +123,11 @@ class TestSigma2:
         traj = make([[0, 0], [1, 0], [1, 2], [1, 2]])
         assert estimate_sigma2(traj, Segment(0, 2)) == pytest.approx(5 / 4)
 
+    def test_segment_past_end_raises(self, brownian_300):
+        assert estimate_sigma2(brownian_300, Segment(200, 300)) > 0
+        with pytest.raises(OutOfBounds):
+            estimate_sigma2(brownian_300, Segment(200, 301))
+
 
 class TestStatisticT:
     def test_hand_computed(self):
@@ -166,6 +172,15 @@ class TestStatisticT:
         T_seg = statistic_T(stack, seg)
         for row, traj in enumerate(trajs):
             assert np.array_equal(T_seg[row // 2, row % 2], statistic_T(traj, seg))
+
+    def test_segment_past_end_raises(self, brownian_300):
+        stack = np.stack([brownian_300.positions] * 2)
+        for traj in (brownian_300, stack):
+            statistic_T(traj, Segment(200, 300))
+            with pytest.raises(OutOfBounds):
+                statistic_T(traj, Segment(200, 301))
+            with pytest.raises(OutOfBounds):
+                statistic_T(traj, Segment(200, 900))
 
     def test_stack_with_immobile_row_raises(self):
         stack = np.random.default_rng(5).normal(size=(4, 51, 2)).cumsum(axis=1)
