@@ -6,6 +6,7 @@ from .simulators import (
     RegimeSpec,
     ScenarioSpec,
     compose_scenario,
+    compose_stack,
     gen_brownian,
     gen_brownian_drift,
     gen_fbm,
@@ -16,7 +17,6 @@ from .stats import (
     SlidingStats,
     ThresholdPair,
     backward_forward,
-    empirical_msd,
     estimate_sigma2,
     phi,
     sliding_stats,
@@ -40,6 +40,7 @@ from .detection import (
     estimate_change_points,
     label_segments,
     merge_same_label,
+    run_batch,
     run_procedure,
 )
 from .bench import ExperimentSpec, Type1Spec, export_report, run_experiment, run_type1_experiment
@@ -47,15 +48,16 @@ from .bench import ExperimentSpec, Type1Spec, export_report, run_experiment, run
 __all__ = [
     "__version__",
     "TimeGrid", "Trajectory", "Segment", "load_csv", "save_csv", "subtrajectory",
-    "RegimeSpec", "ScenarioSpec", "compose_scenario", "scenario_preset",
+    "RegimeSpec", "ScenarioSpec", "compose_scenario", "compose_stack", "scenario_preset",
     "gen_brownian", "gen_brownian_drift", "gen_ou", "gen_fbm",
     "SlidingStats", "ThresholdPair", "phi", "backward_forward",
-    "estimate_sigma2", "statistic_T", "sliding_stats", "empirical_msd",
+    "estimate_sigma2", "statistic_T", "sliding_stats",
     "CalibrationKey", "ThresholdTable", "SegmentQuantiles", "calibrate",
     "calibrate_segment_test", "cache_get_or_calibrate", "default_key",
     "estimate_type1_error",
     "DetectionConfig", "Cluster", "ChangePointReport", "find_clusters",
-    "estimate_change_points", "label_segments", "merge_same_label", "run_procedure",
+    "estimate_change_points", "label_segments", "merge_same_label", "run_batch",
+    "run_procedure",
     "ExperimentSpec", "Type1Spec", "run_experiment", "run_type1_experiment",
     "export_report",
 ]

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import detection
+from . import calibration, detection
 from .calibration import (
     RELAXED,
     SegmentQuantiles,
@@ -30,8 +30,8 @@ from .calibration import (
 )
 from .errors import DiffswitchError, InvalidParam, IoFailure
 from .rng import DEFAULT_SEED, replicate_rng
-from .simulators import compose_scenario, scenario_preset
-from .trajectory import save_csv
+from .simulators import compose_stack, scenario_preset
+from .trajectory import TimeGrid, Trajectory, save_csv
 
 DIFF_CATEGORIES = ("-2", "-1", "0", "1", "2+")
 
@@ -127,41 +127,70 @@ def _diff_category(n_hat, n_true):
     return str(diff)
 
 
+def _outcomes(spec, trajs, config, do_label, quantiles):
+    """(change points, raw labels) per trajectory, or None where detection failed.
+
+    The built-in detector runs the whole batch in one call; if that
+    raises, the batch is run again one trajectory at a time, so only the
+    trajectories that fail on their own count as failures. An external
+    detector is called once per trajectory.
+    """
+
+    def detect(batch):
+        if spec.external_detector:
+            return [(_run_external(spec.external_detector, traj), None) for traj in batch]
+        reports = detection.run_batch(batch, config, labelling=do_label, quantiles=quantiles)
+        return [(report.change_points, report.raw_labels) for report in reports]
+
+    if not spec.external_detector:
+        try:
+            return detect(trajs)
+        except DiffswitchError:
+            pass
+    outcomes = []
+    for traj in trajs:
+        try:
+            outcomes += detect([traj])
+        except DiffswitchError:
+            outcomes.append(None)
+    return outcomes
+
+
 def run_cell(spec, param, k, thresholds, quantiles=None):
-    """All replicates of one grid cell, tallied into a CellResult."""
+    """All replicates of one grid cell, tallied into a CellResult.
+
+    Replicates are simulated and detected in stacks of REPLICATE_BATCH.
+    Replicate rep always draws from replicate_rng(seed, *cell, rep), so
+    the result does not depend on how replicates are batched.
+    """
     scenario = _scenario_spec(spec, param)
     truth = _truth_labels(scenario)
     n_true = len(scenario.change_points)
     config = detection.DetectionConfig(k=k, thresholds=thresholds)
     cell_tag = (spec.param_values.index(param), spec.k_values.index(k))
     do_label = spec.label and quantiles is not None
+    grid = TimeGrid(t0=0.0, delta=scenario.delta, n_steps=scenario.n)
 
     counts = {cat: 0 for cat in DIFF_CATEGORIES}
     qualifying_points = []
     label_hits = label_total = failures = 0
     start = time.perf_counter()
-    for rep in range(spec.replicates):
-        traj, _ = compose_scenario(scenario, rng=replicate_rng(spec.seed, *cell_tag, rep))
-        try:
-            if spec.external_detector:
-                points = _run_external(spec.external_detector, traj)
-                labels = None
-            else:
-                report = detection.run_procedure(
-                    traj, config, labelling=do_label, quantiles=quantiles
-                )
-                points = report.change_points
-                labels = report.raw_labels
-        except DiffswitchError:
-            failures += 1
-            continue
-        cat = _diff_category(len(points), n_true)
-        counts[cat] += 1
-        if cat == "0":
-            qualifying_points.append(points)
-            if labels is not None:
-                label_total += 1
-                label_hits += [s.label for s in labels] == truth
+    for lo in range(0, spec.replicates, calibration.REPLICATE_BATCH):
+        reps = range(lo, min(lo + calibration.REPLICATE_BATCH, spec.replicates))
+        stack = compose_stack(scenario, [replicate_rng(spec.seed, *cell_tag, rep) for rep in reps])
+        trajs = [Trajectory(grid=grid, positions=row) for row in stack]
+        for outcome in _outcomes(spec, trajs, config, do_label, quantiles):
+            if outcome is None:
+                failures += 1
+                continue
+            points, labels = outcome
+            cat = _diff_category(len(points), n_true)
+            counts[cat] += 1
+            if cat == "0":
+                qualifying_points.append(points)
+                if labels is not None:
+                    label_total += 1
+                    label_hits += [s.label for s in labels] == truth
     runtime = time.perf_counter() - start
 
     scored = spec.replicates - failures

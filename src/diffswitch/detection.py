@@ -10,10 +10,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParam, NoMotion, TooShort
-from .stats import REGIME_LABELS, ThresholdPair, phi, sliding_stats, statistic_T
+from .stats import REGIME_LABELS, SlidingStats, ThresholdPair, phi, sliding_stats, statistic_T
 from .stats import BROWNIAN, SUBDIFFUSIVE, SUPERDIFFUSIVE  # re-exported segment labels
 from .trajectory import Segment
 
@@ -105,20 +104,15 @@ def find_clusters(Q, c, c_star, first_index=0):
     nz = np.asarray(Q) != 0
     if nz.size < c:
         return []
-    counts = np.add.accumulate(sliding_window_view(nz.astype(np.int64), c), axis=1)[:, -1]
-    qualifies = counts >= c_star
-    clusters = []
-    cur_start = cur_end = None
-    for m in map(int, np.flatnonzero(qualifies)):
-        if cur_end is not None and m == cur_end + 1:
-            cur_end = m
-        else:
-            if cur_end is not None:
-                clusters.append(Cluster(first_index + cur_start, first_index + cur_end + c - 1))
-            cur_start = cur_end = m
-    if cur_end is not None:
-        clusters.append(Cluster(first_index + cur_start, first_index + cur_end + c - 1))
-    return clusters
+    # Nonzero count of every length-c window, from one cumulative sum.
+    cs = np.concatenate(([0], np.cumsum(nz)))
+    padded = np.concatenate(([False], cs[c:] - cs[:-c] >= c_star, [False]))
+    # A run of qualifying starts m .. stop - 1 flips padded at m and at stop.
+    flips = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+    return [
+        Cluster(first_index + m, first_index + stop + c - 2)
+        for m, stop in zip(flips[::2], flips[1::2])
+    ]
 
 
 def estimate_change_points(stats, clusters):
@@ -187,30 +181,47 @@ def merge_same_label(traj, change_points, labels, quantiles):
     return points, labels
 
 
+def run_batch(trajectories, config, labelling=False, quantiles=None):
+    """Run the full detection procedure on trajectories of one length and time step.
+
+    One sliding pass covers the whole batch; clusters, change points and
+    labels are then found trajectory by trajectory. Report r equals
+    run_procedure(trajectories[r], ...) exactly. An error in any
+    trajectory raises for the whole batch.
+    """
+    if labelling and quantiles is None:
+        raise InvalidParam("labelling requires segment quantiles")
+    trajectories = list(trajectories)
+    batch = sliding_stats(trajectories, config.k, config.thresholds)
+    reports = []
+    for r, traj in enumerate(trajectories):
+        stats = SlidingStats(
+            batch.k, batch.first_index, batch.B[r], batch.A[r], batch.phi_B[r], batch.phi_A[r],
+            batch.Q[r],
+        )
+        clusters = find_clusters(stats.Q, config.c, config.c_star, first_index=stats.first_index)
+        change_points = estimate_change_points(stats, clusters)
+        raw_labels = merged_points = merged_labels = None
+        if labelling:
+            raw_labels = label_segments(traj, change_points, quantiles)
+            merged_points, merged_labels = merge_same_label(
+                traj, change_points, raw_labels, quantiles
+            )
+        reports.append(ChangePointReport(
+            config=config, clusters=clusters, change_points=change_points,
+            raw_labels=raw_labels, merged_change_points=merged_points,
+            merged_labels=merged_labels, stats=stats,
+        ))
+    return reports
+
+
 def run_procedure(traj, config, labelling=False, quantiles=None):
-    """Run the full detection procedure on one trajectory.
+    """Run the full detection procedure on one trajectory: a one-row run_batch.
 
     Pure function of (trajectory, config): raw clusters, change points
     and (optionally) labels before and after the a-posteriori merge.
     """
-    stats = sliding_stats(traj, config.k, config.thresholds)
-    clusters = find_clusters(stats.Q, config.c, config.c_star, first_index=stats.first_index)
-    change_points = estimate_change_points(stats, clusters)
-    raw_labels = merged_points = merged_labels = None
-    if labelling:
-        if quantiles is None:
-            raise InvalidParam("labelling requires segment quantiles")
-        raw_labels = label_segments(traj, change_points, quantiles)
-        merged_points, merged_labels = merge_same_label(traj, change_points, raw_labels, quantiles)
-    return ChangePointReport(
-        config=config,
-        clusters=clusters,
-        change_points=change_points,
-        raw_labels=raw_labels,
-        merged_change_points=merged_points,
-        merged_labels=merged_labels,
-        stats=stats,
-    )
+    return run_batch([traj], config, labelling, quantiles)[0]
 
 
 def report_to_dict(report):

@@ -10,7 +10,7 @@ covariance.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,25 +96,65 @@ class ScenarioSpec:
                 )
 
 
-def _require_sigma(sigma):
-    if sigma <= 0:
-        raise InvalidParam(f"sigma must be positive, got {sigma}")
+def _advance(stack, lo, hi, regime, delta, rngs):
+    """Simulate `regime` over steps lo..hi of every row of a stack, in place.
+
+    `stack` has shape (b, n+1, dim); each row continues from its position
+    at index lo and draws its noise from its own generator in `rngs`, so a
+    row does not depend on the rows it is stacked with. OU regimes with
+    theta unset anchor their equilibrium at that starting position.
+    """
+    n, dim = hi - lo, stack.shape[-1]
+    start = stack[:, lo : lo + 1]
+    out = stack[:, lo + 1 : hi + 1]
+    if regime.kind == ORNSTEIN_UHLENBECK:
+        # Exact AR(1) transition, one step of every row at a time.
+        a = math.exp(-regime.lam * delta)
+        sd = regime.sigma * math.sqrt((1.0 - a * a) / (2.0 * regime.lam))
+        for row, rng in zip(out, rngs):
+            row[...] = rng.normal(0.0, sd, size=(n, dim))
+        theta = start[:, 0] if regime.theta is None else np.asarray(regime.theta, float)
+        prev = start[:, 0]
+        for step in range(n):
+            out[:, step] = theta + (prev - theta) * a + out[:, step]
+            prev = out[:, step]
+        return
+    if regime.kind == FRACTIONAL_BROWNIAN:
+        # rho[j] is the lag-j autocovariance of unit fGn (rho[0] = 1).
+        idx = np.arange(n + 1, dtype=float)
+        two_h = 2.0 * regime.hurst
+        rho = 0.5 * ((idx + 1) ** two_h - 2 * idx**two_h + np.abs(idx - 1) ** two_h)
+        lam = np.fft.fft(np.concatenate([rho, rho[-2:0:-1]])).real
+        # Rounding leaves tiny negative eigenvalues when hurst is near 1.
+        if lam.min() < -1e-6 * lam.max():
+            raise InvalidParam(
+                f"circulant embedding is not nonnegative definite at hurst={regime.hurst}"
+            )
+        np.maximum(lam, 0.0, out=lam)
+        z = np.stack([rng.standard_normal((2, dim, 2 * n)) for rng in rngs])
+        z = z[:, 0] + 1j * z[:, 1]
+        fgn = np.fft.fft(np.sqrt(lam / (2 * n)) * z, axis=-1)[..., :n].real
+        out[...] = (regime.sigma * delta**regime.hurst) * fgn.swapaxes(-1, -2)
+    else:
+        for row, rng in zip(out, rngs):
+            row[...] = rng.normal(0.0, regime.sigma * math.sqrt(delta), size=(n, dim))
+        if regime.kind == BROWNIAN_DRIFT:
+            out += (regime.v / math.sqrt(dim)) * delta
+    np.cumsum(out, axis=1, out=out)
+    out += start
 
 
-def _walk(grid, dim, increments, start):
-    start = np.zeros(dim) if start is None else np.asarray(start, dtype=float)
-    pos = np.empty((grid.n_steps + 1, dim))
-    pos[0] = start
-    np.cumsum(increments, axis=0, out=pos[1:])
-    pos[1:] += start
-    return Trajectory(grid=grid, positions=pos)
+def _one_path(grid, dim, regime, rng, start):
+    stack = np.zeros((1, grid.n_steps + 1, dim))
+    if start is not None:
+        stack[0, 0] = start
+    _advance(stack, 0, grid.n_steps, regime, grid.delta, [rng])
+    return Trajectory(grid=grid, positions=stack[0])
 
 
 def gen_brownian(grid, dim, sigma, rng, start=None):
     """Brownian path: i.i.d. Gaussian increments of variance sigma^2 * delta."""
-    _require_sigma(sigma)
-    inc = rng.normal(0.0, sigma * math.sqrt(grid.delta), size=(grid.n_steps, dim))
-    return _walk(grid, dim, inc, start)
+    return _one_path(grid, dim, RegimeSpec(kind=BROWNIAN, sigma=sigma), rng, start)
 
 
 def gen_brownian_drift(grid, sigma, v, rng, dim=2, start=None):
@@ -124,12 +164,8 @@ def gen_brownian_drift(grid, sigma, v, rng, dim=2, start=None):
     vector (v, v)/sqrt(2) has euclidean norm exactly v (2-D convention;
     in d dimensions the per-coordinate rate is v/sqrt(d)).
     """
-    _require_sigma(sigma)
-    if v < 0:
-        raise InvalidParam(f"drift magnitude must be >= 0, got {v}")
-    inc = rng.normal(0.0, sigma * math.sqrt(grid.delta), size=(grid.n_steps, dim))
-    inc += (v / math.sqrt(dim)) * grid.delta
-    return _walk(grid, dim, inc, start)
+    regime = RegimeSpec(kind=BROWNIAN_DRIFT, sigma=sigma, v=v)
+    return _one_path(grid, dim, regime, rng, start)
 
 
 def gen_ou(grid, sigma, lam, rng, theta=None, dim=2, start=None):
@@ -141,23 +177,11 @@ def gen_ou(grid, sigma, lam, rng, theta=None, dim=2, start=None):
     Starts at theta unless a start point is supplied; theta defaults to
     the start point (or the origin).
     """
-    _require_sigma(sigma)
-    if lam <= 0:
-        raise InvalidParam(f"lambda must be positive, got {lam}")
-    if theta is None:
-        theta = np.zeros(dim) if start is None else np.asarray(start, dtype=float)
-    else:
-        theta = np.asarray(theta, dtype=float)
-    if start is None:
+    if start is None and theta is not None:
         start = theta
-    a = math.exp(-lam * grid.delta)
-    sd = sigma * math.sqrt((1.0 - a * a) / (2.0 * lam))
-    noise = rng.normal(0.0, sd, size=(grid.n_steps, dim))
-    pos = np.empty((grid.n_steps + 1, dim))
-    pos[0] = start
-    for k in range(grid.n_steps):
-        pos[k + 1] = theta + (pos[k] - theta) * a + noise[k]
-    return Trajectory(grid=grid, positions=pos)
+    theta = None if theta is None else tuple(np.asarray(theta, dtype=float))
+    regime = RegimeSpec(kind=ORNSTEIN_UHLENBECK, sigma=sigma, lam=lam, theta=theta)
+    return _one_path(grid, dim, regime, rng, start)
 
 
 def gen_fbm(grid, dim, sigma, hurst, rng, start=None):
@@ -169,61 +193,35 @@ def gen_fbm(grid, dim, sigma, hurst, rng, start=None):
     eigenvalue-weighted complex normals has exactly that covariance.
     O(n log n) time, O(n) memory, any path length and any hurst.
     """
-    _require_sigma(sigma)
-    if not 0 < hurst < 1:
-        raise InvalidParam(f"hurst must be in (0, 1), got {hurst}")
-    n = grid.n_steps
-    idx = np.arange(n + 1, dtype=float)
-    two_h = 2.0 * hurst
-    # rho[j] is the lag-j autocovariance of unit fGn (rho[0] = 1).
-    rho = 0.5 * ((idx + 1) ** two_h - 2 * idx**two_h + np.abs(idx - 1) ** two_h)
-    lam = np.fft.fft(np.concatenate([rho, rho[-2:0:-1]])).real
-    # Rounding leaves tiny negative eigenvalues when hurst is near 1.
-    if lam.min() < -1e-6 * lam.max():
-        raise InvalidParam(f"circulant embedding is not nonnegative definite at hurst={hurst}")
-    np.maximum(lam, 0.0, out=lam)
-    z = rng.standard_normal((2, dim, 2 * n))
-    z = z[0] + 1j * z[1]
-    fgn = np.fft.fft(np.sqrt(lam / (2 * n)) * z, axis=-1)[:, :n].real
-    return _walk(grid, dim, (sigma * grid.delta**hurst) * fgn.T, start)
+    regime = RegimeSpec(kind=FRACTIONAL_BROWNIAN, sigma=sigma, hurst=hurst)
+    return _one_path(grid, dim, regime, rng, start)
 
 
-def _gen_regime(regime, grid, dim, rng, start):
-    if regime.kind == BROWNIAN:
-        return gen_brownian(grid, dim, regime.sigma, rng, start=start)
-    if regime.kind == BROWNIAN_DRIFT:
-        return gen_brownian_drift(grid, regime.sigma, regime.v, rng, dim=dim, start=start)
-    if regime.kind == ORNSTEIN_UHLENBECK:
-        theta = regime.theta if regime.theta is None else np.asarray(regime.theta)
-        return gen_ou(grid, regime.sigma, regime.lam, rng, theta=theta, dim=dim, start=start)
-    return gen_fbm(grid, dim, regime.sigma, regime.hurst, rng, start=start)
+def compose_stack(spec, rngs, dim=2):
+    """Positions (b, n+1, dim) of one piecewise-regime path per generator.
+
+    Every path starts at the origin, and each regime continues from the
+    last position of the previous one, so paths are continuous at change
+    points. Row r draws only from rngs[r], in regime order, so it equals
+    compose_scenario(spec, dim, rngs[r]) whatever it is stacked with.
+    """
+    rngs = list(rngs)
+    stack = np.zeros((len(rngs), spec.n + 1, dim))
+    bounds = (0,) + spec.change_points + (spec.n,)
+    for j, regime in enumerate(spec.regimes):
+        _advance(stack, bounds[j], bounds[j + 1], regime, spec.delta, rngs)
+    return stack
 
 
 def compose_scenario(spec, dim=2, rng=None):
-    """Simulate a piecewise-regime trajectory.
+    """Simulate one piecewise-regime trajectory: a one-row compose_stack.
 
-    Each regime continues from the last position of the previous one, so
-    the path is continuous at change points. OU regimes with theta unset
-    anchor their equilibrium at the position where the regime begins.
     Returns (trajectory, ground-truth change-point indices).
     """
     if rng is None:
         rng = replicate_rng(spec.seed)
-    bounds = (0,) + spec.change_points + (spec.n,)
-    positions = np.empty((spec.n + 1, dim))
-    start = np.zeros(dim)
-    positions[0] = start
-    for j, regime in enumerate(spec.regimes):
-        lo, hi = bounds[j], bounds[j + 1]
-        seg_grid = TimeGrid(t0=lo * spec.delta, delta=spec.delta, n_steps=hi - lo)
-        if regime.kind == ORNSTEIN_UHLENBECK and regime.theta is None:
-            regime = RegimeSpec(
-                kind=regime.kind, sigma=regime.sigma, lam=regime.lam, theta=tuple(start)
-            )
-        piece = _gen_regime(regime, seg_grid, dim, rng, start)
-        positions[lo : hi + 1] = piece.positions
-        start = positions[hi]
     grid = TimeGrid(t0=0.0, delta=spec.delta, n_steps=spec.n)
+    positions = compose_stack(spec, [rng], dim)[0]
     return Trajectory(grid=grid, positions=positions), list(spec.change_points)
 
 

@@ -64,8 +64,11 @@ class SlidingStats:
 def phi(x, thresholds):
     """Three-level step function: 1 below gamma1, 2 above gamma2, else 0.
 
-    Each code indexes its label in REGIME_LABELS.
+    Each code indexes its label in REGIME_LABELS; NaN is 0. A scalar
+    gives a plain int, an array an array of codes.
     """
+    if np.ndim(x) == 0:
+        return 1 if x < thresholds.gamma1 else 2 if x > thresholds.gamma2 else 0
     x = np.asarray(x)
     return np.where(x < thresholds.gamma1, 1, np.where(x > thresholds.gamma2, 2, 0))
 
@@ -88,9 +91,17 @@ def _unit_scaled(positions):
 
 
 def _positions(traj, seg=None):
-    """(positions, delta) of a Trajectory or a unit-grid stack, cut to seg if given."""
+    """(positions, delta) of a Trajectory, a list of them or a unit-grid stack.
+
+    A list of trajectories on one time step is stacked; cut to seg if given.
+    """
     if isinstance(traj, Trajectory):
         pos, delta = traj.positions, traj.grid.delta
+    elif isinstance(traj, list) and traj and isinstance(traj[0], Trajectory):
+        delta, shape = traj[0].grid.delta, traj[0].positions.shape
+        if any(t.grid.delta != delta or t.positions.shape != shape for t in traj):
+            raise InvalidParam("stacked trajectories must share one length and time step")
+        pos = np.stack([t.positions for t in traj])
     else:
         pos, delta = np.asarray(traj, dtype=float), 1.0
     if seg is not None:
@@ -158,9 +169,10 @@ def backward_forward(traj, k):
     span k*delta and the diffusion estimate from that window's own
     steps. Raises NoMotionWindow if any window has zero motion.
 
-    `traj` is a Trajectory or a stack of positions of shape (..., n+1, d)
-    on a unit time grid; a stack gives (..., n-2k+1) arrays whose rows
-    equal the single-trajectory results exactly. Memory is O(n) per
+    `traj` is a Trajectory, a list of trajectories of one length and time
+    step, or a stack of positions of shape (..., n+1, d) on a unit time
+    grid; a list or stack gives (..., n-2k+1) arrays whose rows equal the
+    single-trajectory results exactly. Memory is O(n) per
     trajectory: one pass per lag j = 1..k shares the squared distances
     s_j[t] = ||X_{t+j} - X_t||^2 between B (which reads s_j[i-j]) and
     A (which reads s_j[i]).
@@ -215,20 +227,3 @@ def sliding_stats(traj, k, thresholds):
     return SlidingStats(
         k=k, first_index=k, B=B, A=A, phi_B=phi_B, phi_A=phi_A, Q=phi_A - phi_B
     )
-
-
-def empirical_msd(traj, max_lag):
-    """Time-averaged mean squared displacement at lags 1 .. max_lag.
-
-    Returns a list of (lag * delta, msd) pairs. Diagnostic only; the
-    detector never uses it.
-    """
-    n = traj.n_steps
-    if not 1 <= max_lag < n:
-        raise TooShort(f"need 1 <= max_lag < n = {n}, got {max_lag}")
-    pos = traj.positions
-    out = []
-    for lag in range(1, max_lag + 1):
-        disp = pos[lag:] - pos[:-lag]
-        out.append((lag * traj.grid.delta, float(np.einsum("ij,ij->i", disp, disp).mean())))
-    return out

@@ -4,22 +4,28 @@ import math
 import os
 import stat
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from diffswitch import (
-    ExperimentSpec, SegmentQuantiles, ThresholdPair, Type1Spec, calibration, export_report,
+    DetectionConfig, ExperimentSpec, RegimeSpec, ScenarioSpec, SegmentQuantiles, ThresholdPair,
+    Type1Spec, calibration, compose_scenario, detection, export_report, run_procedure,
 )
 from diffswitch.bench import (
     DIFF_CATEGORIES,
     ExperimentReport,
     _diff_category,
+    _scenario_spec,
     report_to_dict,
     run_cell,
     run_experiment,
     run_type1_experiment,
 )
 from diffswitch.calibration import SEGMENT_LENGTH_GRID
-from diffswitch.errors import InvalidParam
+from diffswitch.errors import InvalidParam, NoMotion
+from diffswitch.rng import replicate_rng
 
 THRESHOLDS = ThresholdPair(0.74, 3.26)  # published relaxed pair for n=300, k=30
 
@@ -107,6 +113,94 @@ class TestRunCell:
         a = run_cell(spec_1(), 2.0, 30, THRESHOLDS)
         b = run_cell(spec_1(), 2.0, 30, THRESHOLDS)
         assert a.proportions == b.proportions and a.tau_mean == b.tau_mean
+
+
+# Non-unit time step, an OU piece with a fixed equilibrium and an fBm piece.
+CUSTOM = ScenarioSpec(
+    n=300, change_points=(100, 200), delta=0.25,
+    regimes=(
+        RegimeSpec(kind="brownian"),
+        RegimeSpec(kind="ornstein_uhlenbeck", lam=2.0, theta=(1.0, -1.0)),
+        RegimeSpec(kind="fractional_brownian", hurst=0.8),
+    ),
+)
+
+
+def cell_fields(cell):
+    doc = dataclasses.asdict(cell)
+    del doc["runtime_s"]
+    return doc
+
+
+def oracle_cell(spec, param, k, thresholds, quantiles=None, fail=()):
+    """run_cell's tallies from one compose_scenario and run_procedure per replicate."""
+    scenario = _scenario_spec(spec, param)
+    truth = [r.diffusion_type() for r in scenario.regimes]
+    config = DetectionConfig(k=k, thresholds=thresholds)
+    tag = (spec.param_values.index(param), spec.k_values.index(k))
+    counts = dict.fromkeys(DIFF_CATEGORIES, 0)
+    points, hits, total = [], 0, 0
+    for rep in range(spec.replicates):
+        if rep in fail:
+            continue
+        traj, _ = compose_scenario(scenario, rng=replicate_rng(spec.seed, *tag, rep))
+        report = run_procedure(traj, config, labelling=quantiles is not None, quantiles=quantiles)
+        cat = _diff_category(len(report.change_points), len(scenario.change_points))
+        counts[cat] += 1
+        if cat == "0":
+            points.append(report.change_points)
+            if report.raw_labels is not None:
+                total += 1
+                hits += [s.label for s in report.raw_labels] == truth
+    scored = spec.replicates - len(fail)
+    arr = np.array(points, dtype=float)
+    return {
+        "param": param, "k": k,
+        "proportions": {cat: counts[cat] / scored for cat in DIFF_CATEGORIES},
+        "n_qualifying": len(points),
+        "tau_mean": arr.mean(axis=0).tolist() if points else [],
+        "tau_sd": (arr.std(axis=0, ddof=1).tolist() if len(points) > 1
+                   else [None] * arr.shape[1] if points else []),
+        "label_accuracy": hits / total if total else None,
+        "failures": len(fail),
+        "replicates": spec.replicates,
+    }
+
+
+class TestBatchedCell:
+    @pytest.mark.parametrize("scenario,param", [(1, 1.0), (2, 0.5), (CUSTOM, 0.0)])
+    @pytest.mark.parametrize("label", [False, True])
+    def test_matches_per_replicate_oracle(self, scenario, param, label):
+        # 40 replicates: one full stack of 32 and a partial one.
+        spec = spec_1(scenario=scenario, param_values=(param,), replicates=40, label=label)
+        quantiles = (0.60, 2.60) if label else None
+        cell = run_cell(spec, param, 30, THRESHOLDS, quantiles=quantiles)
+        assert cell_fields(cell) == oracle_cell(spec, param, 30, THRESHOLDS, quantiles)
+
+    def test_batch_size_does_not_change_cell(self, monkeypatch):
+        spec = spec_1(scenario=2, param_values=(0.5, 1.0), replicates=40, label=True)
+        cells = []
+        for batch in (1, 7, 32):
+            monkeypatch.setattr(calibration, "REPLICATE_BATCH", batch)
+            cells.append(cell_fields(run_cell(spec, 1.0, 30, THRESHOLDS, quantiles=(0.6, 2.6))))
+        assert cells[0] == cells[1] == cells[2]
+
+    def test_one_failing_replicate_counts_once(self, monkeypatch):
+        spec = spec_1(replicates=40, label=True)
+        expected = oracle_cell(spec, 2.0, 30, THRESHOLDS, (0.6, 2.6), fail={5})
+        traj, _ = compose_scenario(_scenario_spec(spec, 2.0), rng=replicate_rng(spec.seed, 0, 0, 5))
+        target = run_procedure(traj, DetectionConfig(k=30, thresholds=THRESHOLDS)).stats.B[0]
+        original = detection.estimate_change_points
+
+        def failing(stats, clusters):
+            if stats.B[0] == target:
+                raise NoMotion("injected failure")
+            return original(stats, clusters)
+
+        monkeypatch.setattr(detection, "estimate_change_points", failing)
+        cell = run_cell(spec, 2.0, 30, THRESHOLDS, quantiles=(0.6, 2.6))
+        assert cell.failures == 1
+        assert cell_fields(cell) == expected
 
 
 class TestRunExperiment:

@@ -6,12 +6,14 @@ from diffswitch import (
     DetectionConfig,
     ThresholdPair,
     Trajectory,
+    backward_forward,
     compose_scenario,
     estimate_change_points,
     find_clusters,
     label_segments,
     merge_same_label,
     phi,
+    run_batch,
     run_procedure,
     scenario_preset,
     sliding_stats,
@@ -24,7 +26,8 @@ from diffswitch.detection import (
     UNDETERMINED,
     report_to_dict,
 )
-from diffswitch.errors import InvalidParam
+from diffswitch.errors import InvalidParam, NoMotionWindow
+from diffswitch.rng import replicate_rng
 from diffswitch.trajectory import TimeGrid
 
 # A 64-entry classification signal with one dense run of nonzero values
@@ -56,7 +59,33 @@ class TestDetectionConfig:
             DetectionConfig(k=30, thresholds=ThresholdPair(0.7, 3.2), c=10, c_star=11)
 
 
+def naive_clusters(Q, c, c_star, first_index=0):
+    """Clusters from a per-window count and a per-start loop over the runs."""
+    qualifies = [np.count_nonzero(Q[m : m + c]) >= c_star for m in range(len(Q) - c + 1)]
+    clusters, m = [], 0
+    while m < len(qualifies):
+        if qualifies[m]:
+            last = m
+            while last + 1 < len(qualifies) and qualifies[last + 1]:
+                last += 1
+            clusters.append(Cluster(first_index + m, first_index + last + c - 1))
+            m = last
+        m += 1
+    return clusters
+
+
 class TestFindClusters:
+    def test_matches_naive_window_count(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            n = int(rng.integers(1, 120))
+            Q = rng.choice([-2, -1, 0, 1, 2], size=n, p=[0.15, 0.15, 0.4, 0.15, 0.15])
+            Q[rng.random(n) < rng.random()] = 0
+            for c in {1, n, int(rng.integers(1, n + 1))}:
+                for c_star in {1, c, int(rng.integers(1, c + 1))}:
+                    first = int(rng.integers(0, 50))
+                    assert find_clusters(Q, c, c_star, first) == naive_clusters(Q, c, c_star, first)
+
     def test_worked_example(self):
         clusters = find_clusters(EXAMPLE_Q, c=15, c_star=10)
         assert clusters == [Cluster(6, 44)]
@@ -246,3 +275,37 @@ class TestRunProcedure:
         a = run_procedure(brownian_300, cfg)
         b = run_procedure(brownian_300, cfg)
         assert a.change_points == b.change_points
+
+
+class TestRunBatch:
+    @pytest.mark.parametrize("delta", [1.0, 0.03])
+    @pytest.mark.parametrize("labelling", [False, True])
+    def test_rows_equal_run_procedure(self, relaxed_300_30, delta, labelling):
+        # A non-unit time step must reach the stacked kernel exactly.
+        spec = scenario_preset(1, v=1.0)
+        trajs = []
+        for r in range(6):
+            traj, _ = compose_scenario(spec, rng=replicate_rng(4, r))
+            trajs.append(Trajectory(grid=TimeGrid(0.0, delta, 300), positions=traj.positions))
+        cfg = DetectionConfig(k=30, thresholds=relaxed_300_30)
+        quantiles = (0.60, 2.60) if labelling else None
+        reports = run_batch(trajs, cfg, labelling=labelling, quantiles=quantiles)
+        assert len(reports) == len(trajs)
+        for traj, report in zip(trajs, reports):
+            single = run_procedure(traj, cfg, labelling=labelling, quantiles=quantiles)
+            assert report_to_dict(report) == report_to_dict(single)
+            B, A = backward_forward(traj, 30)
+            assert np.array_equal(report.stats.B, B) and np.array_equal(single.stats.B, B)
+            assert np.array_equal(report.stats.A, A) and np.array_equal(single.stats.A, A)
+
+    def test_mixed_time_steps_rejected(self, brownian_300, relaxed_300_30):
+        other = Trajectory(grid=TimeGrid(0.0, 0.5, 300), positions=brownian_300.positions)
+        with pytest.raises(InvalidParam):
+            run_batch([brownian_300, other], DetectionConfig(k=30, thresholds=relaxed_300_30))
+
+    def test_one_immobile_row_fails_the_batch(self, brownian_300, relaxed_300_30):
+        pos = brownian_300.positions.copy()
+        pos[100:150] = pos[100]
+        still = Trajectory(grid=brownian_300.grid, positions=pos)
+        with pytest.raises(NoMotionWindow):
+            run_batch([brownian_300, still], DetectionConfig(k=30, thresholds=relaxed_300_30))

@@ -8,6 +8,7 @@ from diffswitch import (
     RegimeSpec,
     ScenarioSpec,
     compose_scenario,
+    compose_stack,
     gen_brownian,
     gen_brownian_drift,
     gen_fbm,
@@ -163,7 +164,47 @@ class TestFractionalBrownian:
         assert abs(np.mean(inc**2) - 1.0) < 0.1
 
 
+def mixed_spec(dim):
+    """Every regime kind, a fixed OU equilibrium and a non-unit time step."""
+    return ScenarioSpec(
+        n=120, change_points=(30, 60, 90), delta=0.25, seed=2,
+        regimes=(
+            RegimeSpec(kind=BROWNIAN_DRIFT, sigma=1.5, v=2.0),
+            RegimeSpec(kind=ORNSTEIN_UHLENBECK, lam=2.0, theta=tuple(np.linspace(-1, 1, dim))),
+            RegimeSpec(kind=FRACTIONAL_BROWNIAN, hurst=0.8),
+            RegimeSpec(kind=ORNSTEIN_UHLENBECK, lam=0.5),
+        ),
+    )
+
+
 class TestScenario:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_pieces_chain_the_plain_generators(self, dim):
+        spec = mixed_spec(dim)
+        traj, _ = compose_scenario(spec, dim=dim, rng=replicate_rng(9))
+        rng, start, pieces = replicate_rng(9), np.zeros(dim), [np.zeros((1, dim))]
+        bounds = (0,) + spec.change_points + (spec.n,)
+        for lo, hi, r in zip(bounds, bounds[1:], spec.regimes):
+            g = TimeGrid(t0=lo * spec.delta, delta=spec.delta, n_steps=hi - lo)
+            if r.kind == BROWNIAN_DRIFT:
+                piece = gen_brownian_drift(g, r.sigma, r.v, rng, dim=dim, start=start)
+            elif r.kind == ORNSTEIN_UHLENBECK:
+                piece = gen_ou(g, r.sigma, r.lam, rng, theta=r.theta, dim=dim, start=start)
+            else:
+                piece = gen_fbm(g, dim, r.sigma, r.hurst, rng, start=start)
+            pieces.append(piece.positions[1:])
+            start = piece.positions[-1]
+        assert np.array_equal(traj.positions, np.concatenate(pieces))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stack_rows_equal_compose_scenario(self, dim):
+        for spec in (scenario_preset(1, v=1.0), scenario_preset(2, lam=1.0), mixed_spec(dim)):
+            stack = compose_stack(spec, [replicate_rng(6, r) for r in range(5)], dim=dim)
+            assert stack.shape == (5, spec.n + 1, dim)
+            for r, row in enumerate(stack):
+                traj, _ = compose_scenario(spec, dim=dim, rng=replicate_rng(6, r))
+                assert np.array_equal(row, traj.positions)
+
     def test_diffusion_types_are_segment_labels(self):
         regimes = [
             RegimeSpec(kind=BROWNIAN),

@@ -9,7 +9,6 @@ from diffswitch import (
     ThresholdPair,
     Trajectory,
     backward_forward,
-    empirical_msd,
     estimate_sigma2,
     gen_brownian,
     phi,
@@ -97,6 +96,16 @@ class TestPhi:
 
     def test_scalar_input(self):
         assert phi(0.2, ThresholdPair(1.0, 3.0)) == 1
+
+    def test_scalar_agrees_with_array(self):
+        pair = ThresholdPair(1.0, 3.0)
+        xs = [0.5, 1.0, 2.0, 3.0, 3.5, math.nan]
+        codes = phi(np.array(xs), pair)
+        assert codes.tolist() == [1, 0, 0, 0, 2, 0]
+        for x, code in zip(xs, codes):
+            for scalar in (x, np.float64(x)):
+                assert type(phi(scalar, pair)) is int
+                assert phi(scalar, pair) == code
 
 
 class TestSigma2:
@@ -288,20 +297,3 @@ class TestSlidingStats:
         stats = sliding_stats(brownian_300, 30, relaxed_300_30)
         assert set(np.unique(stats.Q)) <= {-2, -1, 0, 1, 2}
 
-
-class TestEmpiricalMsd:
-    def test_linear_for_ballistic_motion(self):
-        pos = np.stack([np.arange(101.0), np.zeros(101)], axis=1)
-        msd = empirical_msd(make(pos), 5)
-        # Straight-line motion: msd(lag) = lag^2 exactly.
-        assert [m for _, m in msd] == pytest.approx([1, 4, 9, 16, 25])
-
-    def test_brownian_slope(self):
-        traj = gen_brownian(TimeGrid(0.0, 1.0, 50_000), 2, 1.0, np.random.default_rng(8))
-        msd = empirical_msd(traj, 4)
-        for lag, value in msd:
-            assert value == pytest.approx(2 * lag, rel=0.05)
-
-    def test_bad_lag(self, brownian_300):
-        with pytest.raises(TooShort):
-            empirical_msd(brownian_300, 300)
