@@ -261,15 +261,18 @@ class SegmentQuantiles:
         self.alpha = alpha
         self.replicates = replicates
         self.seed = seed
-        self._memo = {}
+        self._memo = {}  # grid length -> pair
+        self._by_steps = {}  # any step count -> its grid length's pair
 
     def __call__(self, n_steps):
-        length = min(SEGMENT_LENGTH_GRID, key=lambda g: (abs(g - n_steps), g))
-        if length not in self._memo:
-            key = segment_test_key(length, self.alpha, self.replicates, self.seed)
-            pair = cache_get_or_calibrate(self.table, key)
-            self._memo[length] = (pair.gamma1, pair.gamma2)
-        return self._memo[length]
+        if n_steps not in self._by_steps:
+            length = min(SEGMENT_LENGTH_GRID, key=lambda g: (abs(g - n_steps), g))
+            if length not in self._memo:
+                key = segment_test_key(length, self.alpha, self.replicates, self.seed)
+                pair = cache_get_or_calibrate(self.table, key)
+                self._memo[length] = (pair.gamma1, pair.gamma2)
+            self._by_steps[n_steps] = self._memo[length]
+        return self._by_steps[n_steps]
 
 
 def estimate_type1_error(n, k, c, c_star, thresholds, replicates, seed):
@@ -283,7 +286,7 @@ def estimate_type1_error(n, k, c, c_star, thresholds, replicates, seed):
     for stack in _null_stacks(n, replicates, seed):
         B, A = backward_forward(stack, k)
         Q = phi(A, thresholds) - phi(B, thresholds)
-        hits += sum(bool(find_clusters(row, c, c_star)) for row in Q)
+        hits += sum(map(bool, find_clusters(Q, c, c_star)))
     p = hits / replicates
     se = math.sqrt(p * (1 - p) / replicates)
     return p, se

@@ -132,9 +132,11 @@ def estimate_sigma2(traj, seg=None):
 
     sigma2_hat = (1 / (m d delta)) * sum of squared step norms over the
     m steps of the segment; unbiased for Brownian motion in d dimensions.
-    Raises OutOfBounds if seg ends past the trajectory.
+    Raises OutOfBounds if seg ends past the trajectory. Like statistic_T,
+    a list or stack of trajectories gives an array, one trajectory a float.
     """
-    return float(_sigma2(*_positions(traj, seg)))
+    sigma2 = _sigma2(*_positions(traj, seg))
+    return sigma2 if sigma2.ndim else float(sigma2)
 
 
 def statistic_T(traj, seg=None):

@@ -148,7 +148,7 @@ def load_csv(path):
 
 
 def save_csv(traj, path):
-    """Write a trajectory as CSV; round-trips to 15 significant digits."""
+    """Write a trajectory as CSV; .17g round-trips every float64 exactly."""
     header = ["t", "x", "y", "z"][: traj.dim + 1]
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -262,6 +262,23 @@ class TestSegmentQuantiles:
         assert sq(430) == sq(500)
         assert len(sq._memo) == 2
 
+    def test_every_step_count_memoised_to_its_grid_pair(self, monkeypatch):
+        calls = []
+
+        def counting(n, *args, **kwargs):
+            calls.append(n)
+            return original(n, *args, **kwargs)
+
+        original = calibration.calibrate_segment_test
+        monkeypatch.setattr(calibration, "calibrate_segment_test", counting)
+        sq = SegmentQuantiles(replicates=REPS, seed=3)
+        steps = list(range(1, 700, 7)) * 2
+        pairs = [sq(n) for n in steps]
+        assert sorted(calls) == sorted(set(calls)) == list(SEGMENT_LENGTH_GRID)
+        for n, pair in zip(steps, pairs):
+            nearest = min(SEGMENT_LENGTH_GRID, key=lambda g: (abs(g - n), g))
+            assert pair == sq(nearest) == sq._memo[nearest]
+
     def test_grid_is_increasing(self):
         assert list(SEGMENT_LENGTH_GRID) == sorted(SEGMENT_LENGTH_GRID)
 

@@ -4,6 +4,9 @@ import pytest
 from diffswitch import (
     Cluster,
     DetectionConfig,
+    ScenarioSpec,
+    RegimeSpec,
+    Segment,
     ThresholdPair,
     Trajectory,
     backward_forward,
@@ -17,16 +20,19 @@ from diffswitch import (
     run_procedure,
     scenario_preset,
     sliding_stats,
+    statistic_T,
 )
 from diffswitch.detection import (
     BROWNIAN,
+    MIN_LABEL_POINTS,
     REGIME_LABELS,
     SUBDIFFUSIVE,
+    SegmentLabel,
     SUPERDIFFUSIVE,
     UNDETERMINED,
     report_to_dict,
 )
-from diffswitch.errors import InvalidParam, NoMotionWindow
+from diffswitch.errors import InvalidParam, NoMotion, NoMotionWindow, OutOfBounds
 from diffswitch.rng import replicate_rng
 from diffswitch.trajectory import TimeGrid
 
@@ -76,15 +82,21 @@ def naive_clusters(Q, c, c_star, first_index=0):
 
 class TestFindClusters:
     def test_matches_naive_window_count(self):
+        # Each row of a stack, alone as a 1-D signal and within the 2-D stack.
         rng = np.random.default_rng(5)
         for _ in range(300):
             n = int(rng.integers(1, 120))
-            Q = rng.choice([-2, -1, 0, 1, 2], size=n, p=[0.15, 0.15, 0.4, 0.15, 0.15])
-            Q[rng.random(n) < rng.random()] = 0
+            Qs = rng.choice([-2, -1, 0, 1, 2], size=(3, n), p=[0.15, 0.15, 0.4, 0.15, 0.15])
+            Qs[rng.random((3, n)) < rng.random()] = 0
             for c in {1, n, int(rng.integers(1, n + 1))}:
                 for c_star in {1, c, int(rng.integers(1, c + 1))}:
                     first = int(rng.integers(0, 50))
-                    assert find_clusters(Q, c, c_star, first) == naive_clusters(Q, c, c_star, first)
+                    stacked = find_clusters(Qs, c, c_star, first)
+                    assert len(stacked) == len(Qs)
+                    for Q, row in zip(Qs, stacked):
+                        expected = naive_clusters(Q, c, c_star, first)
+                        assert find_clusters(Q, c, c_star, first) == expected
+                        assert row == expected
 
     def test_worked_example(self):
         clusters = find_clusters(EXAMPLE_Q, c=15, c_star=10)
@@ -309,3 +321,149 @@ class TestRunBatch:
         still = Trajectory(grid=brownian_300.grid, positions=pos)
         with pytest.raises(NoMotionWindow):
             run_batch([brownian_300, still], DetectionConfig(k=30, thresholds=relaxed_300_30))
+
+
+def oracle_label(traj, lo, hi, lookup):
+    """One segment labelled through statistic_T on its own, as the rules state."""
+    if hi - lo + 1 < MIN_LABEL_POINTS:
+        return (lo, hi, UNDETERMINED, None)
+    try:
+        T = float(statistic_T(traj, Segment(lo, hi)))
+    except NoMotion:
+        return (lo, hi, UNDETERMINED, None)
+    return (lo, hi, REGIME_LABELS[phi(T, ThresholdPair(*lookup(hi - lo)))], T)
+
+
+def oracle_labelling(traj, change_points, lookup):
+    """(raw labels, merged points, merged labels) from one statistic_T call per segment."""
+    bounds = [0, *change_points, traj.n_steps]
+    raw = [oracle_label(traj, lo, hi, lookup) for lo, hi in zip(bounds, bounds[1:])]
+    points, labels, j = list(change_points), list(raw), 0
+    while j < len(labels) - 1:
+        if labels[j][2] == labels[j + 1][2]:
+            labels[j : j + 2] = [oracle_label(traj, labels[j][0], labels[j + 1][1], lookup)]
+            del points[j]
+            j = max(j - 1, 0)
+        else:
+            j += 1
+    return raw, points, labels
+
+
+def as_tuples(labels):
+    return [(l.start, l.end, l.label, l.T) for l in labels]
+
+
+def random_walk(rng, n, dim, delta=1.0, scale=1.0):
+    pos = rng.normal(size=(n + 1, dim)).cumsum(axis=0) * scale
+    return Trajectory(grid=TimeGrid(0.0, delta, n), positions=pos)
+
+
+class TestSegmentPass:
+    """T from the one-pass labelling equals statistic_T on each segment with ==.
+
+    The pass scales positions once per trajectory, statistic_T once per
+    segment; both scale by powers of two, which is exact. They could differ
+    only if an intermediate value went subnormal under the trajectory's
+    scale but not under the segment's own.
+    """
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("delta", [1.0, 0.03])
+    def test_T_bit_equal_to_statistic_T(self, dim, delta):
+        rng = np.random.default_rng(dim * 100 + int(delta * 100))
+        # A wide pair labels everything Brownian, so merging also relabels
+        # fused segments up to the whole trajectory.
+        for quantiles in ((0.6, 2.6), lambda n: (0.7 + 1e-4 * n, 2.4), (0.0, np.inf)):
+            lookup = quantiles if callable(quantiles) else lambda n, q=quantiles: q
+            for scale in (1.0, 1e160, 1e-160):
+                for _ in range(15):
+                    n = int(rng.integers(30, 400))
+                    traj = random_walk(rng, n, dim, delta, scale)
+                    points = sorted(rng.integers(1, n, size=int(rng.integers(0, 5))).tolist())
+                    raw = label_segments(traj, points, quantiles)
+                    merged = merge_same_label(traj, points, raw, quantiles)
+                    expected = oracle_labelling(traj, points, lookup)
+                    assert as_tuples(raw) == expected[0]
+                    assert (merged[0], as_tuples(merged[1])) == expected[1:]
+                    for l in raw + merged[1]:
+                        if l.T is not None:
+                            assert l.T == statistic_T(traj, Segment(l.start, l.end))
+
+    def test_tiny_steps_segment(self):
+        # Steps of [100, 200] are 1e6 times smaller than the rest: scaled by
+        # the trajectory's largest step, not by the segment's own.
+        rng = np.random.default_rng(11)
+        steps = rng.normal(size=(300, 2))
+        steps[100:200] *= 1e-6
+        pos = np.concatenate([[[0.0, 0.0]], steps.cumsum(axis=0)])
+        traj = Trajectory(grid=TimeGrid(0.0, 1.0, 300), positions=pos)
+        labels = label_segments(traj, [100, 200], (0.6, 2.6))
+        assert [l.label != UNDETERMINED for l in labels] == [True] * 3
+        for l in labels:
+            assert l.T == statistic_T(traj, Segment(l.start, l.end))
+
+    def test_equal_change_points_give_zero_length_segments(self, brownian_300):
+        labels = label_segments(brownian_300, [100, 100, 175], (0.6, 2.6))
+        assert [(l.start, l.end) for l in labels] == [(0, 100), (100, 100), (100, 175), (175, 300)]
+        assert (labels[1].label, labels[1].T) == (UNDETERMINED, None)
+        for l in labels[::2] + labels[3:]:
+            assert l.T == statistic_T(brownian_300, Segment(l.start, l.end))
+        points, merged = merge_same_label(brownian_300, [100, 100, 175], labels, (0.6, 2.6))
+        expected = oracle_labelling(brownian_300, [100, 100, 175], lambda n: (0.6, 2.6))
+        assert (points, as_tuples(merged)) == expected[1:]
+
+    def test_decreasing_change_points_rejected(self, brownian_300):
+        for points in ([175, 100], [301], [-1]):
+            with pytest.raises(OutOfBounds):
+                label_segments(brownian_300, points, (0.6, 2.6))
+
+    def test_immobile_segment_undetermined_between_labelled(self, brownian_300):
+        pos = brownian_300.positions.copy()
+        pos[100:176] = pos[100]
+        traj = Trajectory(grid=brownian_300.grid, positions=pos)
+        labels = label_segments(traj, [100, 175], (0.6, 2.6))
+        assert [l.label == UNDETERMINED for l in labels] == [False, True, False]
+        assert labels[1].T is None
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_statistic_raises(self):
+        # Finite positions whose difference overflows.
+        pos = np.random.default_rng(2).normal(size=(41, 2)).cumsum(axis=0)
+        pos[20:25] += [1.5e308, 0.0]
+        pos[25:] -= [1.5e308, 0.0]
+        traj = Trajectory(grid=TimeGrid(0.0, 1.0, 40), positions=pos)
+        with pytest.raises(InvalidParam):
+            statistic_T(traj)
+        with pytest.raises(InvalidParam):
+            label_segments(traj, [], (0.6, 2.6))
+        # Labels that agree, so the merge relabels the fused whole trajectory.
+        labels = [SegmentLabel(0, 10, BROWNIAN, 1.0), SegmentLabel(10, 40, BROWNIAN, 1.0)]
+        with pytest.raises(InvalidParam):
+            merge_same_label(traj, [10], labels, (0.0, np.inf))
+
+
+# Non-unit time step, an OU piece with a fixed equilibrium and an fBm piece.
+CUSTOM = ScenarioSpec(
+    n=300, change_points=(100, 200), delta=0.25,
+    regimes=(
+        RegimeSpec(kind="brownian"),
+        RegimeSpec(kind="ornstein_uhlenbeck", lam=2.0, theta=(1.0, -1.0)),
+        RegimeSpec(kind="fractional_brownian", hurst=0.8),
+    ),
+)
+
+
+class TestRunBatchLabels:
+    @pytest.mark.parametrize("spec", [scenario_preset(1, v=1.0), scenario_preset(2, lam=0.5), CUSTOM],
+                             ids=["preset1", "preset2", "custom_delta_0.25"])
+    @pytest.mark.parametrize("fixed", [True, False])
+    def test_rows_equal_per_segment_oracle(self, relaxed_300_30, spec, fixed):
+        trajs = [compose_scenario(spec, rng=replicate_rng(8, r))[0] for r in range(40)]
+        quantiles = (0.6, 2.6) if fixed else (lambda n: (0.55 + 1e-4 * n, 2.5 + 1e-3 * n))
+        lookup = quantiles if callable(quantiles) else lambda n: quantiles
+        cfg = DetectionConfig(k=30, thresholds=relaxed_300_30)
+        for traj, report in zip(trajs, run_batch(trajs, cfg, labelling=True, quantiles=quantiles)):
+            raw, points, merged = oracle_labelling(traj, report.change_points, lookup)
+            assert as_tuples(report.raw_labels) == raw
+            assert report.merged_change_points == points
+            assert as_tuples(report.merged_labels) == merged

@@ -132,6 +132,19 @@ class TestSigma2:
         traj = make([[0, 0], [1, 0], [1, 2], [1, 2]])
         assert estimate_sigma2(traj, Segment(0, 2)) == pytest.approx(5 / 4)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_list_and_stack_give_arrays(self, dim):
+        grid = TimeGrid(0.0, 0.25, 80)
+        trajs = [gen_brownian(grid, dim, 1.0, np.random.default_rng(seed)) for seed in range(6)]
+        single = [estimate_sigma2(t) for t in trajs]
+        assert all(type(v) is float for v in single)
+        assert np.array_equal(estimate_sigma2(trajs), single)
+        stack = np.stack([t.positions for t in trajs]).reshape(3, 2, 81, dim)
+        per_row = [estimate_sigma2(make(t.positions)) for t in trajs]
+        assert np.array_equal(estimate_sigma2(stack), np.reshape(per_row, (3, 2)))
+        seg = Segment(10, 60)
+        assert np.array_equal(estimate_sigma2(trajs, seg), [estimate_sigma2(t, seg) for t in trajs])
+
     def test_segment_past_end_raises(self, brownian_300):
         assert estimate_sigma2(brownian_300, Segment(200, 300)) > 0
         with pytest.raises(OutOfBounds):

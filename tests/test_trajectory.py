@@ -73,6 +73,15 @@ class TestSaveCsv:
         assert np.array_equal(back.positions, traj.positions)
         assert back.grid.delta == pytest.approx(grid.delta, rel=1e-15)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_positions_round_trip_bit_equal(self, tmp_path, dim):
+        # Mantissas and exponents across the whole float64 range.
+        rng = np.random.default_rng(dim)
+        pos = rng.normal(size=(60, dim)) * 10.0 ** rng.integers(-300, 300, size=(60, dim))
+        traj = Trajectory(grid=TimeGrid(0.0, 0.01, 59), positions=pos)
+        save_csv(traj, tmp_path / "out.csv")
+        assert np.array_equal(load_csv(tmp_path / "out.csv").positions, pos)
+
     def test_unwritable_path(self, tmp_path):
         grid = TimeGrid(0.0, 1.0, 1)
         traj = Trajectory(grid=grid, positions=[[0, 0], [1, 0]])
