@@ -1,11 +1,18 @@
 """Trajectory representation on a uniform time grid, plus CSV I/O.
 
 The CSV format is UTF-8 with a one-line header ``t,x,y`` or ``t,x,y,z``
-and a decimal point. Non-uniform time grids are rejected rather than
-resampled: the detection statistics assume a constant lag.
+and a decimal point. Fields are read as `csv.reader` and ``float`` read
+them: LF, CRLF or CR line ends, blank lines and a missing final newline
+are all accepted, and a malformed row is reported with its line number.
+A file that is not UTF-8, or has a field over `csv.field_size_limit`,
+raises `MalformedRow`. A file with no quotes or lone CRs is parsed in one
+pass over the whole text; any other file, and every malformed one, goes
+row by row. Non-uniform time grids are rejected rather than resampled:
+the detection statistics assume a constant lag.
 """
 
 import csv
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +28,9 @@ from .errors import (
 
 # Relative tolerance on spacing deviation when inferring the grid.
 _GRID_RTOL = 1e-6
+
+# Every byte except the two that separate fields and rows.
+_NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b",\n")))
 
 
 @dataclass(frozen=True)
@@ -108,33 +118,21 @@ def load_csv(path):
     is rejected.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise TooShort(f"{path}: empty file")
-            ncols = len(header)
-            if ncols not in (3, 4):
-                raise MalformedRow(f"{path}: header must have 3 or 4 columns, got {ncols}")
-            times, coords = [], []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != ncols:
-                    raise MalformedRow(f"{path}:{lineno}: expected {ncols} fields, got {len(row)}")
-                try:
-                    values = [float(v) for v in row]
-                except ValueError:
-                    raise MalformedRow(f"{path}:{lineno}: non-numeric field")
-                times.append(values[0])
-                coords.append(values[1:])
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(f"{path}: invalid UTF-8 at byte {exc.start}") from None
+    table = _parse_whole(text)
+    if table is None:
+        table = _parse_rows(text, path)
 
-    if len(times) < 3:
-        raise TooShort(f"{path}: need at least 3 points, got {len(times)}")
-    t = np.asarray(times)
+    if len(table) < 3:
+        raise TooShort(f"{path}: need at least 3 points, got {len(table)}")
+    t = table[:, 0]
     diffs = np.diff(t)
     if np.any(diffs <= 0):
         raise NonUniformGrid(f"{path}: time column must be strictly increasing")
@@ -144,20 +142,87 @@ def load_csv(path):
     if np.max(np.abs(t - expected)) > _GRID_RTOL * scale:
         raise NonUniformGrid(f"{path}: spacing deviates from uniform beyond tolerance")
     grid = TimeGrid(t0=float(t[0]), delta=delta, n_steps=len(t) - 1)
-    return Trajectory(grid=grid, positions=np.asarray(coords))
+    return Trajectory(grid=grid, positions=np.ascontiguousarray(table[:, 1:]))
+
+
+def _parse_whole(text):
+    """Every data row of a CSV file as one (rows, columns) array, or None.
+
+    Covers files without quotes or lone carriage returns whose rows all
+    have the header's 3 or 4 fields, parsed with ``float`` in one call, as
+    the row loop would parse them. Anything else returns None and goes
+    through `_parse_rows`, which gives each error its exact message.
+    """
+    if '"' in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    header, _, body = text.partition("\n")
+    ncols = header.count(",") + 1
+    if ncols not in (3, 4):
+        return None
+    body = body.strip("\n")
+    if "\n\n" in body:
+        body = "\n".join(filter(None, body.split("\n")))
+    rows = body.count("\n") + 1
+    # Each row must hold its own fields: a total comma count alone would
+    # pass a short row next to a long one.
+    row_separators = ((ncols - 1) * b"," + b"\n") * rows
+    if body.encode().translate(None, _NOT_SEPARATOR) != row_separators[:-1]:
+        return None
+    fields = body.replace("\n", ",").split(",")
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, [header, *fields])) > limit:
+        return None
+    try:
+        values = np.array(fields, dtype=float)
+    except ValueError:
+        return None
+    return values.reshape(rows, ncols)
+
+
+def _parse_rows(text, path):
+    """Parse row by row with `csv.reader`, raising on the first bad row."""
+    # StringIO splits lines where the file object did, at \r, \n or \r\n only.
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise TooShort(f"{path}: empty file")
+        ncols = len(header)
+        if ncols not in (3, 4):
+            raise MalformedRow(f"{path}: header must have 3 or 4 columns, got {ncols}")
+        values = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != ncols:
+                raise MalformedRow(f"{path}:{lineno}: expected {ncols} fields, got {len(row)}")
+            try:
+                values.append([float(v) for v in row])
+            except ValueError:
+                raise MalformedRow(f"{path}:{lineno}: non-numeric field")
+    except csv.Error as exc:
+        raise MalformedRow(f"{path}:{reader.line_num}: {exc}") from None
+    return np.array(values, dtype=float).reshape(-1, ncols)
 
 
 def save_csv(traj, path):
-    """Write a trajectory as CSV; .17g round-trips every float64 exactly."""
-    header = ["t", "x", "y", "z"][: traj.dim + 1]
+    """Write a trajectory as CSV; .17g round-trips every float64 exactly.
+
+    The bytes are those of `csv.writer`: a `t,x,y[,z]` header and
+    CRLF line ends.
+    """
+    ncols = traj.dim + 1
+    row = ",".join(["{:.17g}"] * ncols) + "\r\n"
+    times = [traj.grid.point(k) for k in range(traj.n_steps + 1)]
+    body = "".join(row.format(t, *p) for t, p in zip(times, traj.positions.tolist()))
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for k in range(traj.n_steps + 1):
-                row = [f"{traj.grid.point(k):.17g}"]
-                row += [f"{v:.17g}" for v in traj.positions[k]]
-                writer.writerow(row)
+            fh.write(",".join("txyz"[:ncols]) + "\r\n" + body)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

@@ -133,6 +133,21 @@ class TestStatsAndDetect:
         assert code == 1
         assert "IoFailure" in stderr
 
+    @pytest.mark.parametrize("content, where", [
+        (b"t,x,y\n0,0,0\n1,\xff,0\n2,2,0\n", ": invalid UTF-8 at byte 14"),
+        (b"t,x,y\n0,0,0\n1," + b"1" * 131073 + b",0\n2,2,0\n",
+         ":3: field larger than field limit (131072)"),
+    ])
+    def test_detect_unreadable_csv_is_domain_error(self, tmp_path, capsys, content, where):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        code, _, stderr = run(
+            capsys, "detect", "--input", str(path), "--k", "30",
+            "--gamma1", "0.74", "--gamma2", "3.26",
+        )
+        assert code == 1
+        assert stderr == f"MalformedRow: {path}{where}\n"
+
 
 class TestCalibrate:
     def test_calibrate_with_cache(self, tmp_path, capsys):
