@@ -29,9 +29,6 @@ from .errors import (
 # Relative tolerance on spacing deviation when inferring the grid.
 _GRID_RTOL = 1e-6
 
-# Every byte except the two that separate fields and rows.
-_NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b",\n")))
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -126,6 +123,7 @@ def load_csv(path):
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedRow(f"{path}: invalid UTF-8 at byte {exc.start}") from None
+    del data
     table = _parse_whole(text)
     if table is None:
         table = _parse_rows(text, path)
@@ -149,8 +147,9 @@ def _parse_whole(text):
     """Every data row of a CSV file as one (rows, columns) array, or None.
 
     Covers files without quotes or lone carriage returns whose rows all
-    have the header's 3 or 4 fields, parsed with ``float`` in one call, as
-    the row loop would parse them. Anything else returns None and goes
+    have the header's 3 or 4 fields: the fields are split with `str.split`
+    and parsed with ``float`` in one ``np.array`` call, as `csv.reader`
+    and the row loop would read them. Anything else returns None and goes
     through `_parse_rows`, which gives each error its exact message.
     """
     if '"' in text:
@@ -159,28 +158,21 @@ def _parse_whole(text):
         text = text.replace("\r\n", "\n")
         if "\r" in text:
             return None
-    header, _, body = text.partition("\n")
+    header, *lines = text.split("\n")
     ncols = header.count(",") + 1
-    if ncols not in (3, 4):
-        return None
-    body = body.strip("\n")
-    if "\n\n" in body:
-        body = "\n".join(filter(None, body.split("\n")))
-    rows = body.count("\n") + 1
+    lines = list(filter(None, lines))
     # Each row must hold its own fields: a total comma count alone would
     # pass a short row next to a long one.
-    row_separators = ((ncols - 1) * b"," + b"\n") * rows
-    if body.encode().translate(None, _NOT_SEPARATOR) != row_separators[:-1]:
+    if ncols not in (3, 4) or any(line.count(",") != ncols - 1 for line in lines):
         return None
-    fields = body.replace("\n", ",").split(",")
+    fields = ",".join(lines).split(",")
     limit = csv.field_size_limit()
     if len(text) > limit and max(map(len, [header, *fields])) > limit:
         return None
     try:
-        values = np.array(fields, dtype=float)
+        return np.array(fields, dtype=float).reshape(-1, ncols)
     except ValueError:
         return None
-    return values.reshape(rows, ncols)
 
 
 def _parse_rows(text, path):
@@ -213,16 +205,18 @@ def _parse_rows(text, path):
 def save_csv(traj, path):
     """Write a trajectory as CSV; .17g round-trips every float64 exactly.
 
-    The bytes are those of `csv.writer`: a `t,x,y[,z]` header and
-    CRLF line ends.
+    The file has a `t,x,y[,z]` header and CRLF line ends, as `csv.writer`
+    writes them.
     """
-    ncols = traj.dim + 1
-    row = ",".join(["{:.17g}"] * ncols) + "\r\n"
-    times = [traj.grid.point(k) for k in range(traj.n_steps + 1)]
-    body = "".join(row.format(t, *p) for t, p in zip(times, traj.positions.tolist()))
+    header = ["t", "x", "y", "z"][: traj.dim + 1]
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(",".join("txyz"[:ncols]) + "\r\n" + body)
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for k in range(traj.n_steps + 1):
+                row = [f"{traj.grid.point(k):.17g}"]
+                row += [f"{v:.17g}" for v in traj.positions[k]]
+                writer.writerow(row)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

@@ -1,0 +1,92 @@
+"""Property tests of the CSV loader: the whole-file parse against the row loop."""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from diffswitch import load_csv, trajectory
+from diffswitch.errors import DiffswitchError
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def csv_texts(draw):
+    """A well-formed CSV text and the table it holds."""
+    ncols = draw(st.sampled_from([3, 4]))
+    table = draw(st.lists(st.lists(FINITE, min_size=ncols, max_size=ncols), min_size=1, max_size=20))
+    fmt = draw(st.sampled_from([repr, "{:.17g}".format]))
+    lines = [",".join("txyz"[:ncols])] + [",".join(map(fmt, row)) for row in table]
+    for at in sorted(draw(st.lists(st.integers(1, len(lines)), max_size=3)), reverse=True):
+        lines.insert(at, "")
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines) + draw(st.sampled_from(["", eol]))
+    return text, np.array(table, dtype=float)
+
+
+def assert_bit_equal(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# A valid 2-D file with CRLF line ends, as save_csv writes it.
+VALID_CSV = b"t,x,y\r\n0,0.5,-1e-3\r\n1,2.25,3\r\n2,-0,4.125\r\n3,1e2,5\r\n"
+# Bytes that csv.reader or float() treat specially, plus invalid UTF-8.
+SPECIAL_BYTES = b',\n\r" _.-+e0123456789\x00\x0b\x0c\x1c\x85\xc3\xff'
+
+
+class TestLoadCsvEquivalence:
+    """The whole-file parse reads every file exactly as the row loop does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_texts())
+    def test_fast_path_bit_equal_to_row_loop(self, case):
+        text, table = case
+        fast = trajectory._parse_whole(text)
+        assert fast is not None
+        assert_bit_equal(fast, table)
+        assert_bit_equal(trajectory._parse_rows(text, "traj.csv"), table)
+
+    @settings(max_examples=300, deadline=None)
+    # Lone surrogates cannot come out of decoding UTF-8.
+    @given(st.text(st.characters(blacklist_categories=["Cs"], blacklist_characters=',\n\r"'),
+                   max_size=8))
+    def test_any_field_text_parses_as_float_does(self, field):
+        text = f"t,x,y\n0,{field},1\n"
+        fast = trajectory._parse_whole(text)
+        try:
+            expected = np.float64(float(field))
+        except ValueError:
+            assert fast is None
+        else:
+            assert fast is not None and fast[0, 1].tobytes() == expected.tobytes()
+
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.data())
+    def test_mutated_bytes_raise_only_domain_errors(self, tmp_path, data):
+        raw = bytearray(VALID_CSV)
+        for _ in range(data.draw(st.integers(1, 4))):
+            at = data.draw(st.integers(0, len(raw) - 1))
+            byte = data.draw(st.sampled_from(SPECIAL_BYTES) | st.integers(0, 255))
+            action = data.draw(st.sampled_from(["insert", "replace", "delete"]))
+            if action == "insert":
+                raw.insert(at, byte)
+            elif action == "replace":
+                raw[at] = byte
+            else:
+                del raw[at]
+        path = tmp_path / "mutated.csv"
+        path.write_bytes(raw)
+        try:
+            load_csv(path)
+        except DiffswitchError:
+            pass
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return
+        fast = trajectory._parse_whole(text)
+        if fast is not None:
+            assert_bit_equal(fast, trajectory._parse_rows(text, path))
