@@ -29,7 +29,7 @@ from .calibration import (
     estimate_type1_error,
 )
 from .errors import DiffswitchError, InvalidParam, IoFailure
-from .rng import DEFAULT_SEED, replicate_rng
+from .rng import DEFAULT_SEED, replicate_rngs
 from .simulators import compose_stack, scenario_preset
 from .trajectory import TimeGrid, Trajectory, save_csv
 
@@ -177,7 +177,7 @@ def run_cell(spec, param, k, thresholds, quantiles=None):
     start = time.perf_counter()
     for lo in range(0, spec.replicates, calibration.REPLICATE_BATCH):
         reps = range(lo, min(lo + calibration.REPLICATE_BATCH, spec.replicates))
-        stack = compose_stack(scenario, [replicate_rng(spec.seed, *cell_tag, rep) for rep in reps])
+        stack = compose_stack(scenario, replicate_rngs(spec.seed, *cell_tag, reps=reps))
         trajs = [Trajectory(grid=grid, positions=row) for row in stack]
         for outcome in _outcomes(spec, trajs, config, do_label, quantiles):
             if outcome is None:

@@ -22,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ._version import __version__
 from .detection import default_cluster_params, find_clusters
 from .errors import CorruptCache, Degenerate, InvalidParam, IoFailure
-from .rng import DEFAULT_SEED, replicate_rng
+from .rng import DEFAULT_SEED, replicate_rngs
 from .stats import ThresholdPair, backward_forward, phi, statistic_T
 
 STRICT = "strict"
@@ -93,7 +93,8 @@ def _null_stacks(n, replicates, seed, sigma=1.0, delta=1.0):
     Each stack has shape (b, n+1, 2) and starts at the origin. Replicate r
     always draws its increments from its own stream replicate_rng(seed, r),
     exactly as gen_brownian does, so results do not depend on how
-    replicates are batched.
+    replicates are batched; a stack's streams are hashed in one
+    replicate_rngs call.
     """
     if sigma <= 0 or delta <= 0:
         raise InvalidParam(f"need sigma > 0 and delta > 0, got ({sigma}, {delta})")
@@ -101,8 +102,8 @@ def _null_stacks(n, replicates, seed, sigma=1.0, delta=1.0):
     for lo in range(0, replicates, REPLICATE_BATCH):
         reps = range(lo, min(lo + REPLICATE_BATCH, replicates))
         stack = np.zeros((len(reps), n + 1, 2))
-        for row, r in zip(stack, reps):
-            row[1:] = replicate_rng(seed, r).normal(0.0, scale, size=(n, 2))
+        for row, rng in zip(stack, replicate_rngs(seed, reps=reps)):
+            row[1:] = rng.normal(0.0, scale, size=(n, 2))
         np.cumsum(stack, axis=1, out=stack)
         yield stack
 

@@ -7,12 +7,15 @@ are all accepted, and a malformed row is reported with its line number.
 A file that is not UTF-8, or has a field over `csv.field_size_limit`,
 raises `MalformedRow`. A file with no quotes or lone CRs is parsed in one
 pass over the whole text; any other file, and every malformed one, goes
-row by row. Non-uniform time grids are rejected rather than resampled:
+row by row. A non-finite time stamp or position is reported with its
+line number. Non-uniform time grids are rejected rather than resampled:
 the detection statistics assume a constant lag.
 """
 
 import csv
 import io
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +42,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.t0) and math.isfinite(self.delta)):
+            raise InvalidParam(f"t0 and delta must be finite, got ({self.t0}, {self.delta})")
         if self.delta <= 0:
             raise InvalidParam(f"delta must be positive, got {self.delta}")
         if self.n_steps < 1:
@@ -127,6 +132,12 @@ def load_csv(path):
     table = _parse_whole(text)
     if table is None:
         table = _parse_rows(text, path)
+    if not np.isfinite(table).all():
+        row = int(np.argmin(np.isfinite(table).all(axis=1)))
+        where = f"{path}:{_line_number(text, row)}"
+        if not np.isfinite(table[row, 0]):
+            raise NonUniformGrid(f"{where}: time stamp is not finite")
+        raise MalformedRow(f"{where}: position is not finite")
 
     if len(table) < 3:
         raise TooShort(f"{path}: need at least 3 points, got {len(table)}")
@@ -200,6 +211,14 @@ def _parse_rows(text, path):
     except csv.Error as exc:
         raise MalformedRow(f"{path}:{reader.line_num}: {exc}") from None
     return np.array(values, dtype=float).reshape(-1, ncols)
+
+
+def _line_number(text, row):
+    """Line number of data row `row` (0-based), as `_parse_rows` counts lines."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)
+    lines = (lineno for lineno, fields in enumerate(reader, start=2) if fields)
+    return next(itertools.islice(lines, row, None))
 
 
 def save_csv(traj, path):

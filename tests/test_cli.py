@@ -148,6 +148,21 @@ class TestStatsAndDetect:
         assert code == 1
         assert stderr == f"MalformedRow: {path}{where}\n"
 
+    @pytest.mark.parametrize("content, error", [
+        ("t,x,y\n0,0,0\nnan,1,0\n2,2,0\n3,3,0\n", "NonUniformGrid: {}:3: time stamp is not finite"),
+        ("t,x,y\n0,0,0\n1,1,0\ninf,2,0\n", "NonUniformGrid: {}:4: time stamp is not finite"),
+        ("t,x,y\n0,0,0\n1,nan,0\n2,2,0\n", "MalformedRow: {}:3: position is not finite"),
+    ])
+    def test_detect_non_finite_csv_is_domain_error(self, tmp_path, capsys, content, error):
+        path = tmp_path / "bad.csv"
+        path.write_text(content)
+        code, _, stderr = run(
+            capsys, "detect", "--input", str(path), "--k", "30",
+            "--gamma1", "0.74", "--gamma2", "3.26",
+        )
+        assert code == 1
+        assert stderr == error.format(path) + "\n"
+
 
 class TestCalibrate:
     def test_calibrate_with_cache(self, tmp_path, capsys):

@@ -87,6 +87,15 @@ class TestLoadCsvMessages:
             ("t,x,y\n0,0,0\x0b1,1,0\n2,2,0\n", MalformedRow, ":2: expected 3 fields, got 5"),
             # Short and long rows whose commas add up to the right total.
             ("t,x,y\n5\n1,2,3,4,5\n2,2,0\n", MalformedRow, ":2: expected 3 fields, got 1"),
+            # Non-finite values are named by line, blank and CRLF lines counted.
+            ("t,x,y\n0,0,0\nnan,1,0\n2,2,0\n3,3,0\n", NonUniformGrid, ":3: time stamp is not finite"),
+            ("t,x,y\n0,0,0\n1,1,0\ninf,2,0\n", NonUniformGrid, ":4: time stamp is not finite"),
+            ("t,x,y\n0,0,0\n1,nan,0\n2,2,0\n", MalformedRow, ":3: position is not finite"),
+            ("t,x,y,z\r\n0,0,0,0\r\n\r\n1,1,0,-Infinity\r\n2,2,0,0\r\n", MalformedRow,
+             ":4: position is not finite"),
+            ('t,x,y\n0,0,0\n\n"1",1,0\n2,2,NaN\n3,3,0\n', MalformedRow, ":5: position is not finite"),
+            ("t,x,y\n0,0,nan\n1,1,0\ninf,2,0\n", MalformedRow, ":2: position is not finite"),
+            ("t,x,y\n0,0,0\n-inf,nan,0\n2,2,0\n", NonUniformGrid, ":3: time stamp is not finite"),
         ],
     )
     def test_message(self, tmp_path, text, exc_type, suffix):
@@ -162,6 +171,12 @@ class TestTrajectory:
     def test_rejects_nan(self):
         with pytest.raises(InvalidParam):
             Trajectory(grid=TimeGrid(0, 1, 1), positions=[[0, 0], [np.nan, 0]])
+
+    @pytest.mark.parametrize("t0, delta", [(np.nan, 1.0), (np.inf, 1.0), (0.0, np.nan), (0.0, np.inf)])
+    def test_grid_rejects_non_finite(self, t0, delta):
+        with pytest.raises(InvalidParam) as exc:
+            TimeGrid(t0=t0, delta=delta, n_steps=3)
+        assert str(exc.value) == f"t0 and delta must be finite, got ({t0}, {delta})"
 
     def test_rejects_wrong_length(self):
         with pytest.raises(InvalidParam):

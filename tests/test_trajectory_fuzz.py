@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from diffswitch import load_csv, trajectory
-from diffswitch.errors import DiffswitchError
+from diffswitch.errors import DiffswitchError, MalformedRow, NonUniformGrid
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -90,3 +90,34 @@ class TestLoadCsvEquivalence:
         fast = trajectory._parse_whole(text)
         if fast is not None:
             assert_bit_equal(fast, trajectory._parse_rows(text, path))
+
+
+class TestNonFiniteValues:
+    """A non-finite field is reported with its line, whichever path parses the file."""
+
+    @settings(
+        max_examples=200, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.data())
+    def test_non_finite_field_names_its_line(self, tmp_path, data):
+        ncols = data.draw(st.sampled_from([3, 4]))
+        rows = [[str(k)] + ["0.5"] * (ncols - 1) for k in range(data.draw(st.integers(3, 8)))]
+        row = data.draw(st.integers(0, len(rows) - 1))
+        col = data.draw(st.integers(0, ncols - 1))
+        rows[row][col] = data.draw(st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "+nan"]))
+        if data.draw(st.booleans()):
+            rows[(row + 1) % len(rows)][1] = '"0.5"'  # quoted: parsed by the row loop
+        lines = [",".join("txyz"[:ncols])] + [",".join(r) for r in rows]
+        blank_at = data.draw(st.integers(1, len(lines)))
+        lines.insert(blank_at, "")
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(data.draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n", newline="")
+        lineno = row + 2 + (blank_at <= row + 1)
+        expected = (NonUniformGrid, "time stamp") if col == 0 else (MalformedRow, "position")
+        try:
+            load_csv(path)
+        except DiffswitchError as exc:
+            assert (type(exc), str(exc)) == (expected[0], f"{path}:{lineno}: {expected[1]} is not finite")
+        else:
+            raise AssertionError("a non-finite field loaded")
