@@ -1,7 +1,7 @@
 """Detection of diffusion-regime switches along particle trajectories."""
 
 from ._version import __version__
-from .trajectory import TimeGrid, Trajectory, Segment, load_csv, save_csv, subtrajectory
+from .trajectory import TimeGrid, Trajectory, Segment, load_csv, save_csv
 from .simulators import (
     RegimeSpec,
     ScenarioSpec,
@@ -27,7 +27,6 @@ from .calibration import (
     SegmentQuantiles,
     ThresholdTable,
     cache_get_or_calibrate,
-    calibrate,
     calibrate_segment_test,
     default_key,
     estimate_type1_error,
@@ -47,12 +46,12 @@ from .bench import ExperimentSpec, Type1Spec, export_report, run_experiment, run
 
 __all__ = [
     "__version__",
-    "TimeGrid", "Trajectory", "Segment", "load_csv", "save_csv", "subtrajectory",
+    "TimeGrid", "Trajectory", "Segment", "load_csv", "save_csv",
     "RegimeSpec", "ScenarioSpec", "compose_scenario", "compose_stack", "scenario_preset",
     "gen_brownian", "gen_brownian_drift", "gen_ou", "gen_fbm",
     "SlidingStats", "ThresholdPair", "phi", "backward_forward",
     "estimate_sigma2", "statistic_T", "sliding_stats",
-    "CalibrationKey", "ThresholdTable", "SegmentQuantiles", "calibrate",
+    "CalibrationKey", "ThresholdTable", "SegmentQuantiles",
     "calibrate_segment_test", "cache_get_or_calibrate", "default_key",
     "estimate_type1_error",
     "DetectionConfig", "Cluster", "ChangePointReport", "find_clusters",

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import calibration, detection
+from . import detection
 from .calibration import (
     RELAXED,
     SegmentQuantiles,
@@ -29,8 +29,8 @@ from .calibration import (
     estimate_type1_error,
 )
 from .errors import DiffswitchError, InvalidParam, IoFailure
-from .rng import DEFAULT_SEED, replicate_rngs
-from .simulators import compose_stack, scenario_preset
+from .rng import DEFAULT_SEED
+from .simulators import replicate_stacks, scenario_preset
 from .trajectory import TimeGrid, Trajectory, save_csv
 
 DIFF_CATEGORIES = ("-2", "-1", "0", "1", "2+")
@@ -159,9 +159,9 @@ def _outcomes(spec, trajs, config, do_label, quantiles):
 def run_cell(spec, param, k, thresholds, quantiles=None):
     """All replicates of one grid cell, tallied into a CellResult.
 
-    Replicates are simulated and detected in stacks of REPLICATE_BATCH.
-    Replicate rep always draws from replicate_rng(seed, *cell, rep), so
-    the result does not depend on how replicates are batched.
+    Replicates are simulated and detected a replicate_stacks stack at a
+    time. Replicate rep always draws from replicate_rng(seed, *cell, rep),
+    so the result does not depend on how replicates are batched.
     """
     scenario = _scenario_spec(spec, param)
     truth = _truth_labels(scenario)
@@ -175,9 +175,7 @@ def run_cell(spec, param, k, thresholds, quantiles=None):
     qualifying_points = []
     label_hits = label_total = failures = 0
     start = time.perf_counter()
-    for lo in range(0, spec.replicates, calibration.REPLICATE_BATCH):
-        reps = range(lo, min(lo + calibration.REPLICATE_BATCH, spec.replicates))
-        stack = compose_stack(scenario, replicate_rngs(spec.seed, *cell_tag, reps=reps))
+    for stack in replicate_stacks(scenario, spec.seed, *cell_tag, replicates=spec.replicates):
         trajs = [Trajectory(grid=grid, positions=row) for row in stack]
         for outcome in _outcomes(spec, trajs, config, do_label, quantiles):
             if outcome is None:

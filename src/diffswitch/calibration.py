@@ -22,8 +22,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ._version import __version__
 from .detection import default_cluster_params, find_clusters
 from .errors import CorruptCache, Degenerate, InvalidParam, IoFailure
-from .rng import DEFAULT_SEED, replicate_rngs
-from .stats import ThresholdPair, backward_forward, phi, statistic_T
+from .rng import DEFAULT_SEED
+from .simulators import BROWNIAN, RegimeSpec, ScenarioSpec, replicate_stacks
+from .stats import ThresholdPair, backward_forward, sliding_stats, statistic_T
 
 STRICT = "strict"
 RELAXED = "relaxed"
@@ -34,9 +35,6 @@ CACHE_SCHEMA_VERSION = 1
 # Segment lengths (in steps) at which labelling quantiles are
 # precalibrated; arbitrary lengths snap to the nearest entry.
 SEGMENT_LENGTH_GRID = (25, 50, 100, 150, 200, 300, 500)
-
-# Null replicates simulated and passed to the sliding kernel per call.
-REPLICATE_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -87,43 +85,25 @@ def _quantile_index(p, n):
     return min(max(int(p * n), 1), n) - 1
 
 
-def _null_stacks(n, replicates, seed, sigma=1.0, delta=1.0):
-    """Planar Brownian null paths in stacks of up to REPLICATE_BATCH positions.
-
-    Each stack has shape (b, n+1, 2) and starts at the origin. Replicate r
-    always draws its increments from its own stream replicate_rng(seed, r),
-    exactly as gen_brownian does, so results do not depend on how
-    replicates are batched; a stack's streams are hashed in one
-    replicate_rngs call.
-    """
-    if sigma <= 0 or delta <= 0:
-        raise InvalidParam(f"need sigma > 0 and delta > 0, got ({sigma}, {delta})")
-    scale = sigma * math.sqrt(delta)
-    for lo in range(0, replicates, REPLICATE_BATCH):
-        reps = range(lo, min(lo + REPLICATE_BATCH, replicates))
-        stack = np.zeros((len(reps), n + 1, 2))
-        for row, rng in zip(stack, replicate_rngs(seed, reps=reps)):
-            row[1:] = rng.normal(0.0, scale, size=(n, 2))
-        np.cumsum(stack, axis=1, out=stack)
-        yield stack
+def _null(n):
+    """The fully Brownian null of the calibrations: n planar steps, sigma = delta = 1."""
+    return ScenarioSpec(n, (), (RegimeSpec(BROWNIAN),))
 
 
-def calibrate_both(n, k, c, c_star, alpha, replicates, seed, sigma=1.0, delta=1.0):
+def calibrate_both(n, k, c, c_star, alpha, replicates, seed):
     """Calibrate strict and relaxed pairs from one shared replicate set.
 
     Returns {variant: ThresholdPair}. The two variants differ only in
     the order-statistic rank, so both come from the same simulations and
     the ordering gamma1_strict <= gamma1_relaxed, gamma2_strict >=
-    gamma2_relaxed holds deterministically. sigma and delta only affect
-    the replicate simulation; the statistics are scale invariant, so
-    they move the result within Monte Carlo error only.
+    gamma2_relaxed holds deterministically.
     """
     if replicates < 1000:
         raise InvalidParam(f"need at least 1000 replicates, got {replicates}")
     ranks = {STRICT: _order_rank(STRICT, c, c_star), RELAXED: _order_rank(RELAXED, c, c_star)}
     # Per rank q, each replicate's (min_r s_r, max_r S_r) over its c-windows.
     extremes = {q: ([], []) for q in set(ranks.values())}
-    for stack in _null_stacks(n, replicates, seed, sigma, delta):
+    for stack in replicate_stacks(_null(n), seed, replicates=replicates):
         B, A = backward_forward(stack, k)
         d_sorted = np.sort(sliding_window_view(np.minimum(B, A), c, axis=-1), axis=-1)
         D_sorted = np.sort(sliding_window_view(np.maximum(B, A), c, axis=-1), axis=-1)
@@ -140,11 +120,6 @@ def calibrate_both(n, k, c, c_star, alpha, replicates, seed, sigma=1.0, delta=1.
     return pairs
 
 
-def calibrate(key):
-    """Monte Carlo estimate of the cut-off pair for one calibration key."""
-    return cache_get_or_calibrate(None, key)
-
-
 def calibrate_segment_test(n, alpha, replicates, seed):
     """Quantiles (q1, q2) of the whole-segment statistic under the null.
 
@@ -155,7 +130,8 @@ def calibrate_segment_test(n, alpha, replicates, seed):
         raise InvalidParam(f"alpha must be in (0, 1), got {alpha}")
     if replicates < 1000:
         raise InvalidParam(f"need at least 1000 replicates, got {replicates}")
-    values = np.sort(np.concatenate([statistic_T(s) for s in _null_stacks(n, replicates, seed)]))
+    stacks = replicate_stacks(_null(n), seed, replicates=replicates)
+    values = np.sort(np.concatenate([statistic_T(s) for s in stacks]))
     q1 = float(values[_quantile_index(alpha / 2, replicates)])
     q2 = float(values[_quantile_index(1 - alpha / 2, replicates)])
     return ThresholdPair(gamma1=q1, gamma2=q2)
@@ -284,9 +260,8 @@ def estimate_type1_error(n, k, c, c_star, thresholds, replicates, seed):
     if replicates < 500:
         raise InvalidParam(f"need at least 500 replicates, got {replicates}")
     hits = 0
-    for stack in _null_stacks(n, replicates, seed):
-        B, A = backward_forward(stack, k)
-        Q = phi(A, thresholds) - phi(B, thresholds)
+    for stack in replicate_stacks(_null(n), seed, replicates=replicates):
+        Q = sliding_stats(stack, k, thresholds).Q
         hits += sum(map(bool, find_clusters(Q, c, c_star)))
     p = hits / replicates
     se = math.sqrt(p * (1 - p) / replicates)

@@ -64,10 +64,6 @@ class Cluster:
     start: int
     end: int  # inclusive
 
-    @property
-    def indices(self):
-        return range(self.start, self.end + 1)
-
 
 @dataclass(frozen=True)
 class SegmentLabel:

@@ -16,13 +16,16 @@ import numpy as np
 
 from . import stats
 from .errors import InvalidParam
-from .rng import replicate_rng
+from .rng import replicate_rng, replicate_rngs
 from .trajectory import TimeGrid, Trajectory
 
 BROWNIAN = "brownian"
 BROWNIAN_DRIFT = "brownian_drift"
 ORNSTEIN_UHLENBECK = "ornstein_uhlenbeck"
 FRACTIONAL_BROWNIAN = "fractional_brownian"
+
+# Monte Carlo replicates simulated, and then detected or reduced, per stack.
+REPLICATE_BATCH = 32
 
 # Diffusion type implied by each regime kind, used for scenario validation
 # and as ground-truth labels in the bench harness.
@@ -141,7 +144,8 @@ def _advance(stack, lo, hi, regime, delta, rngs):
         if regime.kind == BROWNIAN_DRIFT:
             out += (regime.v / math.sqrt(dim)) * delta
     np.cumsum(out, axis=1, out=out)
-    out += start
+    # Adding the repeated rows is much faster than broadcasting the (b, 1, dim) start.
+    out += np.repeat(start, n, axis=1)
 
 
 def _one_path(grid, dim, regime, rng, start):
@@ -211,6 +215,18 @@ def compose_stack(spec, rngs, dim=2):
     for j, regime in enumerate(spec.regimes):
         _advance(stack, bounds[j], bounds[j + 1], regime, spec.delta, rngs)
     return stack
+
+
+def replicate_stacks(spec, seed, *prefix, replicates):
+    """Replicates 0 .. replicates-1 of `spec`, as compose_stack stacks of up to REPLICATE_BATCH.
+
+    Replicate r draws only from replicate_rng(seed, *prefix, r), so no row
+    depends on how replicates are batched; each stack's streams are hashed
+    in one replicate_rngs call.
+    """
+    for lo in range(0, replicates, REPLICATE_BATCH):
+        reps = range(lo, min(lo + REPLICATE_BATCH, replicates))
+        yield compose_stack(spec, replicate_rngs(seed, *prefix, reps=reps))
 
 
 def compose_scenario(spec, dim=2, rng=None):

@@ -239,16 +239,3 @@ def save_csv(traj, path):
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
-
-def subtrajectory(traj, seg):
-    """Extract the positions of a segment; t0 shifts to the segment start."""
-    if seg.end_index > traj.n_steps:
-        raise OutOfBounds(
-            f"segment end {seg.end_index} exceeds last index {traj.n_steps}"
-        )
-    grid = TimeGrid(
-        t0=traj.grid.point(seg.start_index),
-        delta=traj.grid.delta,
-        n_steps=seg.n_steps,
-    )
-    return Trajectory(grid=grid, positions=traj.positions[seg.start_index : seg.end_index + 1])

@@ -31,7 +31,7 @@ from diffswitch import (
     save_csv,
     scenario_preset,
 )
-from diffswitch import calibration
+from diffswitch import simulators
 from diffswitch.bench import run_cell
 from diffswitch.calibration import RELAXED, STRICT, calibrate_both, default_cluster_params
 from diffswitch.rng import DEFAULT_SEED
@@ -163,7 +163,7 @@ def test_criterion_6_worked_example():
     run = set(range(6, 42))
     ok = (
         len(clusters) == 1
-        and run <= set(clusters[0].indices)
+        and run <= set(range(clusters[0].start, clusters[0].end + 1))
         and find_clusters(Q, c=15, c_star=15) == []
     )
     verdict(6, ok, f"(c=15, c*=10) -> {clusters}; (c=15, c*=15) -> no clusters")
@@ -198,8 +198,8 @@ def test_criterion_7_property_suite(tmp_path, monkeypatch):
 
     # Batch-size determinism of the calibration pipeline.
     runs = []
-    for batch in (1, calibration.REPLICATE_BATCH, 7):
-        monkeypatch.setattr(calibration, "REPLICATE_BATCH", batch)
+    for batch in (1, simulators.REPLICATE_BATCH, 7):
+        monkeypatch.setattr(simulators, "REPLICATE_BATCH", batch)
         runs.append(calibrate_both(150, 20, 10, 8, 0.05, 1000, DEFAULT_SEED))
     checks["batch determinism"] = runs[0] == runs[1] == runs[2]
 

@@ -12,6 +12,7 @@ import pytest
 from diffswitch import (
     DetectionConfig, ExperimentSpec, RegimeSpec, ScenarioSpec, SegmentQuantiles, ThresholdPair,
     Type1Spec, calibration, compose_scenario, detection, export_report, run_procedure,
+    simulators,
 )
 from diffswitch.bench import (
     DIFF_CATEGORIES,
@@ -181,7 +182,7 @@ class TestBatchedCell:
         spec = spec_1(scenario=2, param_values=(0.5, 1.0), replicates=40, label=True)
         cells = []
         for batch in (1, 7, 32):
-            monkeypatch.setattr(calibration, "REPLICATE_BATCH", batch)
+            monkeypatch.setattr(simulators, "REPLICATE_BATCH", batch)
             cells.append(cell_fields(run_cell(spec, 1.0, 30, THRESHOLDS, quantiles=(0.6, 2.6))))
         assert cells[0] == cells[1] == cells[2]
 

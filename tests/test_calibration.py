@@ -1,7 +1,6 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 from diffswitch import (
@@ -10,19 +9,17 @@ from diffswitch import (
     ThresholdPair,
     ThresholdTable,
     cache_get_or_calibrate,
-    calibrate,
     calibrate_segment_test,
     default_key,
     estimate_type1_error,
     gen_brownian,
     statistic_T,
 )
-from diffswitch import calibration
+from diffswitch import calibration, simulators
 from diffswitch.calibration import (
     RELAXED,
     SEGMENT_LENGTH_GRID,
     STRICT,
-    _null_stacks,
     _order_rank,
     _quantile_index,
     calibrate_both,
@@ -84,21 +81,6 @@ class TestQuantileIndex:
         assert _quantile_index(0.9999, 100) == 98  # floor(99.99) -> rank 99
 
 
-class TestNullStacks:
-    def test_rows_equal_gen_brownian(self, monkeypatch):
-        monkeypatch.setattr(calibration, "REPLICATE_BATCH", 4)
-        grid = TimeGrid(0.0, 0.5, 60)
-        stacks = list(_null_stacks(60, 10, 11, sigma=2.0, delta=0.5))
-        assert [s.shape for s in stacks] == [(4, 61, 2), (4, 61, 2), (2, 61, 2)]
-        for r, row in enumerate(np.concatenate(stacks)):
-            expected = gen_brownian(grid, 2, 2.0, replicate_rng(11, r)).positions
-            assert np.array_equal(row, expected)
-
-    def test_rejects_bad_nuisance_values(self):
-        with pytest.raises(InvalidParam):
-            next(_null_stacks(60, 10, 11, sigma=0.0))
-
-
 class TestGoldenCutoffs:
     """Cut-offs pinned bit for bit, so kernel rewrites cannot move them."""
 
@@ -145,26 +127,18 @@ class TestCalibrateBoth:
         assert again == pairs
 
     def test_batch_size_does_not_change_result(self, pairs, monkeypatch):
-        for batch in (1, calibration.REPLICATE_BATCH, 7):
-            monkeypatch.setattr(calibration, "REPLICATE_BATCH", batch)
+        for batch in (1, simulators.REPLICATE_BATCH, 7):
+            monkeypatch.setattr(simulators, "REPLICATE_BATCH", batch)
             assert calibrate_both(300, 30, 15, 12, 0.05, REPS, seed=7) == pairs
 
     def test_seed_changes_result(self, pairs):
         other = calibrate_both(300, 30, 15, 12, 0.05, REPS, seed=8)
         assert other != pairs
 
-    def test_scale_and_step_invariance(self, pairs):
-        # The statistics are invariant to sigma and delta, so calibrating
-        # at different nuisance values reproduces the same cut-offs.
-        alt = calibrate_both(300, 30, 15, 12, 0.05, REPS, seed=7, sigma=3.0, delta=0.1)
-        for variant in (STRICT, RELAXED):
-            assert alt[variant].gamma1 == pytest.approx(pairs[variant].gamma1, rel=1e-10)
-            assert alt[variant].gamma2 == pytest.approx(pairs[variant].gamma2, rel=1e-10)
-
     def test_calibrate_rejects_tiny_replicate_count(self):
         key = default_key(300, 30, replicates=100)
         with pytest.raises(InvalidParam):
-            calibrate(key)
+            cache_get_or_calibrate(None, key)
 
 
 class TestSegmentTest:
@@ -186,8 +160,8 @@ class TestSegmentTest:
             calibrate_segment_test(100, 0.05, 10, seed=5)
 
     def test_batch_size_does_not_change_result(self, q100, monkeypatch):
-        for batch in (1, calibration.REPLICATE_BATCH, 7):
-            monkeypatch.setattr(calibration, "REPLICATE_BATCH", batch)
+        for batch in (1, simulators.REPLICATE_BATCH, 7):
+            monkeypatch.setattr(simulators, "REPLICATE_BATCH", batch)
             assert calibrate_segment_test(100, 0.05, REPS, seed=5) == q100
 
 
@@ -243,7 +217,7 @@ class TestThresholdTable:
     def test_no_store_calibrates_without_persisting(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         pair = cache_get_or_calibrate(None, self.key(seed=7))
-        assert pair == calibrate(self.key(seed=7))
+        assert pair == calibrate_both(300, 30, 15, 12, 0.05, REPS, 7)[RELAXED]
         assert pair == cache_get_or_calibrate(tmp_path / "cache.json", self.key(seed=7))
         assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
 
@@ -309,7 +283,7 @@ class TestType1Error:
     def test_batch_size_does_not_change_result(self, monkeypatch):
         args = (300, 30, 15, 12, ThresholdPair(0.74, 3.26), 500, 1)
         results = []
-        for batch in (1, calibration.REPLICATE_BATCH, 7):
-            monkeypatch.setattr(calibration, "REPLICATE_BATCH", batch)
+        for batch in (1, simulators.REPLICATE_BATCH, 7):
+            monkeypatch.setattr(simulators, "REPLICATE_BATCH", batch)
             results.append(estimate_type1_error(*args))
         assert results[0] == results[1] == results[2]

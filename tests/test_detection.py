@@ -123,8 +123,8 @@ class TestFindClusters:
         Q[40:47] = -1
         clusters = find_clusters(Q, c=6, c_star=5)
         assert len(clusters) == 2
-        assert set(range(5, 12)) <= set(clusters[0].indices)
-        assert set(range(40, 47)) <= set(clusters[1].indices)
+        assert set(range(5, 12)) <= set(range(clusters[0].start, clusters[0].end + 1))
+        assert set(range(40, 47)) <= set(range(clusters[1].start, clusters[1].end + 1))
         assert all(cl.end - cl.start + 1 >= 6 for cl in clusters)
 
     def test_increasing_c_star_is_monotone(self):
@@ -134,7 +134,7 @@ class TestFindClusters:
         for c_star in range(1, 9):
             now = set()
             for cl in find_clusters(Q, c=8, c_star=c_star):
-                now.update(cl.indices)
+                now.update(range(cl.start, cl.end + 1))
             if covered is not None:
                 assert now <= covered
             covered = now

@@ -15,7 +15,7 @@ from diffswitch import (
     gen_ou,
     scenario_preset,
 )
-from diffswitch import detection
+from diffswitch import detection, simulators
 from diffswitch.errors import InvalidParam
 from diffswitch.rng import replicate_rng
 from diffswitch.simulators import (
@@ -23,6 +23,7 @@ from diffswitch.simulators import (
     BROWNIAN_DRIFT,
     FRACTIONAL_BROWNIAN,
     ORNSTEIN_UHLENBECK,
+    replicate_stacks,
     scenario_from_json,
     scenario_to_json,
 )
@@ -286,3 +287,25 @@ class TestScenario:
         doc = json.loads(scenario_to_json(scenario_preset(1, v=1.0)))
         assert doc["change_points"] == [100, 175]
         assert len(doc["regimes"]) == 3
+
+
+class TestReplicateStacks:
+    def test_rows_equal_one_row_compose_stack(self, monkeypatch):
+        monkeypatch.setattr(simulators, "REPLICATE_BATCH", 4)
+        spec = mixed_spec(2)
+        stacks = list(replicate_stacks(spec, 11, 3, 5, replicates=10))
+        assert [s.shape for s in stacks] == [(4, 121, 2), (4, 121, 2), (2, 121, 2)]
+        for r, row in enumerate(np.concatenate(stacks)):
+            assert np.array_equal(row, compose_stack(spec, [replicate_rng(11, 3, 5, r)])[0])
+
+    def test_rows_equal_gen_brownian(self, monkeypatch):
+        monkeypatch.setattr(simulators, "REPLICATE_BATCH", 4)
+        spec = ScenarioSpec(60, (), (RegimeSpec(kind=BROWNIAN, sigma=2.0),), delta=0.5)
+        stacks = list(replicate_stacks(spec, 11, replicates=10))
+        assert [s.shape for s in stacks] == [(4, 61, 2), (4, 61, 2), (2, 61, 2)]
+        for r, row in enumerate(np.concatenate(stacks)):
+            expected = gen_brownian(grid(60, 0.5), 2, 2.0, replicate_rng(11, r)).positions
+            assert np.array_equal(row, expected)
+
+    def test_no_replicates_no_stacks(self):
+        assert list(replicate_stacks(scenario_preset(1, v=1.0), 1, replicates=0)) == []

@@ -243,8 +243,9 @@ class TestBackwardForward:
 
     def test_scale_invariance(self, brownian_300):
         B, A = backward_forward(brownian_300, 25)
-        for scale in (100.0, 1e160, 1e-160):
-            scaled = make(brownian_300.positions * scale)
+        # A time step other than 1 cancels between the window span and the diffusion estimate.
+        for scale, delta in ((100.0, 1.0), (1e160, 1.0), (1e-160, 1.0), (3.0, 0.1)):
+            scaled = make(brownian_300.positions * scale, delta=delta)
             B2, A2 = backward_forward(scaled, 25)
             assert np.allclose(B, B2, rtol=1e-12)
             assert np.allclose(A, A2, rtol=1e-12)

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from diffswitch import Segment, TimeGrid, Trajectory, load_csv, save_csv, subtrajectory, trajectory
+from diffswitch import Segment, TimeGrid, Trajectory, load_csv, save_csv, trajectory
 from diffswitch.errors import (
     InvalidParam,
     IoFailure,
@@ -196,37 +196,7 @@ class TestTrajectory:
             traj.positions[0, 0] = 5.0
 
 
-class TestSubtrajectory:
-    @pytest.fixture
-    def traj(self):
-        pos = np.arange(10, dtype=float).reshape(5, 2)
-        return Trajectory(grid=TimeGrid(0.0, 1.0, 4), positions=pos)
-
-    def test_identity(self, traj):
-        sub = subtrajectory(traj, Segment(0, 4))
-        assert np.array_equal(sub.positions, traj.positions)
-        assert sub.grid == traj.grid
-
-    def test_prefix(self, traj):
-        sub = subtrajectory(traj, Segment(0, 1))
-        assert sub.n_steps == 1
-        assert np.array_equal(sub.positions, traj.positions[:2])
-
-    def test_t0_shift(self, traj):
-        sub = subtrajectory(traj, Segment(2, 4))
-        assert sub.grid.t0 == 2.0
-
+class TestSegment:
     def test_reversed_segment_rejected(self):
         with pytest.raises(OutOfBounds):
             Segment(2, 1)
-
-    def test_out_of_bounds(self, traj):
-        with pytest.raises(OutOfBounds):
-            subtrajectory(traj, Segment(2, 7))
-
-    def test_composes(self, traj):
-        outer = subtrajectory(traj, Segment(1, 4))
-        inner = subtrajectory(outer, Segment(0, 2))
-        direct = subtrajectory(traj, Segment(1, 3))
-        assert np.array_equal(inner.positions, direct.positions)
-        assert inner.grid == direct.grid
