@@ -11,6 +11,7 @@ from .simulators import (
     gen_brownian_drift,
     gen_fbm,
     gen_ou,
+    replicate_stacks,
     scenario_preset,
 )
 from .stats import (
@@ -47,8 +48,8 @@ from .bench import ExperimentSpec, Type1Spec, export_report, run_experiment, run
 __all__ = [
     "__version__",
     "TimeGrid", "Trajectory", "Segment", "load_csv", "save_csv",
-    "RegimeSpec", "ScenarioSpec", "compose_scenario", "compose_stack", "scenario_preset",
-    "gen_brownian", "gen_brownian_drift", "gen_ou", "gen_fbm",
+    "RegimeSpec", "ScenarioSpec", "compose_scenario", "compose_stack", "replicate_stacks",
+    "scenario_preset", "gen_brownian", "gen_brownian_drift", "gen_ou", "gen_fbm",
     "SlidingStats", "ThresholdPair", "phi", "backward_forward",
     "estimate_sigma2", "statistic_T", "sliding_stats",
     "CalibrationKey", "ThresholdTable", "SegmentQuantiles",

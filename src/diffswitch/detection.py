@@ -59,7 +59,7 @@ class DetectionConfig:
 
 @dataclass(frozen=True)
 class Cluster:
-    """Maximal contiguous run of indices covered by qualifying windows."""
+    """Contiguous run of indices covered by qualifying windows (see find_clusters)."""
 
     start: int
     end: int  # inclusive
@@ -92,10 +92,11 @@ def find_clusters(Q, c, c_star, first_index=0):
     A window start m qualifies when at least c_star of the c entries
     Q_m .. Q_{m+c-1} are nonzero. A cluster covers a maximal run of
     consecutive qualifying starts m .. m+l, spanning indices
-    [m, m+l+c-1], so every length-c sub-window inside a cluster holds at
-    least c_star potential change points and clusters have minimal size
-    c. Returned clusters are maximal, disjoint and in index order, with
-    indices offset by first_index; a 2-D Q gives one list per row.
+    [m, m+l+c-1] but clipped to end before the next run starts, so
+    clusters are disjoint and in index order. Every length-c sub-window
+    inside a cluster holds at least c_star potential change points; a
+    cluster spans at least 2 indices, and c unless it was clipped.
+    Indices are offset by first_index; a 2-D Q gives one list per row.
     """
     nz = np.atleast_2d(np.asarray(Q) != 0)
     clusters = [[] for _ in range(len(nz))]
@@ -107,8 +108,12 @@ def find_clusters(Q, c, c_star, first_index=0):
         padded[:, 1:-1] = cs[:, c:] - cs[:, :-c] >= c_star
         # A run of qualifying starts m .. stop - 1 flips its padded row at m and at stop.
         rows, flips = np.nonzero(padded[:, 1:] != padded[:, :-1])
-        for r, m, stop in zip(rows[::2].tolist(), flips[::2].tolist(), flips[1::2].tolist()):
-            clusters[r].append(Cluster(first_index + m, first_index + stop + c - 2))
+        rows, starts, ends = rows[::2], flips[::2], flips[1::2] + c - 2
+        # Clip each cluster to end before the next one in its row starts.
+        same_row = rows[1:] == rows[:-1]
+        ends[:-1][same_row] = np.minimum(ends[:-1], starts[1:] - 1)[same_row]
+        for r, m, end in zip(rows.tolist(), starts.tolist(), ends.tolist()):
+            clusters[r].append(Cluster(first_index + m, first_index + end))
     return clusters if np.ndim(Q) > 1 else clusters[0]
 
 

@@ -16,6 +16,7 @@ from diffswitch import (
     label_segments,
     merge_same_label,
     phi,
+    replicate_stacks,
     run_batch,
     run_procedure,
     scenario_preset,
@@ -66,7 +67,7 @@ class TestDetectionConfig:
 
 
 def naive_clusters(Q, c, c_star, first_index=0):
-    """Clusters from a per-window count and a per-start loop over the runs."""
+    """Clusters from a per-window count and a per-start loop over the runs, clipped."""
     qualifies = [np.count_nonzero(Q[m : m + c]) >= c_star for m in range(len(Q) - c + 1)]
     clusters, m = [], 0
     while m < len(qualifies):
@@ -77,7 +78,8 @@ def naive_clusters(Q, c, c_star, first_index=0):
             clusters.append(Cluster(first_index + m, first_index + last + c - 1))
             m = last
         m += 1
-    return clusters
+    ends = [min(a.end, b.start - 1) for a, b in zip(clusters, clusters[1:])] + [None]
+    return [Cluster(cl.start, cl.end if end is None else end) for cl, end in zip(clusters, ends)]
 
 
 class TestFindClusters:
@@ -143,6 +145,27 @@ class TestFindClusters:
         base = find_clusters(EXAMPLE_Q, 15, 10)
         off = find_clusters(EXAMPLE_Q, 15, 10, first_index=30)
         assert off == [Cluster(base[0].start + 30, base[0].end + 30)]
+
+    def test_clusters_disjoint_ordered_and_dense(self):
+        rng = np.random.default_rng(8)
+        for _ in range(500):
+            n = int(rng.integers(1, 150))
+            c = int(rng.integers(1, n + 1))
+            c_star = int(rng.integers(1, c + 1))
+            nz = rng.random(n) < rng.random()
+            Q = np.where(nz, rng.choice([-2, -1, 1, 2], size=n), 0)
+            starts = [m for m in range(n - c + 1) if nz[m : m + c].sum() >= c_star]
+            clusters = find_clusters(Q, c, c_star)
+            assert all(a.end < b.start for a, b in zip(clusters, clusters[1:]))
+            covered = set()
+            for cl in clusters:
+                assert cl.start in starts
+                assert cl.end - cl.start + 1 >= min(c, 2)
+                for m in range(cl.start, cl.end - c + 2):
+                    assert nz[m : m + c].sum() >= c_star
+                covered.update(range(cl.start, cl.end + 1))
+            # Clipping gives no index away: the clusters cover every qualifying window.
+            assert covered == {i for m in starts for i in range(m, m + c)}
 
     def test_every_subwindow_dense(self):
         # Cluster invariant: each length-c sub-window of a cluster holds
@@ -309,6 +332,18 @@ class TestRunBatch:
             B, A = backward_forward(traj, 30)
             assert np.array_equal(report.stats.B, B) and np.array_equal(single.stats.B, B)
             assert np.array_equal(report.stats.A, A) and np.array_equal(single.stats.A, A)
+
+    def test_change_points_strictly_increase(self, relaxed_300_30):
+        # Scenario 2 at lam = 0.5 often gives runs of qualifying starts less than c apart.
+        cfg = DetectionConfig(k=30, thresholds=relaxed_300_30)
+        grid = TimeGrid(0.0, 1.0, 300)
+        for stack in replicate_stacks(scenario_preset(2, lam=0.5), 3, replicates=96):
+            trajs = [Trajectory(grid=grid, positions=row) for row in stack]
+            for report in run_batch(trajs, cfg):
+                cps, clusters = report.change_points, report.clusters
+                assert all(a < b for a, b in zip(cps, cps[1:]))
+                assert all(a.end < b.start for a, b in zip(clusters, clusters[1:]))
+                assert all(cl.start <= cp <= cl.end for cl, cp in zip(clusters, cps))
 
     def test_mixed_time_steps_rejected(self, brownian_300, relaxed_300_30):
         other = Trajectory(grid=TimeGrid(0.0, 0.5, 300), positions=brownian_300.positions)
