@@ -13,7 +13,7 @@ import sys
 from . import bench, calibration, detection
 from ._version import __version__
 from .calibration import CACHE_SCHEMA_VERSION, RELAXED, STRICT
-from .errors import DiffswitchError, InvalidParam
+from .errors import DiffswitchError, InvalidParam, IoFailure
 from .rng import DEFAULT_SEED
 from .simulators import compose_scenario, scenario_from_json, scenario_preset
 from .stats import ThresholdPair, sliding_stats
@@ -34,18 +34,25 @@ def _add_common(parser):
     parser.add_argument("--cache", default=None, help="threshold cache JSON path")
 
 
+def _load_scenario(path):
+    """The ScenarioSpec in a JSON file: IoFailure if unreadable, InvalidParam if malformed."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    try:
+        return scenario_from_json(data.decode("utf-8"))
+    except KeyError as exc:
+        raise InvalidParam(f"{path}: missing key {exc}") from None
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise InvalidParam(f"{path}: not a scenario document: {exc}") from None
+
+
 def _scenario_from_args(args):
     if args.scenario in ("1", "2"):
-        number = int(args.scenario)
-        if number == 1:
-            if args.v is None:
-                raise InvalidParam("scenario 1 needs --v")
-            return scenario_preset(1, v=args.v, seed=args.seed)
-        if args.lam is None:
-            raise InvalidParam("scenario 2 needs --lam")
-        return scenario_preset(2, lam=args.lam, seed=args.seed)
-    with open(args.scenario, encoding="utf-8") as fh:
-        return scenario_from_json(fh.read())
+        return scenario_preset(int(args.scenario), v=args.v, lam=args.lam, seed=args.seed)
+    return _load_scenario(args.scenario)
 
 
 def _key_from_args(args, n, replicates=10_001, seed=DEFAULT_SEED):
@@ -124,10 +131,8 @@ def cmd_bench(args):
         )
         report = bench.run_type1_experiment(spec)
     else:
-        scenario = int(args.scenario) if args.scenario in ("1", "2") else None
-        if scenario is None:
-            with open(args.scenario, encoding="utf-8") as fh:
-                scenario = scenario_from_json(fh.read())
+        preset = args.scenario in ("1", "2")
+        scenario = int(args.scenario) if preset else _load_scenario(args.scenario)
         spec = bench.ExperimentSpec(
             scenario=scenario,
             param_values=tuple(args.sweep),

@@ -108,11 +108,11 @@ def find_clusters(Q, c, c_star, first_index=0):
         padded[:, 1:-1] = cs[:, c:] - cs[:, :-c] >= c_star
         # A run of qualifying starts m .. stop - 1 flips its padded row at m and at stop.
         rows, flips = np.nonzero(padded[:, 1:] != padded[:, :-1])
-        rows, starts, ends = rows[::2], flips[::2], flips[1::2] + c - 2
-        # Clip each cluster to end before the next one in its row starts.
-        same_row = rows[1:] == rows[:-1]
-        ends[:-1][same_row] = np.minimum(ends[:-1], starts[1:] - 1)[same_row]
-        for r, m, end in zip(rows.tolist(), starts.tolist(), ends.tolist()):
+        rows, starts, stops = rows[::2].tolist(), flips[::2].tolist(), flips[1::2].tolist()
+        for j, (r, m, stop) in enumerate(zip(rows, starts, stops)):
+            end = stop + c - 2
+            if j + 1 < len(rows) and rows[j + 1] == r:  # end before the row's next cluster
+                end = min(end, starts[j + 1] - 1)
             clusters[r].append(Cluster(first_index + m, first_index + end))
     return clusters if np.ndim(Q) > 1 else clusters[0]
 

@@ -82,6 +82,10 @@ class ScenarioSpec:
     def __post_init__(self):
         object.__setattr__(self, "change_points", tuple(self.change_points))
         object.__setattr__(self, "regimes", tuple(self.regimes))
+        if self.n < 1:
+            raise InvalidParam(f"n must be >= 1, got {self.n}")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise InvalidParam(f"delta must be finite and positive, got {self.delta}")
         cps = self.change_points
         if len(self.regimes) != len(cps) + 1:
             raise InvalidParam(

@@ -52,11 +52,6 @@ class TimeGrid:
     def point(self, k):
         return self.t0 + k * self.delta
 
-    @property
-    def span(self):
-        """Total time t_n - t_0."""
-        return self.n_steps * self.delta
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -70,14 +65,6 @@ class Segment:
             raise OutOfBounds(
                 f"need 0 <= start < end, got ({self.start_index}, {self.end_index})"
             )
-
-    @property
-    def n_points(self):
-        return self.end_index - self.start_index + 1
-
-    @property
-    def n_steps(self):
-        return self.end_index - self.start_index
 
 
 @dataclass(frozen=True)
@@ -142,11 +129,14 @@ def load_csv(path):
     if len(table) < 3:
         raise TooShort(f"{path}: need at least 3 points, got {len(table)}")
     t = table[:, 0]
-    diffs = np.diff(t)
-    if np.any(diffs <= 0):
+    if np.any(t[1:] <= t[:-1]):
         raise NonUniformGrid(f"{path}: time column must be strictly increasing")
-    delta = float(np.median(diffs))
-    expected = t[0] + delta * np.arange(len(t))
+    # Within a finite span no step overflows, nor the median of two steps.
+    if not math.isfinite(float(t[-1]) - float(t[0])):
+        raise NonUniformGrid(f"{path}: time span overflows a float")
+    delta = float(np.median(np.diff(t)))
+    with np.errstate(over="ignore"):  # an overflowing grid is far from uniform and fails below
+        expected = t[0] + delta * np.arange(len(t))
     scale = max(abs(t[0]), abs(t[-1]), delta)
     if np.max(np.abs(t - expected)) > _GRID_RTOL * scale:
         raise NonUniformGrid(f"{path}: spacing deviates from uniform beyond tolerance")

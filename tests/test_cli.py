@@ -5,6 +5,7 @@ import pytest
 
 from diffswitch import ThresholdPair, __version__, calibration, detection, load_csv
 from diffswitch.cli import main
+from diffswitch.simulators import scenario_preset, scenario_to_json
 
 
 def run(capsys, *argv):
@@ -55,6 +56,35 @@ class TestSimulate:
         run(capsys, "simulate", "--scenario", "2", "--lam", "1", "--out", str(a), "--seed", "1")
         run(capsys, "simulate", "--scenario", "2", "--lam", "1", "--out", str(b), "--seed", "2")
         assert a.read_text() != b.read_text()
+
+
+class TestScenarioFile:
+    @pytest.mark.parametrize("command", ["simulate", "bench"])
+    @pytest.mark.parametrize("content, error", [
+        (None, "IoFailure: cannot read {}: "),
+        ("{not json", "InvalidParam: {}: not a scenario document: "),
+        ('{"n": 300, "change_points": []}', "InvalidParam: {}: missing key 'regimes'"),
+    ], ids=["missing", "malformed", "no-regimes"])
+    def test_bad_file_is_one_line_domain_error(self, tmp_path, capsys, command, content, error):
+        path = tmp_path / "scenario.json"
+        if content is not None:
+            path.write_text(content)
+        code, _, stderr = run(
+            capsys, command, "--scenario", str(path), "--out", str(tmp_path / "out")
+        )
+        assert code == 1
+        assert stderr.startswith(error.format(path))
+        assert stderr.count("\n") == 1 and stderr.endswith("\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_scenario_file_runs(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(scenario_to_json(scenario_preset(2, lam=1.0, n=80, change_points=(30, 50))))
+        out = tmp_path / "t.csv"
+        code, stdout, _ = run(capsys, "simulate", "--scenario", str(path), "--out", str(out))
+        assert code == 0
+        assert json.loads(stdout)["ground_truth"] == [30, 50]
+        assert load_csv(out).n_steps == 80
 
 
 class TestStatsAndDetect:

@@ -261,6 +261,12 @@ class TestScenario:
                 regimes=(RegimeSpec(kind=BROWNIAN), RegimeSpec(kind=BROWNIAN)),
             )
 
+    @pytest.mark.parametrize("n, delta", [(0, 1.0), (-3, 1.0), (10, 0.0), (10, -1.0),
+                                          (10, math.nan), (10, math.inf)])
+    def test_bad_length_or_time_step_rejected(self, n, delta):
+        with pytest.raises(InvalidParam):
+            ScenarioSpec(n, (), (RegimeSpec(kind=BROWNIAN),), delta=delta)
+
     def test_change_point_bounds(self):
         with pytest.raises(InvalidParam):
             scenario_preset(1, v=1.0, change_points=(100, 400))
@@ -306,6 +312,3 @@ class TestReplicateStacks:
         for r, row in enumerate(np.concatenate(stacks)):
             expected = gen_brownian(grid(60, 0.5), 2, 2.0, replicate_rng(11, r)).positions
             assert np.array_equal(row, expected)
-
-    def test_no_replicates_no_stacks(self):
-        assert list(replicate_stacks(scenario_preset(1, v=1.0), 1, replicates=0)) == []

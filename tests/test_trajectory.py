@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -96,11 +97,17 @@ class TestLoadCsvMessages:
             ('t,x,y\n0,0,0\n\n"1",1,0\n2,2,NaN\n3,3,0\n', MalformedRow, ":5: position is not finite"),
             ("t,x,y\n0,0,nan\n1,1,0\ninf,2,0\n", MalformedRow, ":2: position is not finite"),
             ("t,x,y\n0,0,0\n-inf,nan,0\n2,2,0\n", NonUniformGrid, ":3: time stamp is not finite"),
+            # Finite stamps whose span does not fit in a float.
+            ("t,x,y\n-1.5e308,0,0\n0,1,0\n1.5e308,2,0\n", NonUniformGrid,
+             ": time span overflows a float"),
+            ("t,x,y\n-8e307,0,0\n0,1,0\n1,2,0\n8e307,3,0\n", NonUniformGrid,
+             ": spacing deviates from uniform beyond tolerance"),
         ],
     )
     def test_message(self, tmp_path, text, exc_type, suffix):
         path = write(tmp_path, text)
-        with pytest.raises(exc_type) as exc:
+        with warnings.catch_warnings(), pytest.raises(exc_type) as exc:
+            warnings.simplefilter("error")
             load_csv(path)
         assert str(exc.value) == f"{path}{suffix}"
 
