@@ -1,7 +1,7 @@
 """Detection of diffusion-regime switches along particle trajectories."""
 
 from ._version import __version__
-from .trajectory import TimeGrid, Trajectory, Segment, load_csv, save_csv
+from .trajectory import TimeGrid, Trajectory, load_csv, save_csv
 from .simulators import (
     RegimeSpec,
     ScenarioSpec,
@@ -47,7 +47,7 @@ from .bench import ExperimentSpec, Type1Spec, export_report, run_experiment, run
 
 __all__ = [
     "__version__",
-    "TimeGrid", "Trajectory", "Segment", "load_csv", "save_csv",
+    "TimeGrid", "Trajectory", "load_csv", "save_csv",
     "RegimeSpec", "ScenarioSpec", "compose_scenario", "compose_stack", "replicate_stacks",
     "scenario_preset", "gen_brownian", "gen_brownian_drift", "gen_ou", "gen_fbm",
     "SlidingStats", "ThresholdPair", "phi", "backward_forward",

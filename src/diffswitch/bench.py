@@ -98,10 +98,6 @@ def _scenario_spec(spec, param):
     return spec.scenario
 
 
-def _truth_labels(scenario):
-    return [r.diffusion_type() for r in scenario.regimes]
-
-
 def _run_external(prog, traj):
     """Invoke an external detector: prog --input traj.csv --output cps.json."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -119,12 +115,7 @@ def _run_external(prog, traj):
 
 
 def _diff_category(n_hat, n_true):
-    diff = n_hat - n_true
-    if diff <= -2:
-        return "-2"
-    if diff >= 2:
-        return "2+"
-    return str(diff)
+    return DIFF_CATEGORIES[min(max(n_hat - n_true, -2), 2) + 2]
 
 
 def _outcomes(spec, trajs, config, do_label, quantiles):
@@ -164,7 +155,7 @@ def run_cell(spec, param, k, thresholds, quantiles=None):
     so the result does not depend on how replicates are batched.
     """
     scenario = _scenario_spec(spec, param)
-    truth = _truth_labels(scenario)
+    truth = [r.diffusion_type() for r in scenario.regimes]
     n_true = len(scenario.change_points)
     config = detection.DetectionConfig(k=k, thresholds=thresholds)
     cell_tag = (spec.param_values.index(param), spec.k_values.index(k))
@@ -369,12 +360,6 @@ def _export_markdown(doc, path):
         fh.write("|------|---|----|----|---|---|-----|-----------|-----------|\n")
         for c in cells:
             props = " | ".join(f"{100 * c['proportions'][cat]:.1f}" for cat in DIFF_CATEGORIES)
-            taus = []
-            for j in range(2):
-                if j < len(c["tau_mean"]):
-                    mean = f"{c['tau_mean'][j]:.1f}"
-                    sd = c["tau_sd"][j]
-                    taus.append(f"{mean} ({sd:.1f})" if sd is not None else mean)
-                else:
-                    taus.append("")
+            taus = [f"{m:.1f}" + ("" if s is None else f" ({s:.1f})")
+                    for m, s in zip(c["tau_mean"], c["tau_sd"])] + ["", ""]
             fh.write(f"| {c['param']} | {c['k']} | {props} | {taus[0]} | {taus[1]} |\n")

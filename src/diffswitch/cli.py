@@ -8,7 +8,9 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
+from contextlib import nullcontext
 
 from . import bench, calibration, detection
 from ._version import __version__
@@ -34,6 +36,19 @@ def _add_common(parser):
     parser.add_argument("--cache", default=None, help="threshold cache JSON path")
 
 
+def _add_detector(parser, *, clusters, gammas):
+    """--k, --alpha, --variant, plus --c/--c-star if clusters and --gamma1/--gamma2 if gammas."""
+    parser.add_argument("--k", type=int, required=True)
+    if clusters:
+        parser.add_argument("--c", type=int, default=None)
+        parser.add_argument("--c-star", type=int, default=None)
+    parser.add_argument("--alpha", type=float, default=0.05)
+    parser.add_argument("--variant", choices=(STRICT, RELAXED), default=RELAXED)
+    if gammas:
+        parser.add_argument("--gamma1", type=float, default=None)
+        parser.add_argument("--gamma2", type=float, default=None)
+
+
 def _load_scenario(path):
     """The ScenarioSpec in a JSON file: IoFailure if unreadable, InvalidParam if malformed."""
     try:
@@ -47,12 +62,6 @@ def _load_scenario(path):
         raise InvalidParam(f"{path}: missing key {exc}") from None
     except (ValueError, TypeError, AttributeError) as exc:
         raise InvalidParam(f"{path}: not a scenario document: {exc}") from None
-
-
-def _scenario_from_args(args):
-    if args.scenario in ("1", "2"):
-        return scenario_preset(int(args.scenario), v=args.v, lam=args.lam, seed=args.seed)
-    return _load_scenario(args.scenario)
 
 
 def _key_from_args(args, n, replicates=10_001, seed=DEFAULT_SEED):
@@ -71,15 +80,21 @@ def _thresholds_from_args(args, n):
     return calibration.cache_get_or_calibrate(args.cache, _key_from_args(args, n))
 
 
-def _write_stats_csv(stream, stats):
-    writer = csv.writer(stream)
-    writer.writerow(["i", "B", "A", "Q"])
-    for i, b, a, q in zip(stats.indices, stats.B, stats.A, stats.Q):
-        writer.writerow([int(i), f"{b:.10g}", f"{a:.10g}", int(q)])
+def _write_stats_csv(path, stats):
+    """Per-index (i, B, A, Q) rows as CSV, to `path` or to stdout if it is None."""
+    out = open(path, "w", newline="", encoding="utf-8") if path else nullcontext(sys.stdout)
+    with out as stream:
+        writer = csv.writer(stream)
+        writer.writerow(["i", "B", "A", "Q"])
+        for i, b, a, q in zip(stats.indices, stats.B, stats.A, stats.Q):
+            writer.writerow([int(i), f"{b:.10g}", f"{a:.10g}", int(q)])
 
 
 def cmd_simulate(args):
-    spec = _scenario_from_args(args)
+    if args.scenario in ("1", "2"):
+        spec = scenario_preset(int(args.scenario), v=args.v, lam=args.lam, seed=args.seed)
+    else:
+        spec = _load_scenario(args.scenario)
     traj, truth = compose_scenario(spec)
     save_csv(traj, args.out)
     print(json.dumps({"out": args.out, "ground_truth": truth}))
@@ -89,12 +104,7 @@ def cmd_simulate(args):
 def cmd_stats(args):
     traj = load_csv(args.input)
     thresholds = _thresholds_from_args(args, traj.n_steps)
-    stats = sliding_stats(traj, args.k, thresholds)
-    if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            _write_stats_csv(fh, stats)
-    else:
-        _write_stats_csv(sys.stdout, stats)
+    _write_stats_csv(args.out, sliding_stats(traj, args.k, thresholds))
     return 0
 
 
@@ -116,8 +126,7 @@ def cmd_detect(args):
         quantiles = calibration.SegmentQuantiles(store=args.cache, alpha=args.alpha)
     report = detection.run_procedure(traj, config, labelling=args.label, quantiles=quantiles)
     if args.stats_csv:
-        with open(args.stats_csv, "w", newline="", encoding="utf-8") as fh:
-            _write_stats_csv(fh, report.stats)
+        _write_stats_csv(args.stats_csv, report.stats)
     print(json.dumps(detection.report_to_dict(report), indent=2))
     return 0
 
@@ -146,8 +155,6 @@ def cmd_bench(args):
             external_detector=args.external,
         )
         report = bench.run_experiment(spec)
-    import os
-
     os.makedirs(args.out, exist_ok=True)
     for fmt, name in (("json", "report.json"), ("csv", "report.csv"), ("markdown", "report.md")):
         bench.export_report(report, fmt, os.path.join(args.out, name))
@@ -177,35 +184,21 @@ def build_parser():
 
     p = sub.add_parser("stats", help="emit per-index (i, B, A, Q) as CSV")
     p.add_argument("--input", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--gamma1", type=float, default=None)
-    p.add_argument("--gamma2", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--variant", choices=(STRICT, RELAXED), default=RELAXED)
+    _add_detector(p, clusters=False, gammas=True)
     p.add_argument("--out", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("calibrate", help="estimate cut-off values by Monte Carlo")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--c", type=int, default=None)
-    p.add_argument("--c-star", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--variant", choices=(STRICT, RELAXED), default=RELAXED)
+    _add_detector(p, clusters=True, gammas=False)
     p.add_argument("--replicates", type=int, default=10_001)
     _add_common(p)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("detect", help="run the detection procedure on a CSV trajectory")
     p.add_argument("--input", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--c", type=int, default=None)
-    p.add_argument("--c-star", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--variant", choices=(STRICT, RELAXED), default=RELAXED)
-    p.add_argument("--gamma1", type=float, default=None)
-    p.add_argument("--gamma2", type=float, default=None)
+    _add_detector(p, clusters=True, gammas=True)
     p.add_argument("--label", action="store_true", help="label segments a posteriori")
     p.add_argument("--stats-csv", default=None, help="also write per-index (i,B,A,Q)")
     _add_common(p)

@@ -11,9 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParam, OutOfBounds
-from .stats import REGIME_LABELS, SlidingStats, ThresholdPair, phi, sliding_stats
-from .stats import _positions, _require_finite, _step_norms_sq, _unit_scaled
+from .errors import InvalidParam
+from .stats import REGIME_LABELS, SegmentStats, SlidingStats, ThresholdPair, phi, sliding_stats
 from .stats import BROWNIAN, SUBDIFFUSIVE, SUPERDIFFUSIVE  # re-exported segment labels
 
 UNDETERMINED = "undetermined"
@@ -130,64 +129,37 @@ def _as_lookup(quantiles):
     return quantiles if callable(quantiles) else lambda n_steps, pair=tuple(quantiles): pair
 
 
-class _SegmentStats:
-    """Statistic T of any segment of a stack, from one unit scaling and step-norm array per row.
+def _label(lo, hi, T, total, lookup):
+    """Label of segment [lo, hi] from its T and step sum; undetermined if too short or still."""
+    if hi - lo + 1 < MIN_LABEL_POINTS or total == 0:
+        return SegmentLabel(lo, hi, UNDETERMINED, None)
+    if not math.isfinite(T):
+        raise InvalidParam("statistic is not finite; positions span too wide a range")
+    return SegmentLabel(lo, hi, REGIME_LABELS[phi(T, ThresholdPair(*lookup(hi - lo)))], T)
 
-    T equals statistic_T(traj, Segment(lo, hi)) bit for bit (power-of-two scaling is exact,
-    math.fsum exactly rounded) unless a value goes subnormal under the row's scale but not
-    under the segment's own: steps below 2**-500 of the row's largest.
-    """
 
-    def __init__(self, trajectories):
-        pos, self.delta = _positions(list(trajectories))
-        self.pos = _unit_scaled(pos)
-        self.ssq = _step_norms_sq(self.pos)
+def _raw_labels(segments, points, lookup):
+    """Labels of the segments between each row's change points, one list per row."""
+    values = iter(segments.between(points))
+    return [
+        [_label(lo, hi, *next(values), lookup) for lo, hi in zip([0, *p], [*p, segments.n])]
+        for p in points
+    ]
 
-    def label_one(self, row, lo, hi, lookup, excursion=None):
-        """Label of segment [lo, hi] of a row; undetermined when too short or immobile."""
-        total = math.fsum(self.ssq[row, lo:hi].tolist())  # exactly rounded, as in _sigma2
-        if hi - lo + 1 < MIN_LABEL_POINTS or total == 0:
-            return SegmentLabel(lo, hi, UNDETERMINED, None)
-        if excursion is None:  # a fused segment, not one of the stacked pass
-            disp = self.pos[row, lo + 1 : hi + 1] - self.pos[row, lo]
-            excursion = np.sqrt(np.einsum("...i,...i->...", disp, disp)).max()
-        n_steps, dim, delta = hi - lo, self.pos.shape[-1], self.delta
-        T = float(excursion / math.sqrt(n_steps * delta * (total / (n_steps * dim * delta))))
-        if not math.isfinite(T):
-            _require_finite(T)
-        return SegmentLabel(lo, hi, REGIME_LABELS[phi(T, ThresholdPair(*lookup(n_steps)))], T)
 
-    def raw_labels(self, points, lookup):
-        """Labels of the segments between each row's change points, one list per row."""
-        n = self.pos.shape[1] - 1
-        segs = [(r, lo, hi) for r, p in enumerate(points) for lo, hi in zip([0, *p], [*p, n])]
-        row, lo, hi = np.array(segs).T
-        if (hi < lo).any():
-            raise OutOfBounds(f"change points must be non-decreasing within 0 .. {n}")
-        # Raw segments tile steps 1 .. n of each row, so each point meets its own segment's
-        # start; the appended 0 keeps the index of a zero-length last segment in range.
-        starts = np.repeat(self.pos[row, lo], hi - lo, axis=0)
-        disp = self.pos[:, 1:] - starts.reshape(len(points), n, -1)
-        norms = np.append(np.sqrt(np.einsum("...i,...i->...", disp, disp)), 0.0)
-        excursions = np.maximum.reduceat(norms, row * n + lo)
-        labels = [[] for _ in points]
-        for (r, a, b), excursion in zip(segs, excursions):
-            labels[r].append(self.label_one(r, a, b, lookup, excursion))
-        return labels
-
-    def merge(self, row, change_points, labels, lookup):
-        """merge_same_label on one row; fused segments are relabelled from the row's arrays."""
-        points, labels = list(change_points), list(labels)
-        j = 0
-        while j < len(labels) - 1:
-            if labels[j].label == labels[j + 1].label:
-                fused = self.label_one(row, labels[j].start, labels[j + 1].end, lookup)
-                labels[j : j + 2] = [fused]
-                del points[j]
-                j = max(j - 1, 0)
-            else:
-                j += 1
-        return points, labels
+def _merge(segments, row, change_points, labels, lookup):
+    """merge_same_label on one row of a SegmentStats; fused segments are relabelled from it."""
+    points, labels = list(change_points), list(labels)
+    j = 0
+    while j < len(labels) - 1:
+        if labels[j].label == labels[j + 1].label:
+            lo, hi = labels[j].start, labels[j + 1].end
+            labels[j : j + 2] = [_label(lo, hi, *segments.segment(row, lo, hi), lookup)]
+            del points[j]
+            j = max(j - 1, 0)
+        else:
+            j += 1
+    return points, labels
 
 
 def label_segments(traj, change_points, quantiles):
@@ -195,18 +167,21 @@ def label_segments(traj, change_points, quantiles):
 
     `quantiles` is either a fixed (q1, q2) pair or a callable mapping a
     segment's step count to its pair (quantiles depend on length).
-    Change points must be non-decreasing within 0 .. n.
+    Change points must be non-decreasing integers within 0 .. n.
     """
-    return _SegmentStats([traj]).raw_labels([change_points], _as_lookup(quantiles))[0]
+    return _raw_labels(SegmentStats(traj), [change_points], _as_lookup(quantiles))[0]
 
 
 def merge_same_label(traj, change_points, labels, quantiles):
     """Drop change points whose flanking segments share a label.
 
     The fused segment is relabelled from its own statistic; repeats
-    until all adjacent labels differ. Returns (points, labels).
+    until all adjacent labels differ. Returns (points, labels). Change
+    points must be as for label_segments.
     """
-    return _SegmentStats([traj]).merge(0, change_points, labels, _as_lookup(quantiles))
+    segments = SegmentStats(traj)
+    segments.bounds([change_points])
+    return _merge(segments, 0, change_points, labels, _as_lookup(quantiles))
 
 
 def run_batch(trajectories, config, labelling=False, quantiles=None):
@@ -228,9 +203,9 @@ def run_batch(trajectories, config, labelling=False, quantiles=None):
     points = [estimate_change_points(s, cl) for s, cl in zip(stats, clusters)]
     labels = [(None, None, None)] * len(stats)  # raw labels, merged points, merged labels
     if labelling:
-        lookup, segments = _as_lookup(quantiles), _SegmentStats(trajectories)
-        raw = enumerate(zip(points, segments.raw_labels(points, lookup)))
-        labels = [(l, *segments.merge(r, p, l, lookup)) for r, (p, l) in raw]
+        lookup, segments = _as_lookup(quantiles), SegmentStats(trajectories)
+        raw = enumerate(zip(points, _raw_labels(segments, points, lookup)))
+        labels = [(l, *_merge(segments, r, p, l, lookup)) for r, (p, l) in raw]
     return [ChangePointReport(config, cl, p, *lab, s)
             for cl, p, lab, s in zip(clusters, points, labels, stats)]
 
@@ -258,13 +233,7 @@ def report_to_dict(report):
         ],
     }
     if report.raw_labels is not None:
-        doc["segments"] = [
-            {"start": s.start, "end": s.end, "label": s.label, "T": s.T}
-            for s in report.raw_labels
-        ]
+        doc["segments"] = [dict(vars(s)) for s in report.raw_labels]
         doc["merged_change_points"] = list(report.merged_change_points)
-        doc["merged_segments"] = [
-            {"start": s.start, "end": s.end, "label": s.label, "T": s.T}
-            for s in report.merged_labels
-        ]
+        doc["merged_segments"] = [dict(vars(s)) for s in report.merged_labels]
     return doc

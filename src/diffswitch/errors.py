@@ -22,7 +22,7 @@ class TooShort(DiffswitchError):
 
 
 class OutOfBounds(DiffswitchError):
-    """Segment indices fall outside the trajectory."""
+    """Change points are not integers in order within the trajectory's indices."""
 
 
 class IoFailure(DiffswitchError):

@@ -82,6 +82,10 @@ class ScenarioSpec:
     def __post_init__(self):
         object.__setattr__(self, "change_points", tuple(self.change_points))
         object.__setattr__(self, "regimes", tuple(self.regimes))
+        if not all(isinstance(i, (int, np.integer)) for i in (self.n, *self.change_points)):
+            raise InvalidParam(
+                f"n and change points must be integers, got {self.n!r} and {self.change_points}"
+            )
         if self.n < 1:
             raise InvalidParam(f"n must be >= 1, got {self.n}")
         if not (math.isfinite(self.delta) and self.delta > 0):

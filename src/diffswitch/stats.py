@@ -79,37 +79,31 @@ def _step_norms_sq(positions):
 
 
 def _unit_scaled(positions):
-    """Positions divided by the power of two at or above their largest absolute step.
+    """(positions / 2**e, e) for 2**e the power of two at or above the largest absolute step.
 
     Stacks are scaled per trajectory. Dividing by a power of two is exact,
     so the scale-invariant statistics keep every bit, while squared
     distances stay near 1 instead of overflowing or underflowing at
     extreme position scales.
     """
-    largest = np.abs(np.diff(positions, axis=-2)).max(axis=(-2, -1), keepdims=True)
-    return np.ldexp(positions, -np.frexp(largest)[1])
+    largest = np.abs(np.diff(positions, axis=-2)).max(axis=(-2, -1), keepdims=True, initial=0.0)
+    exponent = np.frexp(largest)[1]
+    return np.ldexp(positions, -exponent), exponent
 
 
-def _positions(traj, seg=None):
+def _positions(traj):
     """(positions, delta) of a Trajectory, a list of them or a unit-grid stack.
 
-    A list of trajectories on one time step is stacked; cut to seg if given.
+    A list of trajectories on one time step is stacked.
     """
     if isinstance(traj, Trajectory):
-        pos, delta = traj.positions, traj.grid.delta
-    elif isinstance(traj, list) and traj and isinstance(traj[0], Trajectory):
+        return traj.positions, traj.grid.delta
+    if isinstance(traj, list) and traj and isinstance(traj[0], Trajectory):
         delta, shape = traj[0].grid.delta, traj[0].positions.shape
         if any(t.grid.delta != delta or t.positions.shape != shape for t in traj):
             raise InvalidParam("stacked trajectories must share one length and time step")
-        pos = np.stack([t.positions for t in traj])
-    else:
-        pos, delta = np.asarray(traj, dtype=float), 1.0
-    if seg is not None:
-        last = pos.shape[-2] - 1
-        if seg.end_index > last:
-            raise OutOfBounds(f"segment end {seg.end_index} exceeds last index {last}")
-        pos = pos[..., seg.start_index : seg.end_index + 1, :]
-    return pos, delta
+        return np.stack([t.positions for t in traj]), delta
+    return np.asarray(traj, dtype=float), 1.0
 
 
 def _require_finite(*values):
@@ -117,30 +111,104 @@ def _require_finite(*values):
         raise InvalidParam("statistic is not finite; positions span too wide a range")
 
 
-def _sigma2(positions, delta):
-    """Diffusion estimate of each trajectory in a stack, from exact step sums."""
-    ssq = _step_norms_sq(positions)
-    n_steps, dim = ssq.shape[-1], positions.shape[-1]
-    total = np.array([math.fsum(row) for row in ssq.reshape(-1, n_steps).tolist()])
-    if (total == 0.0).any():
-        raise NoMotion("all steps are zero; diffusion coefficient undefined")
-    return total.reshape(ssq.shape[:-1]) / (n_steps * dim * delta)
+class SegmentStats:
+    """Statistic T and exact step sum of segments of a trajectory, a list of them or a stack.
+
+    Each row is unit-scaled once (see _unit_scaled), keeping its exponent,
+    and its squared step norms are kept, so every segment, the whole row
+    included, is a slice of the same arrays. A segment's T equals
+    statistic_T of that segment cut out as its own trajectory bit for bit,
+    unless a value goes subnormal under the row's scale but not under the
+    segment's own: steps below 2**-500 of the row's largest.
+    """
+
+    def __init__(self, traj):
+        pos, self.delta = _positions(traj)
+        self.shape, (length, self.dim) = pos.shape[:-2], pos.shape[-2:]
+        self.pos, exponent = _unit_scaled(pos.reshape(-1, length, self.dim))
+        self.exponent = exponent.reshape(self.shape)
+        self.ssq = _step_norms_sq(self.pos)
+        self.n = length - 1
+
+    def bounds(self, points):
+        """(row, lo, hi) lists of the segments between each row's change points, in row order.
+
+        `points` holds one list of change points per row. Raises
+        OutOfBounds unless each list holds integers non-decreasing within
+        0 .. n.
+        """
+        lo = [c for p in points for c in (0, *p)]
+        hi = [c for p in points for c in (*p, self.n)]
+        if not all(isinstance(b, (int, np.integer)) and a <= b for a, b in zip(lo, hi)):
+            raise OutOfBounds(f"change points must be non-decreasing integers within 0 .. {self.n}")
+        return [r for r, p in enumerate(points) for _ in range(len(p) + 1)], lo, hi
+
+    def between(self, points):
+        """(T, step sum) of each segment of bounds(points), in the same order."""
+        row, lo, hi = self.bounds(points)
+        steps = np.subtract(hi, lo)
+        # The segments tile steps 1 .. n of each row, so each point meets its own segment's start.
+        starts = np.repeat(self.pos[row, lo], steps, axis=0).reshape(len(points), self.n, -1)
+        disp = self.pos[:, 1:] - starts
+        # The last 0 keeps the offset of a zero-length last segment in range.
+        sq = np.zeros(steps.sum() + 1)
+        np.einsum("...i,...i->...", disp, disp, out=sq[:-1].reshape(disp.shape[:-1]))
+        peaks = np.maximum.reduceat(sq, np.cumsum(steps) - steps).tolist()
+        return self._statistics(row, lo, hi, peaks)
+
+    def segment(self, row, lo, hi):
+        """(T, step sum) of segment [lo, hi] of one row."""
+        disp = self.pos[row, lo + 1 : hi + 1] - self.pos[row, lo]
+        peak = np.einsum("...i,...i->...", disp, disp).max(initial=0.0)
+        return self._statistics([row], [lo], [hi], [peak])[0]
+
+    def whole(self):
+        """(T, step sum) arrays of whole rows, shaped like the stack; NoMotion if a row is still."""
+        T, total = np.array(self.between([()] * len(self.pos))).reshape(-1, 2).T
+        if (total == 0.0).any():
+            raise NoMotion("all steps are zero; diffusion coefficient undefined")
+        return T.reshape(self.shape), total.reshape(self.shape)
+
+    def _statistics(self, row, lo, hi, peaks):
+        """(T, step sum) of segments (row, lo, hi), given each one's largest squared distance.
+
+        T = max_i ||X_{t_i} - X_{t_lo}|| / sqrt((t_hi - t_lo) sigma2_hat),
+        with sigma2_hat = sum / (m d delta) over the m steps; sqrt is
+        monotonic, so the root of the peak is the largest distance. T is
+        NaN for a segment without steps or motion.
+        """
+        values = []
+        for r, a, b, peak in zip(row, lo, hi, peaks):
+            # Exactly rounded; fsum reads the steps through a memoryview, so no list is built.
+            total = math.fsum(self.ssq[r, a:b].data)
+            m = b - a
+            spread = m * self.delta * (total / (m * self.dim * self.delta)) if total else 0.0
+            values.append((math.sqrt(peak) / math.sqrt(spread) if spread else math.nan, total))
+        return values
 
 
-def estimate_sigma2(traj, seg=None):
+def estimate_sigma2(traj):
     """Diffusion-coefficient estimate from mean squared step length.
 
     sigma2_hat = (1 / (m d delta)) * sum of squared step norms over the
-    m steps of the segment; unbiased for Brownian motion in d dimensions.
-    Raises OutOfBounds if seg ends past the trajectory. Like statistic_T,
-    a list or stack of trajectories gives an array, one trajectory a float.
+    m steps; unbiased for Brownian motion in d dimensions. The sum is
+    taken on unit-scaled positions and scaled back exactly, so positions
+    times 2**e give the estimate times 2**(2e). Raises NoMotion if all
+    steps are zero and InvalidParam if the estimate overflows or
+    underflows to zero. Like statistic_T, a list or stack of trajectories
+    gives an array, one trajectory a float.
     """
-    sigma2 = _sigma2(*_positions(traj, seg))
+    segments = SegmentStats(traj)
+    unit = segments.whole()[1] / (segments.n * segments.dim * segments.delta)
+    with np.errstate(over="ignore", under="ignore"):
+        sigma2 = np.ldexp(unit, 2 * segments.exponent)
+    if not np.isfinite(sigma2).all() or (sigma2 == 0.0).any():
+        raise InvalidParam("diffusion estimate overflows or underflows a float")
     return sigma2 if sigma2.ndim else float(sigma2)
 
 
-def statistic_T(traj, seg=None):
-    """Scaled maximum excursion from the segment's start point.
+def statistic_T(traj):
+    """Scaled maximum excursion from the trajectory's start point.
 
     T = max_i ||X_{t_i} - X_{t_0}|| / sqrt((t_n - t_0) sigma2_hat).
     Under the Brownian null its law depends only on the number of steps.
@@ -148,19 +216,14 @@ def statistic_T(traj, seg=None):
     `traj` is a Trajectory or a stack of positions of shape (..., n+1, d)
     on a unit time grid; a stack gives a (...) array whose entries equal
     the single-trajectory results exactly. Raises NoMotion if any
-    trajectory has no motion and OutOfBounds if seg ends past it.
+    trajectory has no motion.
     """
-    pos, delta = _positions(traj, seg)
-    n_steps = pos.shape[-2] - 1
-    if n_steps < 2:
+    segments = SegmentStats(traj)
+    if segments.n < 2:
         raise TooShort("statistic needs at least 2 steps")
-    pos = _unit_scaled(pos)
-    sigma2 = _sigma2(pos, delta)
-    disp = pos[..., 1:, :] - pos[..., :1, :]
-    excursion = np.sqrt(np.einsum("...i,...i->...", disp, disp)).max(axis=-1)
-    T = excursion / np.sqrt(n_steps * delta * sigma2)
+    T = segments.whole()[0]
     _require_finite(T)
-    return T
+    return T[()]
 
 
 def backward_forward(traj, k):
@@ -185,7 +248,7 @@ def backward_forward(traj, k):
         raise WindowTooLarge(f"need 1 <= k <= n/2 = {n // 2}, got {k}")
     d = pos.shape[-1]
     m = n - 2 * k + 1
-    pos = _unit_scaled(pos)
+    pos, _ = _unit_scaled(pos)
 
     ssq = _step_norms_sq(pos)
     # win[t] = sum of squared steps t .. t+k-1 (step t links points t, t+1),

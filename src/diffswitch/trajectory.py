@@ -25,7 +25,6 @@ from .errors import (
     IoFailure,
     MalformedRow,
     NonUniformGrid,
-    OutOfBounds,
     TooShort,
 )
 
@@ -51,20 +50,6 @@ class TimeGrid:
 
     def point(self, k):
         return self.t0 + k * self.delta
-
-
-@dataclass(frozen=True)
-class Segment:
-    """Inclusive index range [start_index, end_index] on a grid."""
-
-    start_index: int
-    end_index: int
-
-    def __post_init__(self):
-        if not 0 <= self.start_index < self.end_index:
-            raise OutOfBounds(
-                f"need 0 <= start < end, got ({self.start_index}, {self.end_index})"
-            )
 
 
 @dataclass(frozen=True)

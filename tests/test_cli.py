@@ -1,10 +1,11 @@
+import argparse
 import csv
 import json
 
 import pytest
 
 from diffswitch import ThresholdPair, __version__, calibration, detection, load_csv
-from diffswitch.cli import main
+from diffswitch.cli import build_parser, main
 from diffswitch.simulators import scenario_preset, scenario_to_json
 
 
@@ -30,6 +31,27 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestParser:
+    OPTIONS = {
+        "simulate": "--scenario --v --lam --out",
+        "stats": "--input --k --alpha --variant --gamma1 --gamma2 --out",
+        "calibrate": "--n --k --c --c-star --alpha --variant --replicates",
+        "detect": "--input --k --c --c-star --alpha --variant --gamma1 --gamma2 --label "
+                  "--stats-csv",
+        "bench": "--scenario --sweep --k-list --n-list --replicates --alpha --variant "
+                 "--variants --type1 --no-label --external --out",
+    }
+
+    def test_each_subcommand_keeps_its_options(self):
+        actions = build_parser()._actions
+        sub = next(a for a in actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(self.OPTIONS)
+        common = {"-h", "--help", "--seed", "--cache"}
+        for name, parser in sub.choices.items():
+            options = {o for action in parser._actions for o in action.option_strings}
+            assert options == set(self.OPTIONS[name].split()) | common
 
 
 class TestSimulate:
@@ -74,6 +96,24 @@ class TestScenarioFile:
         )
         assert code == 1
         assert stderr.startswith(error.format(path))
+        assert stderr.count("\n") == 1 and stderr.endswith("\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "bench"])
+    @pytest.mark.parametrize("n, change_points", [(300.0, [100, 175]), (300, [100.5, 175])],
+                             ids=["float-n", "float-change-point"])
+    def test_non_integer_index_is_one_line_domain_error(
+        self, tmp_path, capsys, command, n, change_points
+    ):
+        doc = json.loads(scenario_to_json(scenario_preset(1, v=1.0)))
+        doc.update(n=n, change_points=change_points)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, _, stderr = run(
+            capsys, command, "--scenario", str(path), "--out", str(tmp_path / "out")
+        )
+        assert code == 1
+        assert stderr.startswith("InvalidParam: n and change points must be integers")
         assert stderr.count("\n") == 1 and stderr.endswith("\n")
         assert not (tmp_path / "out").exists()
 

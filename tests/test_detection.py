@@ -6,7 +6,6 @@ from diffswitch import (
     DetectionConfig,
     ScenarioSpec,
     RegimeSpec,
-    Segment,
     ThresholdPair,
     Trajectory,
     backward_forward,
@@ -358,12 +357,18 @@ class TestRunBatch:
             run_batch([brownian_300, still], DetectionConfig(k=30, thresholds=relaxed_300_30))
 
 
+def cut(traj, lo, hi):
+    """Segment [lo, hi] of a trajectory as a trajectory of its own."""
+    grid = TimeGrid(0, traj.grid.delta, hi - lo)
+    return Trajectory(grid=grid, positions=traj.positions[lo : hi + 1])
+
+
 def oracle_label(traj, lo, hi, lookup):
     """One segment labelled through statistic_T on its own, as the rules state."""
     if hi - lo + 1 < MIN_LABEL_POINTS:
         return (lo, hi, UNDETERMINED, None)
     try:
-        T = float(statistic_T(traj, Segment(lo, hi)))
+        T = float(statistic_T(cut(traj, lo, hi)))
     except NoMotion:
         return (lo, hi, UNDETERMINED, None)
     return (lo, hi, REGIME_LABELS[phi(T, ThresholdPair(*lookup(hi - lo)))], T)
@@ -422,7 +427,7 @@ class TestSegmentPass:
                     assert (merged[0], as_tuples(merged[1])) == expected[1:]
                     for l in raw + merged[1]:
                         if l.T is not None:
-                            assert l.T == statistic_T(traj, Segment(l.start, l.end))
+                            assert l.T == statistic_T(cut(traj, l.start, l.end))
 
     def test_tiny_steps_segment(self):
         # Steps of [100, 200] are 1e6 times smaller than the rest: scaled by
@@ -435,22 +440,26 @@ class TestSegmentPass:
         labels = label_segments(traj, [100, 200], (0.6, 2.6))
         assert [l.label != UNDETERMINED for l in labels] == [True] * 3
         for l in labels:
-            assert l.T == statistic_T(traj, Segment(l.start, l.end))
+            assert l.T == statistic_T(cut(traj, l.start, l.end))
 
     def test_equal_change_points_give_zero_length_segments(self, brownian_300):
         labels = label_segments(brownian_300, [100, 100, 175], (0.6, 2.6))
         assert [(l.start, l.end) for l in labels] == [(0, 100), (100, 100), (100, 175), (175, 300)]
         assert (labels[1].label, labels[1].T) == (UNDETERMINED, None)
         for l in labels[::2] + labels[3:]:
-            assert l.T == statistic_T(brownian_300, Segment(l.start, l.end))
+            assert l.T == statistic_T(cut(brownian_300, l.start, l.end))
         points, merged = merge_same_label(brownian_300, [100, 100, 175], labels, (0.6, 2.6))
         expected = oracle_labelling(brownian_300, [100, 100, 175], lambda n: (0.6, 2.6))
         assert (points, as_tuples(merged)) == expected[1:]
 
     def test_decreasing_change_points_rejected(self, brownian_300):
-        for points in ([175, 100], [301], [-1]):
+        for points in ([175, 100], [301], [-1], [100.5], [100.0]):
             with pytest.raises(OutOfBounds):
                 label_segments(brownian_300, points, (0.6, 2.6))
+            bounds = [0, *points, 300]
+            labels = [SegmentLabel(lo, hi, BROWNIAN, 1.0) for lo, hi in zip(bounds, bounds[1:])]
+            with pytest.raises(OutOfBounds):
+                merge_same_label(brownian_300, points, labels, (0.6, 2.6))
 
     def test_immobile_segment_undetermined_between_labelled(self, brownian_300):
         pos = brownian_300.positions.copy()

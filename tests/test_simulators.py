@@ -267,6 +267,13 @@ class TestScenario:
         with pytest.raises(InvalidParam):
             ScenarioSpec(n, (), (RegimeSpec(kind=BROWNIAN),), delta=delta)
 
+    @pytest.mark.parametrize("n, change_points", [(300.0, ()), (300, (100.5, 175)),
+                                                  (300, (100.0, 175)), ("300", ())])
+    def test_non_integer_length_or_change_point_rejected(self, n, change_points):
+        regimes = [RegimeSpec(kind=BROWNIAN), RegimeSpec(kind=ORNSTEIN_UHLENBECK)] * 2
+        with pytest.raises(InvalidParam):
+            ScenarioSpec(n, change_points, regimes[: len(change_points) + 1])
+
     def test_change_point_bounds(self):
         with pytest.raises(InvalidParam):
             scenario_preset(1, v=1.0, change_points=(100, 400))

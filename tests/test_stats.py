@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from diffswitch import (
-    Segment,
     ThresholdPair,
     Trajectory,
     backward_forward,
@@ -19,7 +18,6 @@ from diffswitch.errors import (
     InvalidParam,
     NoMotion,
     NoMotionWindow,
-    OutOfBounds,
     TooShort,
     WindowTooLarge,
 )
@@ -128,10 +126,6 @@ class TestSigma2:
         with pytest.raises(NoMotion):
             estimate_sigma2(make([[1, 1], [1, 1], [1, 1]]))
 
-    def test_segment_restriction(self):
-        traj = make([[0, 0], [1, 0], [1, 2], [1, 2]])
-        assert estimate_sigma2(traj, Segment(0, 2)) == pytest.approx(5 / 4)
-
     @pytest.mark.parametrize("dim", [2, 3])
     def test_list_and_stack_give_arrays(self, dim):
         grid = TimeGrid(0.0, 0.25, 80)
@@ -142,13 +136,24 @@ class TestSigma2:
         stack = np.stack([t.positions for t in trajs]).reshape(3, 2, 81, dim)
         per_row = [estimate_sigma2(make(t.positions)) for t in trajs]
         assert np.array_equal(estimate_sigma2(stack), np.reshape(per_row, (3, 2)))
-        seg = Segment(10, 60)
-        assert np.array_equal(estimate_sigma2(trajs, seg), [estimate_sigma2(t, seg) for t in trajs])
 
-    def test_segment_past_end_raises(self, brownian_300):
-        assert estimate_sigma2(brownian_300, Segment(200, 300)) > 0
-        with pytest.raises(OutOfBounds):
-            estimate_sigma2(brownian_300, Segment(200, 301))
+    @pytest.mark.parametrize("e", [500, -500])
+    def test_power_of_two_scale_is_exact(self, e):
+        pos = np.random.default_rng(6).normal(size=(120, 2)).cumsum(axis=0)
+        expected = math.ldexp(estimate_sigma2(make(pos)), 2 * e)
+        assert estimate_sigma2(make(np.ldexp(pos, e))) == expected
+        stack = np.stack([pos, 3 * pos])
+        scaled = estimate_sigma2(np.ldexp(stack, e))
+        assert np.array_equal(scaled, np.ldexp(estimate_sigma2(stack), 2 * e))
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_out_of_range_estimate_raises(self, scale):
+        # The track moves, but its estimate overflows or underflows to zero.
+        traj = gen_brownian(TimeGrid(0.0, 1.0, 100), 2, 1.0, np.random.default_rng(7))
+        with pytest.raises(InvalidParam):
+            estimate_sigma2(make(traj.positions * scale))
+        with pytest.raises(InvalidParam):
+            estimate_sigma2(np.stack([traj.positions, traj.positions * scale]))
 
 
 class TestStatisticT:
@@ -163,6 +168,21 @@ class TestStatisticT:
         for scale in (7.3, 1e160, 1e-160):
             scaled = make(traj.positions * scale)
             assert statistic_T(scaled) == pytest.approx(statistic_T(traj), rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_definition_bit_for_bit(self, dim):
+        # The definition in float arithmetic on the unscaled positions: power-of-two
+        # scaling and an exactly rounded step sum leave every bit of T as it is.
+        rng = np.random.default_rng(dim)
+        for delta in (1.0, 0.03):
+            for n in (2, 3, *rng.integers(4, 400, size=20).tolist()):
+                pos = rng.normal(size=(n + 1, dim)).cumsum(axis=0)
+                steps = np.diff(pos, axis=0)
+                total = math.fsum(np.einsum("...i,...i->...", steps, steps).tolist())
+                disp = pos[1:] - pos[0]
+                peak = np.sqrt(np.einsum("...i,...i->...", disp, disp)).max()
+                expected = peak / math.sqrt(n * delta * (total / (n * dim * delta)))
+                assert statistic_T(make(pos, delta)) == expected
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_raises(self):
@@ -190,19 +210,6 @@ class TestStatisticT:
         assert T.shape == (3, 2)
         for row, traj in enumerate(trajs):
             assert np.array_equal(T[row // 2, row % 2], statistic_T(traj))
-        seg = Segment(10, 60)
-        T_seg = statistic_T(stack, seg)
-        for row, traj in enumerate(trajs):
-            assert np.array_equal(T_seg[row // 2, row % 2], statistic_T(traj, seg))
-
-    def test_segment_past_end_raises(self, brownian_300):
-        stack = np.stack([brownian_300.positions] * 2)
-        for traj in (brownian_300, stack):
-            statistic_T(traj, Segment(200, 300))
-            with pytest.raises(OutOfBounds):
-                statistic_T(traj, Segment(200, 301))
-            with pytest.raises(OutOfBounds):
-                statistic_T(traj, Segment(200, 900))
 
     def test_stack_with_immobile_row_raises(self):
         stack = np.random.default_rng(5).normal(size=(4, 51, 2)).cumsum(axis=1)

@@ -4,13 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from diffswitch import Segment, TimeGrid, Trajectory, load_csv, save_csv, trajectory
+from diffswitch import TimeGrid, Trajectory, load_csv, save_csv, trajectory
 from diffswitch.errors import (
     InvalidParam,
     IoFailure,
     MalformedRow,
     NonUniformGrid,
-    OutOfBounds,
     TooShort,
 )
 
@@ -201,9 +200,3 @@ class TestTrajectory:
         traj = Trajectory(grid=TimeGrid(0, 1, 1), positions=[[0, 0], [1, 0]])
         with pytest.raises(ValueError):
             traj.positions[0, 0] = 5.0
-
-
-class TestSegment:
-    def test_reversed_segment_rejected(self):
-        with pytest.raises(OutOfBounds):
-            Segment(2, 1)
