@@ -90,6 +90,42 @@ def _null(n):
     return ScenarioSpec(n, (), (RegimeSpec(BROWNIAN),))
 
 
+def _null_pass(n, alpha, replicates, seed, window=None, segment=False):
+    """{variant: ThresholdPair} from one simulation of the null at n.
+
+    Each stack feeds every requested reduction: with `window` = (k, c,
+    c_star), the strict and relaxed windowed order-statistic extremes;
+    with `segment`, the SEGMENT_TEST whole-row statistic T.
+    """
+    if not 0 < alpha < 1:
+        raise InvalidParam(f"alpha must be in (0, 1), got {alpha}")
+    if replicates < 1000:
+        raise InvalidParam(f"need at least 1000 replicates, got {replicates}")
+    ranks, T = {}, []
+    if window is not None:
+        k, c, c_star = window
+        ranks = {variant: _order_rank(variant, c, c_star) for variant in (STRICT, RELAXED)}
+    # Per variant, each replicate's lower and upper sample: (min_r s_r, max_r S_r), or T twice.
+    samples = {variant: ([], []) for variant in ranks} | ({SEGMENT_TEST: (T, T)} if segment else {})
+    for stack in replicate_stacks(_null(n), seed, replicates=replicates):
+        if ranks:
+            B, A = backward_forward(stack, k)
+            d_sorted = np.sort(sliding_window_view(np.minimum(B, A), c, axis=-1), axis=-1)
+            D_sorted = np.sort(sliding_window_view(np.maximum(B, A), c, axis=-1), axis=-1)
+            for variant, q in ranks.items():
+                samples[variant][0].append(d_sorted[..., q - 1].min(axis=-1))
+                samples[variant][1].append(D_sorted[..., c - q - 1].max(axis=-1))
+        if segment:
+            T.append(statistic_T(stack))
+    i_lo = _quantile_index(alpha / 2, replicates)
+    i_hi = _quantile_index(1 - alpha / 2, replicates)
+    return {
+        variant: ThresholdPair(float(np.sort(np.concatenate(lo))[i_lo]),
+                               float(np.sort(np.concatenate(hi))[i_hi]))
+        for variant, (lo, hi) in samples.items()
+    }
+
+
 def calibrate_both(n, k, c, c_star, alpha, replicates, seed):
     """Calibrate strict and relaxed pairs from one shared replicate set.
 
@@ -98,26 +134,7 @@ def calibrate_both(n, k, c, c_star, alpha, replicates, seed):
     the ordering gamma1_strict <= gamma1_relaxed, gamma2_strict >=
     gamma2_relaxed holds deterministically.
     """
-    if replicates < 1000:
-        raise InvalidParam(f"need at least 1000 replicates, got {replicates}")
-    ranks = {STRICT: _order_rank(STRICT, c, c_star), RELAXED: _order_rank(RELAXED, c, c_star)}
-    # Per rank q, each replicate's (min_r s_r, max_r S_r) over its c-windows.
-    extremes = {q: ([], []) for q in set(ranks.values())}
-    for stack in replicate_stacks(_null(n), seed, replicates=replicates):
-        B, A = backward_forward(stack, k)
-        d_sorted = np.sort(sliding_window_view(np.minimum(B, A), c, axis=-1), axis=-1)
-        D_sorted = np.sort(sliding_window_view(np.maximum(B, A), c, axis=-1), axis=-1)
-        for q, (minima, maxima) in extremes.items():
-            minima.append(d_sorted[..., q - 1].min(axis=-1))
-            maxima.append(D_sorted[..., c - q - 1].max(axis=-1))
-    pairs = {}
-    i_lo = _quantile_index(alpha / 2, replicates)
-    i_hi = _quantile_index(1 - alpha / 2, replicates)
-    for variant, q in ranks.items():
-        m = np.sort(np.concatenate(extremes[q][0]))
-        M = np.sort(np.concatenate(extremes[q][1]))
-        pairs[variant] = ThresholdPair(gamma1=float(m[i_lo]), gamma2=float(M[i_hi]))
-    return pairs
+    return _null_pass(n, alpha, replicates, seed, window=(k, c, c_star))
 
 
 def calibrate_segment_test(n, alpha, replicates, seed):
@@ -126,15 +143,7 @@ def calibrate_segment_test(n, alpha, replicates, seed):
     Used for a-posteriori segment labelling: subdiffusive below q1,
     superdiffusive above q2, Brownian in between.
     """
-    if not 0 < alpha < 1:
-        raise InvalidParam(f"alpha must be in (0, 1), got {alpha}")
-    if replicates < 1000:
-        raise InvalidParam(f"need at least 1000 replicates, got {replicates}")
-    stacks = replicate_stacks(_null(n), seed, replicates=replicates)
-    values = np.sort(np.concatenate([statistic_T(s) for s in stacks]))
-    q1 = float(values[_quantile_index(alpha / 2, replicates)])
-    q2 = float(values[_quantile_index(1 - alpha / 2, replicates)])
-    return ThresholdPair(gamma1=q1, gamma2=q2)
+    return _null_pass(n, alpha, replicates, seed, segment=True)[SEGMENT_TEST]
 
 
 def segment_test_key(n, alpha=0.05, replicates=10_001, seed=DEFAULT_SEED):
@@ -208,7 +217,8 @@ def cache_get_or_calibrate(store, key):
 
     `store` is a ThresholdTable, a path to one, or None to calibrate
     without persisting. A miss for a strict or relaxed key persists both
-    variants, since they share the simulations.
+    variants and, if not yet stored, the segment test at the same n,
+    alpha, replicates and seed, all from one null simulation.
     """
     table = _as_table(store)
     hit = table.get(key) if table is not None else None
@@ -217,8 +227,12 @@ def cache_get_or_calibrate(store, key):
     if key.variant == SEGMENT_TEST:
         pairs = {key: calibrate_segment_test(key.n, key.alpha, key.replicates, key.seed)}
     else:
-        both = calibrate_both(key.n, key.k, key.c, key.c_star, key.alpha, key.replicates, key.seed)
-        pairs = {replace(key, variant=variant): p for variant, p in both.items()}
+        sibling = segment_test_key(key.n, key.alpha, key.replicates, key.seed)
+        segment = table is not None and table.get(sibling) is None
+        found = _null_pass(key.n, key.alpha, key.replicates, key.seed,
+                           window=(key.k, key.c, key.c_star), segment=segment)
+        pairs = {sibling if variant == SEGMENT_TEST else replace(key, variant=variant): p
+                 for variant, p in found.items()}
     if table is not None:
         for stored_key, p in pairs.items():
             table.put(stored_key, p)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParam
-from .stats import REGIME_LABELS, SegmentStats, SlidingStats, ThresholdPair, phi, sliding_stats
+from .stats import REGIME_LABELS, SegmentStats, SlidingStats, ThresholdPair, sliding_stats
 from .stats import BROWNIAN, SUBDIFFUSIVE, SUPERDIFFUSIVE  # re-exported segment labels
 
 UNDETERMINED = "undetermined"
@@ -126,16 +126,26 @@ def estimate_change_points(stats, clusters):
 
 
 def _as_lookup(quantiles):
-    return quantiles if callable(quantiles) else lambda n_steps, pair=tuple(quantiles): pair
+    """Step count -> (q1, q2), validated as a ThresholdPair once per step count."""
+    pairs = {}
+
+    def lookup(n_steps):
+        if n_steps not in pairs:
+            pair = ThresholdPair(*(quantiles(n_steps) if callable(quantiles) else quantiles))
+            pairs[n_steps] = pair.gamma1, pair.gamma2
+        return pairs[n_steps]
+
+    return lookup
 
 
 def _label(lo, hi, T, total, lookup):
-    """Label of segment [lo, hi] from its T and step sum; undetermined if too short or still."""
+    """Segment [lo, hi] labelled by phi's step function on T; undetermined if short or still."""
     if hi - lo + 1 < MIN_LABEL_POINTS or total == 0:
         return SegmentLabel(lo, hi, UNDETERMINED, None)
     if not math.isfinite(T):
         raise InvalidParam("statistic is not finite; positions span too wide a range")
-    return SegmentLabel(lo, hi, REGIME_LABELS[phi(T, ThresholdPair(*lookup(hi - lo)))], T)
+    q1, q2 = lookup(hi - lo)
+    return SegmentLabel(lo, hi, REGIME_LABELS[1 if T < q1 else 2 if T > q2 else 0], T)
 
 
 def _raw_labels(segments, points, lookup):

@@ -84,9 +84,11 @@ def _unit_scaled(positions):
     Stacks are scaled per trajectory. Dividing by a power of two is exact,
     so the scale-invariant statistics keep every bit, while squared
     distances stay near 1 instead of overflowing or underflowing at
-    extreme position scales.
+    extreme position scales. Raises InvalidParam if a step overflows a float.
     """
-    largest = np.abs(np.diff(positions, axis=-2)).max(axis=(-2, -1), keepdims=True, initial=0.0)
+    with np.errstate(over="ignore"):
+        largest = np.abs(np.diff(positions, axis=-2)).max(axis=(-2, -1), keepdims=True, initial=0.0)
+    _require_finite(largest)
     exponent = np.frexp(largest)[1]
     return np.ldexp(positions, -exponent), exponent
 

@@ -169,12 +169,18 @@ class TestThresholdTable:
     def key(self, **kw):
         return default_key(300, 30, replicates=REPS, **kw)
 
+    def pass_keys(self, seed):
+        """Entries one pair miss stores: both variants and the segment test at n."""
+        return {self.key(seed=seed), self.key(seed=seed, variant=STRICT),
+                segment_test_key(300, replicates=REPS, seed=seed)}
+
     def test_cache_round_trip(self, tmp_path):
         path = tmp_path / "cache.json"
         pair = cache_get_or_calibrate(path, self.key(seed=7))
         table = ThresholdTable(path)
         assert table.get(self.key(seed=7)) == pair
-        # The strict variant was persisted by the same miss.
+        # The strict variant and the segment test at n were persisted by the same miss.
+        assert set(table.entries) == self.pass_keys(7)
         assert table.get(self.key(seed=7, variant=STRICT)) is not None
 
     def test_cache_hit_skips_simulation(self, tmp_path):
@@ -190,7 +196,7 @@ class TestThresholdTable:
         a = cache_get_or_calibrate(path, self.key(seed=7))
         b = cache_get_or_calibrate(path, self.key(seed=8))
         assert a != b
-        assert len(ThresholdTable(path).entries) == 4
+        assert set(ThresholdTable(path).entries) == self.pass_keys(7) | self.pass_keys(8)
 
     def test_corrupt_file_recalibrates(self, tmp_path):
         path = tmp_path / "cache.json"
@@ -227,6 +233,63 @@ class TestThresholdTable:
         doc = json.loads(path.read_text())
         assert doc["version"] == 1
         assert len(doc["entries"]) == 1
+
+
+class TestSharedNullPass:
+    """A pair miss into a table also stores the segment test from the same simulation."""
+
+    KEY = default_key(150, 20, replicates=REPS, seed=4)
+    SIBLING = segment_test_key(150, replicates=REPS, seed=4)
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Lists of the null passes started and the T reductions run."""
+        calls = {"passes": [], "T": []}
+
+        def count(name, fn):
+            def counting(*args, **kwargs):
+                calls[name].append(args)
+                return fn(*args, **kwargs)
+            return counting
+
+        monkeypatch.setattr(calibration, "replicate_stacks",
+                            count("passes", simulators.replicate_stacks))
+        monkeypatch.setattr(calibration, "statistic_T", count("T", statistic_T))
+        return calls
+
+    def test_sibling_equals_direct_calibration(self, tmp_path):
+        path = tmp_path / "cache.json"
+        pair = cache_get_or_calibrate(path, self.KEY)
+        table = ThresholdTable(path)
+        assert table.get(self.SIBLING) == calibrate_segment_test(150, 0.05, REPS, 4)
+        assert table.get(self.KEY) == pair == calibrate_both(150, 20, 10, 8, 0.05, REPS, 4)[RELAXED]
+
+    def test_pair_then_segment_simulates_once(self, tmp_path, counted):
+        table = ThresholdTable(tmp_path / "cache.json")
+        cache_get_or_calibrate(table, self.KEY)
+        cache_get_or_calibrate(table, self.SIBLING)
+        assert len(counted["passes"]) == 1
+
+    def test_sibling_independent_of_batch_size(self, tmp_path, monkeypatch):
+        expected = calibrate_segment_test(150, 0.05, REPS, 4)
+        for batch in (1, 7, 32):
+            monkeypatch.setattr(simulators, "REPLICATE_BATCH", batch)
+            table = ThresholdTable(tmp_path / f"cache_{batch}.json")
+            cache_get_or_calibrate(table, self.KEY)
+            assert table.get(self.SIBLING) == expected
+
+    def test_no_store_skips_the_segment_reduction(self, counted):
+        cache_get_or_calibrate(None, self.KEY)
+        assert len(counted["passes"]) == 1
+        assert counted["T"] == []
+
+    def test_stored_sibling_is_kept(self, tmp_path, counted):
+        table = ThresholdTable(tmp_path / "cache.json")
+        sentinel = ThresholdPair(0.123, 9.876)
+        table.put(self.SIBLING, sentinel)
+        cache_get_or_calibrate(table, self.KEY)
+        assert counted["T"] == []
+        assert ThresholdTable(tmp_path / "cache.json").get(self.SIBLING) == sentinel
 
 
 class TestSegmentQuantiles:

@@ -235,6 +235,24 @@ class TestLabelling:
         assert labels[0].T is None
         assert labels[1].label == SUPERDIFFUSIVE
 
+    def test_bad_quantiles_raise(self, brownian_300):
+        with pytest.raises(InvalidParam):
+            label_segments(self.straight_line(50), [], lambda n: (2.0, 1.0))
+        cfg = DetectionConfig(k=30, thresholds=ThresholdPair(0.74, 3.26))
+        with pytest.raises(InvalidParam):
+            run_batch([brownian_300], cfg, labelling=True, quantiles=(2.0, 1.0))
+
+    def test_quantiles_looked_up_once_per_step_count(self, brownian_300):
+        calls = []
+
+        def lookup(n_steps):
+            calls.append(n_steps)
+            return self.QUANTILES
+
+        labels = label_segments(brownian_300, [100, 200], lookup)
+        assert calls == [100]
+        assert labels == label_segments(brownian_300, [100, 200], self.QUANTILES)
+
     def test_brownian_segments_usually_brownian(self, brownian_300):
         sq = lambda n: (0.60, 2.60)
         labels = label_segments(brownian_300, [100, 175], sq)

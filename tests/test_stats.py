@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from diffswitch import (
     backward_forward,
     estimate_sigma2,
     gen_brownian,
+    label_segments,
     phi,
     sliding_stats,
     statistic_T,
@@ -216,6 +218,18 @@ class TestStatisticT:
         stack[2] = stack[2, 0]
         with pytest.raises(NoMotion):
             statistic_T(stack)
+
+    def test_steps_overflowing_a_float_raise_a_domain_error(self):
+        # Finite positions whose last step overflows: without unit scaling
+        # the finite squared steps overflow the exactly rounded step sum.
+        traj = make([[0, 0], [1.2e154, 0], [2.4e154, 0], [1.7e308, 0], [-1.7e308, 0]])
+        calls = (statistic_T, estimate_sigma2, lambda t: label_segments(t, [], (0.5, 2.0)),
+                 lambda t: statistic_T(t.positions[None]), lambda t: backward_forward(t, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(InvalidParam, match="positions span too wide a range"):
+                    call(traj)
 
 
 class TestBackwardForward:
