@@ -101,22 +101,21 @@ def _null_pass(n, alpha, replicates, seed, window=None, segment=False):
         raise InvalidParam(f"alpha must be in (0, 1), got {alpha}")
     if replicates < 1000:
         raise InvalidParam(f"need at least 1000 replicates, got {replicates}")
-    ranks, T = {}, []
-    if window is not None:
-        k, c, c_star = window
-        ranks = {variant: _order_rank(variant, c, c_star) for variant in (STRICT, RELAXED)}
-    # Per variant, each replicate's lower and upper sample: (min_r s_r, max_r S_r), or T twice.
-    samples = {variant: ([], []) for variant in ranks} | ({SEGMENT_TEST: (T, T)} if segment else {})
+    k, c, c_star = window or (None, None, None)
+    ranks = {variant: _order_rank(variant, c, c_star) for variant in (STRICT, RELAXED) if window}
+    # Each replicate's lower and upper sample: per rank q, (min_r s_r, max_r S_r); T twice.
+    T, extremes = [], {q: ([], []) for q in ranks.values()}
     for stack in replicate_stacks(_null(n), seed, replicates=replicates):
-        if ranks:
+        if segment:  # first, so its temporaries are freed before the window arrays exist
+            T.append(statistic_T(stack))
+        if window:
             B, A = backward_forward(stack, k)
             d_sorted = np.sort(sliding_window_view(np.minimum(B, A), c, axis=-1), axis=-1)
             D_sorted = np.sort(sliding_window_view(np.maximum(B, A), c, axis=-1), axis=-1)
-            for variant, q in ranks.items():
-                samples[variant][0].append(d_sorted[..., q - 1].min(axis=-1))
-                samples[variant][1].append(D_sorted[..., c - q - 1].max(axis=-1))
-        if segment:
-            T.append(statistic_T(stack))
+            for q, (minima, maxima) in extremes.items():
+                minima.append(d_sorted[..., q - 1].min(axis=-1))
+                maxima.append(D_sorted[..., c - q - 1].max(axis=-1))
+    samples = {v: extremes[q] for v, q in ranks.items()} | ({SEGMENT_TEST: (T, T)} if segment else {})
     i_lo = _quantile_index(alpha / 2, replicates)
     i_hi = _quantile_index(1 - alpha / 2, replicates)
     return {
@@ -217,8 +216,9 @@ def cache_get_or_calibrate(store, key):
 
     `store` is a ThresholdTable, a path to one, or None to calibrate
     without persisting. A miss for a strict or relaxed key persists both
-    variants and, if not yet stored, the segment test at the same n,
-    alpha, replicates and seed, all from one null simulation.
+    variants and, from the same null simulation, the segment test at the
+    same n, alpha, replicates and seed, unless it is stored already or n
+    is off SEGMENT_LENGTH_GRID, where SegmentQuantiles never asks for it.
     """
     table = _as_table(store)
     hit = table.get(key) if table is not None else None
@@ -228,7 +228,7 @@ def cache_get_or_calibrate(store, key):
         pairs = {key: calibrate_segment_test(key.n, key.alpha, key.replicates, key.seed)}
     else:
         sibling = segment_test_key(key.n, key.alpha, key.replicates, key.seed)
-        segment = table is not None and table.get(sibling) is None
+        segment = table is not None and key.n in SEGMENT_LENGTH_GRID and sibling not in table.entries
         found = _null_pass(key.n, key.alpha, key.replicates, key.seed,
                            window=(key.k, key.c, key.c_star), segment=segment)
         pairs = {sibling if variant == SEGMENT_TEST else replace(key, variant=variant): p

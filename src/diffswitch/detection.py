@@ -8,6 +8,7 @@ deletes change points whose flanking segments share a label.
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -127,13 +128,11 @@ def estimate_change_points(stats, clusters):
 
 def _as_lookup(quantiles):
     """Step count -> (q1, q2), validated as a ThresholdPair once per step count."""
-    pairs = {}
 
+    @cache
     def lookup(n_steps):
-        if n_steps not in pairs:
-            pair = ThresholdPair(*(quantiles(n_steps) if callable(quantiles) else quantiles))
-            pairs[n_steps] = pair.gamma1, pair.gamma2
-        return pairs[n_steps]
+        pair = ThresholdPair(*(quantiles(n_steps) if callable(quantiles) else quantiles))
+        return pair.gamma1, pair.gamma2
 
     return lookup
 

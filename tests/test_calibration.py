@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -282,6 +283,23 @@ class TestSharedNullPass:
         cache_get_or_calibrate(None, self.KEY)
         assert len(counted["passes"]) == 1
         assert counted["T"] == []
+
+    def test_off_grid_pair_miss_skips_the_segment_reduction(self, tmp_path, counted):
+        key = default_key(140, 20, replicates=REPS, seed=4)
+        assert key.n not in SEGMENT_LENGTH_GRID
+        table = ThresholdTable(tmp_path / "cache.json")
+        cache_get_or_calibrate(table, key)
+        assert counted["T"] == []
+        assert set(table.entries) == {key, replace(key, variant=STRICT)}
+
+    def test_pair_miss_looks_up_only_its_own_key(self, tmp_path, monkeypatch):
+        requested = []
+        get = ThresholdTable.get
+        monkeypatch.setattr(ThresholdTable, "get", lambda t, key: requested.append(key) or get(t, key))
+        table = ThresholdTable(tmp_path / "cache.json")
+        cache_get_or_calibrate(table, self.KEY)
+        assert requested == [self.KEY]
+        assert self.SIBLING in table.entries
 
     def test_stored_sibling_is_kept(self, tmp_path, counted):
         table = ThresholdTable(tmp_path / "cache.json")
