@@ -24,7 +24,7 @@ from .detection import default_cluster_params, find_clusters
 from .errors import CorruptCache, Degenerate, InvalidParam, IoFailure
 from .rng import DEFAULT_SEED
 from .simulators import BROWNIAN, RegimeSpec, ScenarioSpec, replicate_stacks
-from .stats import ThresholdPair, backward_forward, sliding_stats, statistic_T
+from .stats import SegmentStats, ThresholdPair, backward_forward, sliding_stats, statistic_T
 
 STRICT = "strict"
 RELAXED = "relaxed"
@@ -105,11 +105,13 @@ def _null_pass(n, alpha, replicates, seed, window=None, segment=False):
     ranks = {variant: _order_rank(variant, c, c_star) for variant in (STRICT, RELAXED) if window}
     # Each replicate's lower and upper sample: per rank q, (min_r s_r, max_r S_r); T twice.
     T, extremes = [], {q: ([], []) for q in ranks.values()}
-    for stack in replicate_stacks(_null(n), seed, replicates=replicates):
+    # One SegmentStats per stack feeds T and the windows; it goes before the windows are sorted.
+    for segments in map(SegmentStats, replicate_stacks(_null(n), seed, replicates=replicates)):
         if segment:  # first, so its temporaries are freed before the window arrays exist
-            T.append(statistic_T(stack))
+            T.append(statistic_T(segments))
         if window:
-            B, A = backward_forward(stack, k)
+            B, A = backward_forward(segments, k)
+            del segments
             d_sorted = np.sort(sliding_window_view(np.minimum(B, A), c, axis=-1), axis=-1)
             D_sorted = np.sort(sliding_window_view(np.maximum(B, A), c, axis=-1), axis=-1)
             for q, (minima, maxima) in extremes.items():

@@ -51,6 +51,8 @@ class DetectionConfig:
         c, c_star = default_cluster_params(self.k, self.c, self.c_star)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "c_star", c_star)
+        if not all(isinstance(v, (int, np.integer)) for v in (self.k, c, c_star)):
+            raise InvalidParam(f"k, c and c_star must be integers, got {(self.k, c, c_star)!r}")
         if self.k < 1:
             raise InvalidParam(f"window size must be >= 1, got {self.k}")
         if not 1 <= self.c_star <= self.c:
@@ -196,23 +198,23 @@ def merge_same_label(traj, change_points, labels, quantiles):
 def run_batch(trajectories, config, labelling=False, quantiles=None):
     """Run the full detection procedure on trajectories of one length and time step.
 
-    One sliding pass and one clustering pass cover the whole batch, and
-    one segment pass labels every row; change points are estimated and
-    labels merged trajectory by trajectory. Report r equals
+    One SegmentStats feeds one sliding pass over the whole batch and one
+    labelling pass, around one clustering pass; change points are estimated
+    and labels merged trajectory by trajectory. Report r equals
     run_procedure(trajectories[r], ...) exactly. An error in any
     trajectory raises for the whole batch.
     """
     if labelling and quantiles is None:
         raise InvalidParam("labelling requires segment quantiles")
-    trajectories = list(trajectories)
-    batch = sliding_stats(trajectories, config.k, config.thresholds)
+    segments = SegmentStats(list(trajectories))
+    batch = sliding_stats(segments, config.k, config.thresholds)
     arrays = zip(batch.B, batch.A, batch.phi_B, batch.phi_A, batch.Q)
     stats = [SlidingStats(batch.k, batch.first_index, *row) for row in arrays]
     clusters = find_clusters(batch.Q, config.c, config.c_star, first_index=batch.first_index)
     points = [estimate_change_points(s, cl) for s, cl in zip(stats, clusters)]
     labels = [(None, None, None)] * len(stats)  # raw labels, merged points, merged labels
     if labelling:
-        lookup, segments = _as_lookup(quantiles), SegmentStats(trajectories)
+        lookup = _as_lookup(quantiles)
         raw = enumerate(zip(points, _raw_labels(segments, points, lookup)))
         labels = [(l, *_merge(segments, r, p, l, lookup)) for r, (p, l) in raw]
     return [ChangePointReport(config, cl, p, *lab, s)

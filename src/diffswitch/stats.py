@@ -23,6 +23,9 @@ REGIME_LABELS = (BROWNIAN, SUBDIFFUSIVE, SUPERDIFFUSIVE) = (
     "superdiffusive",
 )
 
+# B/A kernel scratch bytes per block of rows: a block's working set then fits a 2 MiB L2 cache.
+KERNEL_BLOCK_BYTES = 2**19
+
 
 @dataclass(frozen=True)
 class ThresholdPair:
@@ -215,12 +218,12 @@ def statistic_T(traj):
     T = max_i ||X_{t_i} - X_{t_0}|| / sqrt((t_n - t_0) sigma2_hat).
     Under the Brownian null its law depends only on the number of steps.
 
-    `traj` is a Trajectory or a stack of positions of shape (..., n+1, d)
-    on a unit time grid; a stack gives a (...) array whose entries equal
-    the single-trajectory results exactly. Raises NoMotion if any
-    trajectory has no motion.
+    `traj` is a Trajectory, a stack of positions of shape (..., n+1, d)
+    on a unit time grid, or a SegmentStats of either; a stack gives a
+    (...) array whose entries equal the single-trajectory results
+    exactly. Raises NoMotion if any trajectory has no motion.
     """
-    segments = SegmentStats(traj)
+    segments = traj if isinstance(traj, SegmentStats) else SegmentStats(traj)
     if segments.n < 2:
         raise TooShort("statistic needs at least 2 steps")
     T = segments.whole()[0]
@@ -237,53 +240,57 @@ def backward_forward(traj, k):
     steps. Raises NoMotionWindow if any window has zero motion.
 
     `traj` is a Trajectory, a list of trajectories of one length and time
-    step, or a stack of positions of shape (..., n+1, d) on a unit time
-    grid; a list or stack gives (..., n-2k+1) arrays whose rows equal the
-    single-trajectory results exactly. Memory is O(n) per
-    trajectory: one pass per lag j = 1..k shares the squared distances
-    s_j[t] = ||X_{t+j} - X_t||^2 between B (which reads s_j[i-j]) and
-    A (which reads s_j[i]).
+    step, a stack of positions of shape (..., n+1, d) on a unit time
+    grid, or a SegmentStats of one of these; a list or stack gives
+    (..., n-2k+1) arrays whose rows equal the single-trajectory results
+    exactly. Memory is O(n) per trajectory: one pass per lag j = 1..k
+    shares the squared distances s_j[t] = ||X_{t+j} - X_t||^2 between B
+    (which reads s_j[i-j]) and A (which reads s_j[i]). Rows go in blocks,
+    and all lags of a block reuse one buffer of about KERNEL_BLOCK_BYTES.
     """
-    pos, delta = _positions(traj)
-    n = pos.shape[-2] - 1
-    if k < 1 or k > n // 2:
+    segments = traj if isinstance(traj, SegmentStats) else SegmentStats(traj)
+    n, d, ssq = segments.n, segments.dim, segments.ssq
+    if not isinstance(k, (int, np.integer)):
+        raise InvalidParam(f"window size must be an integer, got {k!r}")
+    if not 1 <= k <= n // 2:
         raise WindowTooLarge(f"need 1 <= k <= n/2 = {n // 2}, got {k}")
-    d = pos.shape[-1]
     m = n - 2 * k + 1
-    pos, _ = _unit_scaled(pos)
 
-    ssq = _step_norms_sq(pos)
     # win[t] = sum of squared steps t .. t+k-1 (step t links points t, t+1),
     # accumulated left to right like a naive sequential loop over the window.
-    win = ssq[..., : n - k + 1].copy()
+    win = ssq[:, : n - k + 1].copy()
     for j in range(1, k):
-        win += ssq[..., j : n - k + 1 + j]
-    sig2_back = win[..., :m] / (k * d * delta)
-    sig2_fwd = win[..., k:] / (k * d * delta)
+        win += ssq[:, j : n - k + 1 + j]
+    win /= k * d * segments.delta
+    sig2_back, sig2_fwd = win[:, :m], win[:, k:]
     bad = (sig2_back == 0) | (sig2_fwd == 0)
     if bad.any():
         raise NoMotionWindow(k + int(np.nonzero(bad)[-1].min()))
 
-    # Coordinate-major copy, so each lag adds d contiguous rows of squared
-    # coordinate differences, in coordinate order.
-    pt = np.moveaxis(pos, -1, 0).copy()
-    max_b = np.zeros(pos.shape[:-2] + (m,))
+    max_b = np.zeros_like(sig2_back)
     max_f = np.zeros_like(max_b)
-    for j in range(1, k + 1):
-        # s[u] = s_j[k - j + u] for u = 0 .. m + j - 1.
-        x = pt[..., k : n - k + j + 1] - pt[..., k - j : n - k + 1]
-        x *= x
-        s = x[0]
-        for coord in x[1:]:
-            s += coord
-        np.maximum(max_b, s[..., :m], out=max_b)
-        np.maximum(max_f, s[..., j:], out=max_f)
+    rows = max(1, KERNEL_BLOCK_BYTES // (8 * d * (m + k)))
+    for r in range(0, len(ssq), rows):
+        # Coordinate-major copy, so each lag adds d contiguous rows of
+        # squared coordinate differences, in coordinate order.
+        pt = np.moveaxis(segments.pos[r : r + rows], -1, 0).copy()
+        ahead = pt[..., k:]
+        x = np.empty_like(ahead)
+        (s, *rest), block_b, block_f = x, max_b[r : r + rows], max_f[r : r + rows]
+        for j in range(1, k + 1):
+            # s[u] = s_j[k - j + u] for u = 0 .. m + k - 1: B reads s[:m], A s[j : j + m].
+            np.subtract(ahead, pt[..., k - j : n + 1 - j], out=x)
+            x *= x
+            for coord in rest:
+                s += coord
+            np.maximum(block_b, s[:, :m], out=block_b)
+            np.maximum(block_f, s[:, j : j + m], out=block_f)
 
-    span = k * delta
+    span = k * segments.delta
     B = np.sqrt(max_b) / np.sqrt(span * sig2_back)
     A = np.sqrt(max_f) / np.sqrt(span * sig2_fwd)
     _require_finite(B, A)
-    return B, A
+    return B.reshape(segments.shape + (m,)), A.reshape(segments.shape + (m,))
 
 
 def sliding_stats(traj, k, thresholds):

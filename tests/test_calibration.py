@@ -16,10 +16,11 @@ from diffswitch import (
     gen_brownian,
     statistic_T,
 )
-from diffswitch import calibration, simulators
+from diffswitch import calibration, simulators, stats
 from diffswitch.calibration import (
     RELAXED,
     SEGMENT_LENGTH_GRID,
+    SEGMENT_TEST,
     STRICT,
     _order_rank,
     _quantile_index,
@@ -278,6 +279,15 @@ class TestSharedNullPass:
             table = ThresholdTable(tmp_path / f"cache_{batch}.json")
             cache_get_or_calibrate(table, self.KEY)
             assert table.get(self.SIBLING) == expected
+
+    def test_one_scaling_per_stack(self, monkeypatch):
+        calls = []
+        unit_scaled = stats._unit_scaled
+        monkeypatch.setattr(stats, "_unit_scaled", lambda pos: calls.append(pos.shape) or unit_scaled(pos))
+        found = calibration._null_pass(150, 0.05, REPS, 4, window=(20, 10, 8), segment=True)
+        batch = simulators.REPLICATE_BATCH
+        assert calls == [(batch, 151, 2)] * (REPS // batch) + [(REPS % batch, 151, 2)]
+        assert found[SEGMENT_TEST] == calibrate_segment_test(150, 0.05, REPS, 4)
 
     def test_no_store_skips_the_segment_reduction(self, counted):
         cache_get_or_calibrate(None, self.KEY)

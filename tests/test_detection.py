@@ -22,6 +22,7 @@ from diffswitch import (
     sliding_stats,
     statistic_T,
 )
+from diffswitch import stats
 from diffswitch.detection import (
     BROWNIAN,
     MIN_LABEL_POINTS,
@@ -63,6 +64,18 @@ class TestDetectionConfig:
             DetectionConfig(k=0, thresholds=ThresholdPair(0.7, 3.2))
         with pytest.raises(InvalidParam):
             DetectionConfig(k=30, thresholds=ThresholdPair(0.7, 3.2), c=10, c_star=11)
+
+    @pytest.mark.parametrize("params", [dict(k=30.0, c=15), dict(k=30.0), dict(k=30, c=15.0),
+                                        dict(k=30, c=15, c_star=11.5), dict(k=30, c_star=12.0)])
+    def test_non_integer_window_sizes_rejected(self, brownian_300, params):
+        with pytest.raises(InvalidParam, match="must be integers"):
+            run_procedure(brownian_300, DetectionConfig(thresholds=ThresholdPair(0.7, 3.2), **params))
+
+    def test_numpy_integers_accepted(self, brownian_300):
+        pair = ThresholdPair(0.7, 3.2)
+        cfg = DetectionConfig(k=np.int64(30), thresholds=pair, c=np.int64(15), c_star=np.int64(12))
+        expected = run_procedure(brownian_300, DetectionConfig(k=30, thresholds=pair))
+        assert report_to_dict(run_procedure(brownian_300, cfg)) == report_to_dict(expected)
 
 
 def naive_clusters(Q, c, c_star, first_index=0):
@@ -361,6 +374,15 @@ class TestRunBatch:
                 assert all(a < b for a, b in zip(cps, cps[1:]))
                 assert all(a.end < b.start for a, b in zip(clusters, clusters[1:]))
                 assert all(cl.start <= cp <= cl.end for cl, cp in zip(clusters, cps))
+
+    def test_one_scaling_per_labelled_batch(self, brownian_300, relaxed_300_30, monkeypatch):
+        calls = []
+        unit_scaled = stats._unit_scaled
+        monkeypatch.setattr(stats, "_unit_scaled", lambda pos: calls.append(pos.shape) or unit_scaled(pos))
+        trajs = [brownian_300, Trajectory(grid=brownian_300.grid, positions=-brownian_300.positions)]
+        run_batch(trajs, DetectionConfig(k=30, thresholds=relaxed_300_30),
+                  labelling=True, quantiles=(0.60, 2.60))
+        assert calls == [(2, 301, 2)]
 
     def test_mixed_time_steps_rejected(self, brownian_300, relaxed_300_30):
         other = Trajectory(grid=TimeGrid(0.0, 0.5, 300), positions=brownian_300.positions)

@@ -16,6 +16,7 @@ from diffswitch import (
     sliding_stats,
     statistic_T,
 )
+from diffswitch import stats
 from diffswitch.errors import (
     InvalidParam,
     NoMotion,
@@ -23,6 +24,7 @@ from diffswitch.errors import (
     TooShort,
     WindowTooLarge,
 )
+from diffswitch.stats import SegmentStats
 from diffswitch.trajectory import TimeGrid
 
 
@@ -310,6 +312,55 @@ class TestBackwardForward:
     def test_window_too_large(self, brownian_300):
         with pytest.raises(WindowTooLarge):
             backward_forward(brownian_300, 151)
+
+    @pytest.mark.parametrize("form", ["trajectory", "list", "stack"])
+    def test_segment_stats_input_equals_raw_input(self, form):
+        grid = TimeGrid(0.0, 0.5, 60)
+        trajs = [gen_brownian(grid, 2, 1.0, np.random.default_rng(seed)) for seed in range(6)]
+        traj = {"trajectory": trajs[0], "list": trajs,
+                "stack": np.stack([t.positions for t in trajs]).reshape(2, 3, 61, 2)}[form]
+        pair = ThresholdPair(0.74, 3.26)
+        for k in (1, 30):
+            B, A = backward_forward(traj, k)
+            B_s, A_s = backward_forward(SegmentStats(traj), k)
+            assert B_s.shape == B.shape and np.array_equal(B_s, B) and np.array_equal(A_s, A)
+            assert np.array_equal(sliding_stats(SegmentStats(traj), k, pair).Q,
+                                  sliding_stats(traj, k, pair).Q)
+        if form != "list":
+            assert np.array_equal(statistic_T(SegmentStats(traj)), statistic_T(traj))
+
+    def test_block_size_does_not_change_result(self, monkeypatch):
+        stack = np.random.default_rng(8).normal(size=(32, 301, 2)).cumsum(axis=1)
+        B, A = backward_forward(stack, 30)
+        row_bytes = 8 * 2 * (301 - 2 * 30 + 30)  # one row of the (d, rows, m + k) buffer
+        for block_bytes in (1, 7 * row_bytes, 32 * row_bytes):
+            monkeypatch.setattr(stats, "KERNEL_BLOCK_BYTES", block_bytes)
+            B_b, A_b = backward_forward(stack, 30)
+            assert np.array_equal(B_b, B) and np.array_equal(A_b, A)
+
+    @pytest.mark.parametrize("k", [30.0, 2.5, "3"])
+    def test_non_integer_window_raises(self, brownian_300, k):
+        with pytest.raises(InvalidParam, match="window size must be an integer"):
+            backward_forward(brownian_300, k)
+
+    def test_numpy_integer_window_accepted(self, brownian_300):
+        B, A = backward_forward(brownian_300, np.int64(30))
+        B_ref, A_ref = backward_forward(brownian_300, 30)
+        assert np.array_equal(B, B_ref) and np.array_equal(A, A_ref)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("wrap", [lambda t: t, SegmentStats], ids=["raw", "segment_stats"])
+    def test_which_error_wins(self, brownian_300, wrap):
+        # Positions are unit-scaled before k is checked, so overflowing steps
+        # win over a window that is too large; k is checked before motion.
+        overflow = make([[0, 0], [1.7e308, 0], [-1.7e308, 0], [0, 0], [1, 0]])
+        still = make(np.zeros((21, 2)))
+        cases = ((overflow, 1, InvalidParam), (overflow, 3, InvalidParam),
+                 (still, 11, WindowTooLarge), (still, 5, NoMotionWindow),
+                 (still, 5.0, InvalidParam), (brownian_300, 151, WindowTooLarge))
+        for traj, k, error in cases:
+            with pytest.raises(error):
+                backward_forward(wrap(traj), k)
 
     def test_no_motion_window_reports_first_index(self):
         pos = np.zeros((21, 2))
