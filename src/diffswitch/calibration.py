@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ._version import __version__
 from .detection import default_cluster_params, find_clusters
@@ -90,6 +89,54 @@ def _null(n):
     return ScenarioSpec(n, (), (RegimeSpec(BROWNIAN),))
 
 
+def _window_order_min(x, c, q):
+    """Per row of x, the least q-th smallest value of its length-c windows.
+
+    Equals np.sort(sliding_window_view(x, c, axis=-1), axis=-1)[..., q - 1].min(-1)
+    bit for bit, without that (..., m - c + 1, c) copy: it bisects each
+    row's sorted values for the least v such that some window holds at
+    least q values <= v, so the answer is an element of the row, even
+    with ties. The window counts are sliding sums of the <= indicator,
+    in a dtype that holds c. q broadcasts against the rows of x; memory
+    is O(rows * m) for any c.
+    """
+    shape = np.broadcast_shapes(x.shape[:-1], np.shape(q))
+    m = x.shape[-1]
+    x = np.broadcast_to(x, shape + (m,)).reshape(-1, m)
+    q = np.broadcast_to(q, shape).reshape(-1)
+    rows = np.arange(len(x))
+    ordered = np.sort(x, axis=-1)
+    # Bounds: the row's q-th smallest and its (q + m - c)-th smallest, as indices into ordered.
+    lo, hi = q - 1, q - 1 + m - c
+    # The indicator of all rows, flat, with c - 1 spare zeros so that every start has a full window.
+    below = np.zeros(x.size + c - 1, np.min_scalar_type(c))
+    flags = below[:x.size].reshape(x.shape)
+    while (lo < hi).any():
+        mid = (lo + hi) // 2
+        np.less_equal(x, ordered[rows, mid, None], out=flags, casting="unsafe")
+        counts = _window_sums(below, c).reshape(x.shape)[:, :m - c + 1]
+        found = counts.max(axis=-1) >= q
+        hi = np.where(found, mid, hi)
+        lo = np.where(found, lo, mid + 1)
+    return ordered[rows, lo].reshape(shape)
+
+
+def _window_sums(x, c):
+    """Sums of the length-c windows of a 1-D x, by binary doubling: about log2(c) adds."""
+    starts = len(x) - c + 1
+    total, offset, power, width = None, 0, x, 1  # power: sums of the length-width windows
+    while True:
+        if c & width:
+            piece = power[offset:offset + starts]
+            total = piece if total is None else total + piece
+            offset += width
+        width *= 2
+        if width > c:
+            return total
+        half = width // 2
+        power = power[:-half] + power[half:]
+
+
 def _null_pass(n, alpha, replicates, seed, window=None, segment=False):
     """{variant: ThresholdPair} from one simulation of the null at n.
 
@@ -105,18 +152,21 @@ def _null_pass(n, alpha, replicates, seed, window=None, segment=False):
     ranks = {variant: _order_rank(variant, c, c_star) for variant in (STRICT, RELAXED) if window}
     # Each replicate's lower and upper sample: per rank q, (min_r s_r, max_r S_r); T twice.
     T, extremes = [], {q: ([], []) for q in ranks.values()}
-    # One SegmentStats per stack feeds T and the windows; it goes before the windows are sorted.
+    # d = min(B, A) at each rank q, and -D at q + 1: the max over windows of D's (c - q)-th
+    # smallest is minus the min over windows of -D's (q + 1)-th smallest.
+    side_ranks = np.array([list(extremes), [q + 1 for q in extremes]])[..., None]
+    # One SegmentStats per stack feeds T and the windows; it goes before the window pass.
     for segments in map(SegmentStats, replicate_stacks(_null(n), seed, replicates=replicates)):
-        if segment:  # first, so its temporaries are freed before the window arrays exist
+        if segment:  # first, so its temporaries are freed before the window pass
             T.append(statistic_T(segments))
         if window:
             B, A = backward_forward(segments, k)
             del segments
-            d_sorted = np.sort(sliding_window_view(np.minimum(B, A), c, axis=-1), axis=-1)
-            D_sorted = np.sort(sliding_window_view(np.maximum(B, A), c, axis=-1), axis=-1)
-            for q, (minima, maxima) in extremes.items():
-                minima.append(d_sorted[..., q - 1].min(axis=-1))
-                maxima.append(D_sorted[..., c - q - 1].max(axis=-1))
+            sides = np.stack([np.minimum(B, A), -np.maximum(B, A)])[:, None]
+            low, negated_high = _window_order_min(sides, c, side_ranks)
+            for (minima, maxima), lo, neg_hi in zip(extremes.values(), low, negated_high):
+                minima.append(lo)
+                maxima.append(-neg_hi)
     samples = {v: extremes[q] for v, q in ranks.items()} | ({SEGMENT_TEST: (T, T)} if segment else {})
     i_lo = _quantile_index(alpha / 2, replicates)
     i_hi = _quantile_index(1 - alpha / 2, replicates)

@@ -108,7 +108,10 @@ def _positions(traj):
         if any(t.grid.delta != delta or t.positions.shape != shape for t in traj):
             raise InvalidParam("stacked trajectories must share one length and time step")
         return np.stack([t.positions for t in traj]), delta
-    return np.asarray(traj, dtype=float), 1.0
+    pos = np.asarray(traj, dtype=float)
+    if pos.ndim < 2:
+        raise InvalidParam(f"need positions of shape (..., points, dim), got shape {pos.shape}")
+    return pos, 1.0
 
 
 def _require_finite(*values):

@@ -1,8 +1,13 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from diffswitch import (
     CalibrationKey,
@@ -24,6 +29,7 @@ from diffswitch.calibration import (
     STRICT,
     _order_rank,
     _quantile_index,
+    _window_order_min,
     calibrate_both,
     default_cluster_params,
     segment_test_key,
@@ -81,6 +87,47 @@ class TestQuantileIndex:
         assert _quantile_index(0.975, 10_001) == 9749
         assert _quantile_index(0.0001, 100) == 0  # clamps to rank 1
         assert _quantile_index(0.9999, 100) == 98  # floor(99.99) -> rank 99
+
+
+@st.composite
+def window_cases(draw):
+    """(x, c, q, q2): rows of x, a window length and two ranks 1 <= q, q2 <= c - 1."""
+    m = draw(st.integers(2, 40))
+    c = draw(st.sampled_from([2, m]) | st.integers(2, m))
+    q, q2 = (draw(st.sampled_from([1, c - 1]) | st.integers(1, c - 1)) for _ in range(2))
+    rows = draw(st.integers(1, 4))
+    values = draw(st.lists(st.floats(-100, 100), min_size=rows * m, max_size=rows * m))
+    # Rounding to a few levels forces ties; + 0.0 folds -0.0 into 0.0, which sorts as its tie.
+    decimals = draw(st.sampled_from([-2, -1, 0, 2, None]))
+    x = np.array(values).reshape(rows, m)
+    return (x if decimals is None else np.round(x, decimals)) + 0.0, c, q, q2
+
+
+class TestWindowOrderMin:
+    """The counting bisection against sorting every window, which it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(window_cases())
+    def test_equals_sorting_every_window(self, case):
+        x, c, q, q2 = case
+        windows = np.sort(sliding_window_view(x, c, axis=-1), axis=-1)
+        low = _window_order_min(x, c, np.array([[q], [q2]]))
+        # The D side as _null_pass reads it: rank c - q of x through rank q + 1 of -x.
+        high = -_window_order_min(-x, c, q + 1)
+        for rank, got in ((q, low[0]), (q2, low[1])):
+            assert got.tobytes() == windows[..., rank - 1].min(axis=-1).tobytes()
+        assert high.tobytes() == windows[..., c - q - 1].max(axis=-1).tobytes()
+
+    @pytest.mark.parametrize("c, q", [(15, 12), (150, 113)])
+    def test_memory_does_not_grow_with_the_window(self, c, q):
+        x = np.random.default_rng(5).gamma(2.0, size=(32, 49_401))
+        tracemalloc.start()
+        try:
+            _window_order_min(x, c, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * x.size * 8
 
 
 class TestGoldenCutoffs:

@@ -389,6 +389,10 @@ class TestRunBatch:
         with pytest.raises(InvalidParam):
             run_batch([brownian_300, other], DetectionConfig(k=30, thresholds=relaxed_300_30))
 
+    def test_empty_batch_is_a_domain_error(self, relaxed_300_30):
+        with pytest.raises(InvalidParam, match="got shape \\(0,\\)"):
+            run_batch([], DetectionConfig(k=30, thresholds=relaxed_300_30))
+
     def test_one_immobile_row_fails_the_batch(self, brownian_300, relaxed_300_30):
         pos = brownian_300.positions.copy()
         pos[100:150] = pos[100]

@@ -303,6 +303,16 @@ class TestScenario:
 
 
 class TestReplicateStacks:
+    def test_null_stack_is_a_prefix_of_a_longer_one(self):
+        # Pins, on the installed numpy, that one long null simulation holds every shorter one.
+        def null(n):
+            return np.concatenate(list(replicate_stacks(
+                ScenarioSpec(n, (), (RegimeSpec(BROWNIAN),)), 7, 2, replicates=40)))
+
+        long = null(350)
+        for n in (1, 100, 349):
+            assert null(n).tobytes() == long[:, : n + 1].tobytes()
+
     def test_rows_equal_one_row_compose_stack(self, monkeypatch):
         monkeypatch.setattr(simulators, "REPLICATE_BATCH", 4)
         spec = mixed_spec(2)

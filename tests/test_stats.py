@@ -160,6 +160,13 @@ class TestSigma2:
             estimate_sigma2(np.stack([traj.positions, traj.positions * scale]))
 
 
+class TestSegmentStats:
+    @pytest.mark.parametrize("positions", [[], [0.0, 1.0, 2.0]], ids=["empty", "one_dim"])
+    def test_positions_without_point_axis_are_a_domain_error(self, positions):
+        with pytest.raises(InvalidParam, match="shape \\(..., points, dim\\)"):
+            SegmentStats(positions)
+
+
 class TestStatisticT:
     def test_hand_computed(self):
         # Straight line: excursion 2, sigma2_hat = 2/4, span 2 -> T = 2.
