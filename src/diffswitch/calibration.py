@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._version import __version__
-from .detection import default_cluster_params, find_clusters
+from .detection import DetectionConfig, default_cluster_params, find_clusters
 from .errors import CorruptCache, Degenerate, InvalidParam, IoFailure
 from .rng import DEFAULT_SEED
 from .simulators import BROWNIAN, RegimeSpec, ScenarioSpec, replicate_stacks
@@ -325,6 +325,9 @@ def estimate_type1_error(n, k, c, c_star, thresholds, replicates, seed):
     """
     if replicates < 500:
         raise InvalidParam(f"need at least 500 replicates, got {replicates}")
+    # DetectionConfig's and CalibrationKey's checks (any alpha) of k, c and c_star against n.
+    DetectionConfig(k, thresholds, c, c_star)
+    CalibrationKey(n, k, c, c_star, 0.05, RELAXED, replicates, seed)
     hits = 0
     for stack in replicate_stacks(_null(n), seed, replicates=replicates):
         Q = sliding_stats(stack, k, thresholds).Q

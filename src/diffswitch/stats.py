@@ -234,6 +234,12 @@ def statistic_T(traj):
     return T[()]
 
 
+def _even_part(total, most):
+    """Size of the fewest near-equal parts of total that are at most `most` each (at least 1)."""
+    parts = -(-total // max(1, most))
+    return -(-total // parts)
+
+
 def backward_forward(traj, k):
     """Arrays (B, A) of the windowed statistics for i = k .. n-k.
 
@@ -248,8 +254,12 @@ def backward_forward(traj, k):
     (..., n-2k+1) arrays whose rows equal the single-trajectory results
     exactly. Memory is O(n) per trajectory: one pass per lag j = 1..k
     shares the squared distances s_j[t] = ||X_{t+j} - X_t||^2 between B
-    (which reads s_j[i-j]) and A (which reads s_j[i]). Rows go in blocks,
-    and all lags of a block reuse one buffer of about KERNEL_BLOCK_BYTES.
+    (which reads s_j[i-j]) and A (which reads s_j[i]). A block of rows is
+    laid end to end, coordinate-major, so each pass runs over one
+    contiguous array; differences that straddle two rows are never read.
+    The room that a block of rows leaves in a buffer of KERNEL_BLOCK_BYTES
+    goes to more lags per pass, and a row too long for it is cut into
+    column tiles.
     """
     segments = traj if isinstance(traj, SegmentStats) else SegmentStats(traj)
     n, d, ssq = segments.n, segments.dim, segments.ssq
@@ -261,37 +271,52 @@ def backward_forward(traj, k):
 
     # win[t] = sum of squared steps t .. t+k-1 (step t links points t, t+1),
     # accumulated left to right like a naive sequential loop over the window.
-    win = ssq[:, : n - k + 1].copy()
+    # Rows run end to end: a sum that straddles two rows is never read.
+    win = ssq.copy()
+    sums, steps = win.reshape(-1)[: ssq.size - k + 1], ssq.reshape(-1)
     for j in range(1, k):
-        win += ssq[:, j : n - k + 1 + j]
+        sums += steps[j : j + sums.size]
     win /= k * d * segments.delta
-    sig2_back, sig2_fwd = win[:, :m], win[:, k:]
+    sig2_back, sig2_fwd = win[:, :m], win[:, k : k + m]
     bad = (sig2_back == 0) | (sig2_fwd == 0)
     if bad.any():
         raise NoMotionWindow(k + int(np.nonzero(bad)[-1].min()))
 
-    max_b = np.zeros_like(sig2_back)
+    # Column u of a block's peaks is its point u + k; row r of the block starts at r (n + 1).
+    max_b = np.zeros((len(ssq), n + 1))
     max_f = np.zeros_like(max_b)
-    rows = max(1, KERNEL_BLOCK_BYTES // (8 * d * (m + k)))
+    cols = max(1, KERNEL_BLOCK_BYTES // (8 * d))
+    rows = max(1, cols // (n + 1))
     for r in range(0, len(ssq), rows):
-        # Coordinate-major copy, so each lag adds d contiguous rows of
-        # squared coordinate differences, in coordinate order.
-        pt = np.moveaxis(segments.pos[r : r + rows], -1, 0).copy()
-        ahead = pt[..., k:]
-        x = np.empty_like(ahead)
-        (s, *rest), block_b, block_f = x, max_b[r : r + rows], max_f[r : r + rows]
-        for j in range(1, k + 1):
-            # s[u] = s_j[k - j + u] for u = 0 .. m + k - 1: B reads s[:m], A s[j : j + m].
-            np.subtract(ahead, pt[..., k - j : n + 1 - j], out=x)
-            x *= x
-            for coord in rest:
-                s += coord
-            np.maximum(block_b, s[:, :m], out=block_b)
-            np.maximum(block_f, s[:, j : j + m], out=block_f)
+        pt = np.moveaxis(segments.pos[r : r + rows], -1, 0).copy().reshape(d, -1)
+        width = pt.shape[1] - 2 * k
+        tile = _even_part(width, max(k, cols - k))
+        lags = _even_part(k, cols // (tile + k))
+        # behind[:, o, l, v] = X[o + l + v], so x[:, l, v] = X[u + k + v] - X[u + k + v - (top - l)]
+        # at o = u + k - top, with lag top - l. With s its squared norm, B at point u + k + v
+        # reads s[l, v] and A reads s[l, v + top - l] = forward[top, l, v].
+        x = np.empty((d, lags, tile + k))
+        s, *rest = x
+        behind = np.ndarray((d, pt.shape[1] - lags - tile - k + 2, lags, tile + k), float, pt, 0,
+                            (pt.strides[0], 8, 8, 8))
+        forward = np.ndarray((k + 1, lags, tile), float, s, 0, (8, 8 * (tile + k - 1), 8))
+        # The last tile and lag block may overlap the one before: a maximum taken twice is the same.
+        for u in [min(u, width - tile) for u in range(0, width, tile)]:
+            peaks = [p[r : r + rows].reshape(-1)[u : u + tile] for p in (max_b, max_f)]
+            for top in [min(top, k) for top in range(lags, k + lags, lags)]:
+                np.subtract(pt[:, None, u + k : u + tile + 2 * k], behind[:, u + k - top], out=x)
+                x *= x
+                for coord in rest:
+                    s += coord
+                for peak, lag_values in zip(peaks, (s[:, :tile], forward[top])):
+                    # One lag is read in place: reducing a length-1 axis would copy it.
+                    best = lag_values[0] if lags == 1 else np.maximum.reduce(lag_values)
+                    np.maximum(peak, best, out=peak)
 
-    span = k * segments.delta
-    B = np.sqrt(max_b) / np.sqrt(span * sig2_back)
-    A = np.sqrt(max_f) / np.sqrt(span * sig2_fwd)
+    # In place, so the window sums turn into the denominators sqrt(k delta sigma2_hat).
+    np.sqrt(np.multiply(k * segments.delta, win, out=win), out=win)
+    B = np.sqrt(max_b[:, :m]) / win[:, :m]
+    A = np.sqrt(max_f[:, :m]) / win[:, k : k + m]
     _require_finite(B, A)
     return B.reshape(segments.shape + (m,)), A.reshape(segments.shape + (m,))
 

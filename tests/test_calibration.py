@@ -414,6 +414,16 @@ class TestType1Error:
         )
         assert p > 0.95
 
+    @pytest.mark.parametrize("c, c_star, message", [
+        (15, 20, "need 1 <= c_star <= c"),
+        (300, 12, "cluster window c exceeds the statistic range"),
+        (0, 0, "need 1 <= c_star <= c"),
+    ], ids=["c_star_above_c", "c_beyond_the_statistics", "empty_window"])
+    def test_impossible_cluster_parameters_raise(self, c, c_star, message):
+        # A window that can never qualify would report a type-I error of zero.
+        with pytest.raises(InvalidParam, match=message):
+            estimate_type1_error(300, 30, c, c_star, ThresholdPair(0.74, 3.26), 500, 1)
+
     def test_replicate_floor(self):
         with pytest.raises(InvalidParam):
             estimate_type1_error(300, 30, 15, 12, ThresholdPair(0.7, 3.2), 100, seed=1)

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffswitch import (
     ThresholdPair,
@@ -266,6 +268,12 @@ class TestBackwardForward:
                 else:
                     np.testing.assert_allclose(B, B_ref, rtol=rtol, atol=0)
                     np.testing.assert_allclose(A, A_ref, rtol=rtol, atol=0)
+        # Steps from about 1e-30 to 1e30: here any other order of the window sums, such as
+        # differences of a cumulative sum or a pairwise sum, moves bits.
+        pos = rng.normal(size=(201, 2)) * 10.0 ** rng.uniform(-30, 30, size=(201, 1))
+        B, A = backward_forward(make(pos), k)
+        B_ref, A_ref = lag_einsum_backward_forward(pos, k)
+        assert np.array_equal(B, B_ref) and np.array_equal(A, A_ref)
 
     def test_output_length(self, brownian_300):
         B, A = backward_forward(brownian_300, 30)
@@ -307,7 +315,18 @@ class TestBackwardForward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 50 * 2**20
+        assert peak < 10 * 2**20
+
+    def test_long_stack_is_copied_one_block_at_a_time(self):
+        # 6.4 MB of positions; a copy of the whole stack at once would read about 32 MB.
+        stack = np.random.default_rng(2).normal(size=(8, 50_001, 2)).cumsum(axis=1)
+        tracemalloc.start()
+        try:
+            backward_forward(stack, 300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 28 * 2**20
 
     def test_time_reversal_swaps_roles(self, brownian_300):
         B, A = backward_forward(brownian_300, 25)
@@ -337,13 +356,49 @@ class TestBackwardForward:
             assert np.array_equal(statistic_T(SegmentStats(traj)), statistic_T(traj))
 
     def test_block_size_does_not_change_result(self, monkeypatch):
+        default = stats.KERNEL_BLOCK_BYTES
         stack = np.random.default_rng(8).normal(size=(32, 301, 2)).cumsum(axis=1)
         B, A = backward_forward(stack, 30)
-        row_bytes = 8 * 2 * (301 - 2 * 30 + 30)  # one row of the (d, rows, m + k) buffer
+        row_bytes = 8 * 2 * 301  # one planar row laid out in a block
         for block_bytes in (1, 7 * row_bytes, 32 * row_bytes):
             monkeypatch.setattr(stats, "KERNEL_BLOCK_BYTES", block_bytes)
             B_b, A_b = backward_forward(stack, 30)
             assert np.array_equal(B_b, B) and np.array_equal(A_b, A)
+        # (rows, points, difference columns per lag in the buffer) at k = 30, where a 301-point
+        # row has 271 differences per lag: one lag per pass; 30 lags in passes of 4, so the
+        # last pass overlaps the one before; all 30 lags in one pass; one long row in 4 column
+        # tiles, the last overlapping; tile edges inside each of 3 rows.
+        blockings = ((5, 301, 301), (1, 301, 4 * 271), (1, 301, 30 * 271), (1, 2001, 600), (3, 401, 200))
+        for rows, points, cols in blockings:
+            for dim in (1, 2, 3):
+                stack = np.random.default_rng(points + dim).normal(size=(rows, points, dim)).cumsum(axis=1)
+                monkeypatch.setattr(stats, "KERNEL_BLOCK_BYTES", default)
+                B, A = backward_forward(stack, 30)
+                monkeypatch.setattr(stats, "KERNEL_BLOCK_BYTES", 8 * dim * cols)
+                B_b, A_b = backward_forward(stack, 30)
+                assert np.array_equal(B_b, B) and np.array_equal(A_b, A), (rows, points, cols, dim)
+                if dim == 2:
+                    for row in range(rows):
+                        B_ref, A_ref = lag_einsum_backward_forward(stack[row], 30)
+                        assert np.array_equal(B_b[row], B_ref) and np.array_equal(A_b[row], A_ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 6), n=st.integers(2, 240), dim=st.integers(1, 3),
+           k_share=st.floats(0, 1), block_log2=st.integers(4, 20), seed=st.integers(0, 2**16))
+    def test_any_blocking_matches_the_default(self, rows, n, dim, k_share, block_log2, seed):
+        k = 1 + round(k_share * (n // 2 - 1))
+        stack = np.random.default_rng(seed).normal(size=(rows, n + 1, dim)).cumsum(axis=1)
+        B, A = backward_forward(stack, k)
+        default = stats.KERNEL_BLOCK_BYTES
+        try:
+            stats.KERNEL_BLOCK_BYTES = 2**block_log2
+            B_b, A_b = backward_forward(stack, k)
+        finally:
+            stats.KERNEL_BLOCK_BYTES = default
+        assert np.array_equal(B_b, B) and np.array_equal(A_b, A)
+        if dim == 2:
+            B_ref, A_ref = lag_einsum_backward_forward(stack[-1], k)
+            assert np.array_equal(B_b[-1], B_ref) and np.array_equal(A_b[-1], A_ref)
 
     @pytest.mark.parametrize("k", [30.0, 2.5, "3"])
     def test_non_integer_window_raises(self, brownian_300, k):
