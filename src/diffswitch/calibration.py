@@ -94,31 +94,33 @@ def _window_order_min(x, c, q):
 
     Equals np.sort(sliding_window_view(x, c, axis=-1), axis=-1)[..., q - 1].min(-1)
     bit for bit, without that (..., m - c + 1, c) copy: it bisects each
-    row's sorted values for the least v such that some window holds at
-    least q values <= v, so the answer is an element of the row, even
-    with ties. The window counts are sliding sums of the <= indicator,
-    in a dtype that holds c. q broadcasts against the rows of x; memory
-    is O(rows * m) for any c.
+    row's sorted values for the least v at which _window_holds, so the
+    answer is an element of the row, even with ties. q broadcasts against
+    the rows of x; memory is O(rows * m) for any c.
     """
     shape = np.broadcast_shapes(x.shape[:-1], np.shape(q))
-    m = x.shape[-1]
-    x = np.broadcast_to(x, shape + (m,)).reshape(-1, m)
-    q = np.broadcast_to(q, shape).reshape(-1)
-    rows = np.arange(len(x))
-    ordered = np.sort(x, axis=-1)
+    ordered = np.sort(np.broadcast_to(x, shape + x.shape[-1:]), axis=-1)
     # Bounds: the row's q-th smallest and its (q + m - c)-th smallest, as indices into ordered.
-    lo, hi = q - 1, q - 1 + m - c
-    # The indicator of all rows, flat, with c - 1 spare zeros so that every start has a full window.
-    below = np.zeros(x.size + c - 1, np.min_scalar_type(c))
-    flags = below[:x.size].reshape(x.shape)
+    lo = np.broadcast_to(q - 1, shape)
+    hi = lo + x.shape[-1] - c
     while (lo < hi).any():
         mid = (lo + hi) // 2
-        np.less_equal(x, ordered[rows, mid, None], out=flags, casting="unsafe")
-        counts = _window_sums(below, c).reshape(x.shape)[:, :m - c + 1]
-        found = counts.max(axis=-1) >= q
+        found = _window_holds(x, c, np.take_along_axis(ordered, mid[..., None], -1), q)
         hi = np.where(found, mid, hi)
         lo = np.where(found, lo, mid + 1)
-    return ordered[rows, lo].reshape(shape)
+    return np.take_along_axis(ordered, lo[..., None], -1)[..., 0]
+
+
+def _window_holds(x, c, v, q):
+    """Per row of x, whether some length-c window holds at least q values <= v.
+
+    v broadcasts against x and q against the rows. The counts are sliding sums of the <=
+    indicator, in a dtype that holds c.
+    """
+    shape = np.broadcast_shapes(x.shape, np.shape(v))
+    below = np.zeros(math.prod(shape) + c - 1, np.min_scalar_type(c))
+    np.less_equal(x, v, out=below[:below.size - c + 1].reshape(shape), casting="unsafe")
+    return _window_sums(below, c).reshape(shape)[..., :shape[-1] - c + 1].max(axis=-1) >= q
 
 
 def _window_sums(x, c):
@@ -149,12 +151,14 @@ def _null_pass(n, alpha, replicates, seed, window=None, segment=False):
     if replicates < 1000:
         raise InvalidParam(f"need at least 1000 replicates, got {replicates}")
     k, c, c_star = window or (None, None, None)
-    ranks = {variant: _order_rank(variant, c, c_star) for variant in (STRICT, RELAXED) if window}
-    # Each replicate's lower and upper sample: per rank q, (min_r s_r, max_r S_r); T twice.
-    T, extremes = [], {q: ([], []) for q in ranks.values()}
+    ranks = [_order_rank(variant, c, c_star) for variant in (STRICT, RELAXED)] if window else []
+    i_lo, i_hi = (_quantile_index(p, replicates) for p in (alpha / 2, 1 - alpha / 2))
     # d = min(B, A) at each rank q, and -D at q + 1: the max over windows of D's (c - q)-th
-    # smallest is minus the min over windows of -D's (q + 1)-th smallest.
-    side_ranks = np.array([list(extremes), [q + 1 for q in extremes]])[..., None]
+    # smallest is minus the min over windows of -D's (q + 1)-th smallest. Each (side, rank) pool
+    # keeps the least values so far up to the index read: a replicate above that cannot move it.
+    side_ranks = np.array([ranks, [q + 1 for q in ranks]], int)[..., None]
+    reads = np.array([i_lo, replicates - 1 - i_hi])[:, None, None]
+    pools, T = np.full((2, len(ranks), reads.max() + 1), np.inf), []
     # One SegmentStats per stack feeds T and the windows; it goes before the window pass.
     for segments in map(SegmentStats, replicate_stacks(_null(n), seed, replicates=replicates)):
         if segment:  # first, so its temporaries are freed before the window pass
@@ -162,19 +166,16 @@ def _null_pass(n, alpha, replicates, seed, window=None, segment=False):
         if window:
             B, A = backward_forward(segments, k)
             del segments
-            sides = np.stack([np.minimum(B, A), -np.maximum(B, A)])[:, None]
-            low, negated_high = _window_order_min(sides, c, side_ranks)
-            for (minima, maxima), lo, neg_hi in zip(extremes.values(), low, negated_high):
-                minima.append(lo)
-                maxima.append(-neg_hi)
-    samples = {v: extremes[q] for v, q in ranks.items()} | ({SEGMENT_TEST: (T, T)} if segment else {})
-    i_lo = _quantile_index(alpha / 2, replicates)
-    i_hi = _quantile_index(1 - alpha / 2, replicates)
-    return {
-        variant: ThresholdPair(float(np.sort(np.concatenate(lo))[i_lo]),
-                               float(np.sort(np.concatenate(hi))[i_hi]))
-        for variant, (lo, hi) in samples.items()
-    }
+            sides = np.stack([np.minimum(B, A), -np.maximum(B, A)])
+            tau = np.take_along_axis(pools, reads, axis=-1)[..., None]
+            side, rank, row = np.nonzero(_window_holds(sides[:, None], c, tau, side_ranks))
+            found = np.full(pools.shape[:2] + (len(B),), np.inf)
+            found[side, rank, row] = _window_order_min(sides[side, row], c, side_ranks[side, rank, 0])
+            pools = np.sort(np.concatenate([pools, found], axis=-1))[..., :pools.shape[-1]]
+    low, high = np.take_along_axis(pools, reads, axis=-1)[..., 0].tolist()
+    T = np.sort(np.concatenate(T)) if segment else None
+    return ({v: ThresholdPair(lo, -hi) for v, lo, hi in zip((STRICT, RELAXED), low, high)}
+            | ({SEGMENT_TEST: ThresholdPair(float(T[i_lo]), float(T[i_hi]))} if segment else {}))
 
 
 def calibrate_both(n, k, c, c_star, alpha, replicates, seed):

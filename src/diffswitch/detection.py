@@ -208,6 +208,8 @@ def run_batch(trajectories, config, labelling=False, quantiles=None):
         raise InvalidParam("labelling requires segment quantiles")
     segments = SegmentStats(list(trajectories))
     batch = sliding_stats(segments, config.k, config.thresholds)
+    if config.c > batch.Q.shape[-1]:
+        raise InvalidParam("cluster window c exceeds the statistic range")
     arrays = zip(batch.B, batch.A, batch.phi_B, batch.phi_A, batch.Q)
     stats = [SlidingStats(batch.k, batch.first_index, *row) for row in arrays]
     clusters = find_clusters(batch.Q, config.c, config.c_star, first_index=batch.first_index)

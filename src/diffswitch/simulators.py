@@ -152,8 +152,9 @@ def _advance(stack, lo, hi, regime, delta, rngs):
         if regime.kind == BROWNIAN_DRIFT:
             out += (regime.v / math.sqrt(dim)) * delta
     np.cumsum(out, axis=1, out=out)
-    # Adding the repeated rows is much faster than broadcasting the (b, 1, dim) start.
-    out += np.repeat(start, n, axis=1)
+    # Repeated rows add much faster than a broadcast start; paths from the origin need neither.
+    if start.any():
+        out += np.repeat(start, n, axis=1)
 
 
 def _one_path(grid, dim, regime, rng, start):

@@ -76,11 +76,6 @@ def phi(x, thresholds):
     return np.where(x < thresholds.gamma1, 1, np.where(x > thresholds.gamma2, 2, 0))
 
 
-def _step_norms_sq(positions):
-    steps = np.diff(positions, axis=-2)
-    return np.einsum("...i,...i->...", steps, steps)
-
-
 def _unit_scaled(positions):
     """(positions / 2**e, e) for 2**e the power of two at or above the largest absolute step.
 
@@ -135,7 +130,8 @@ class SegmentStats:
         self.shape, (length, self.dim) = pos.shape[:-2], pos.shape[-2:]
         self.pos, exponent = _unit_scaled(pos.reshape(-1, length, self.dim))
         self.exponent = exponent.reshape(self.shape)
-        self.ssq = _step_norms_sq(self.pos)
+        steps = np.diff(self.pos, axis=-2)
+        self.ssq = np.einsum("...i,...i->...", steps, steps)
         self.n = length - 1
 
     def bounds(self, points):
@@ -172,27 +168,52 @@ class SegmentStats:
 
     def whole(self):
         """(T, step sum) arrays of whole rows, shaped like the stack; NoMotion if a row is still."""
-        T, total = np.array(self.between([()] * len(self.pos))).reshape(-1, 2).T
+        disp, rows = self.pos[:, 1:] - self.pos[:, :1], len(self.pos)
+        peaks = np.einsum("...i,...i->...", disp, disp).max(axis=-1, initial=0.0).tolist()
+        values = self._statistics(range(rows), [0] * rows, [self.n] * rows, peaks, _row_sums(self.ssq))
+        T, total = np.array(values).reshape(-1, 2).T
         if (total == 0.0).any():
             raise NoMotion("all steps are zero; diffusion coefficient undefined")
         return T.reshape(self.shape), total.reshape(self.shape)
 
-    def _statistics(self, row, lo, hi, peaks):
+    def _statistics(self, row, lo, hi, peaks, totals=None):
         """(T, step sum) of segments (row, lo, hi), given each one's largest squared distance.
 
         T = max_i ||X_{t_i} - X_{t_lo}|| / sqrt((t_hi - t_lo) sigma2_hat),
         with sigma2_hat = sum / (m d delta) over the m steps; sqrt is
         monotonic, so the root of the peak is the largest distance. T is
-        NaN for a segment without steps or motion.
+        NaN for a segment without steps or motion. `totals` may give the exact step sums.
         """
         values = []
-        for r, a, b, peak in zip(row, lo, hi, peaks):
+        for r, a, b, peak, total in zip(row, lo, hi, peaks, totals or [None] * len(lo)):
             # Exactly rounded; fsum reads the steps through a memoryview, so no list is built.
-            total = math.fsum(self.ssq[r, a:b].data)
+            total = math.fsum(self.ssq[r, a:b].data) if total is None else total
             m = b - a
             spread = m * self.delta * (total / (m * self.dim * self.delta)) if total else 0.0
             values.append((math.sqrt(peak) / math.sqrt(spread) if spread else math.nan, total))
         return values
+
+
+def _row_sums(x):
+    """Per row of a 2-D array of nonnegative floats, the exactly rounded sum that math.fsum gives.
+
+    Rump-Ogita-Oishi extraction, for a row of m values and sigma = 2**e > 4 (m + 2) max(row):
+    q = (sigma + x) - sigma, x - q and sum(q) are exact, and sum(x - q) rounds by under
+    B = 2 m**2 u**2 sigma (u = 2**-53). So s = sum(q) + sum(x - q) stands if its TwoSum error
+    keeps B clear of half the gap to either neighbour of s; rows near such a tie go to math.fsum.
+    """
+    bits = (x.shape[-1] + 1).bit_length()  # ceil(log2(m + 2))
+    exponent = np.frexp(x.max(axis=-1, initial=0.0))[1] + 2 + bits
+    sigma = np.ldexp(1.0, exponent)[:, None]
+    q = (sigma + x) - sigma
+    high, low = q.sum(axis=-1), (x - q).sum(axis=-1)
+    s = high + low
+    error = (high - (s - (s - high))) + (low - (s - high))  # TwoSum: s + error == high + low
+    bound = np.ldexp(1.0, exponent + 2 * bits - 105)
+    below, above = s - np.nextafter(s, -np.inf), np.nextafter(s, np.inf) - s
+    for r in np.flatnonzero(~((bound - below / 2 < error) & (error < above / 2 - bound))):
+        s[r] = math.fsum(x[r].tolist())
+    return s.tolist()
 
 
 def estimate_sigma2(traj):

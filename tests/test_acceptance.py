@@ -49,6 +49,23 @@ PUBLISHED_CUTOFFS = {
     (300, 40): (0.64, 3.52, 0.75, 3.25),
 }
 
+# The calibrated fixture's cut-offs bit for bit, as float.hex: (n, k) -> (strict gamma1,
+# strict gamma2, relaxed gamma1, relaxed gamma2).
+CALIBRATED_HEX = {
+    (150, 20): ("0x1.3675d2b65b3b8p-1", "0x1.abf5d34fcfa85p+1",
+                "0x1.77def2273b25fp-1", "0x1.87d9f09bfce11p+1"),
+    (150, 30): ("0x1.4ac1d03d50ef6p-1", "0x1.a8111cee944a5p+1",
+                "0x1.8facec66ced05p-1", "0x1.8142e5c3d93eep+1"),
+    (150, 40): ("0x1.5b8018a07e3bdp-1", "0x1.a27674203c8f9p+1",
+                "0x1.99197944c4e34p-1", "0x1.7de6e7bce4f39p+1"),
+    (300, 20): ("0x1.25b77e2db55e5p-1", "0x1.c15b6ff3ba039p+1",
+                "0x1.66bdbba59b16fp-1", "0x1.9e682d0f55c41p+1"),
+    (300, 30): ("0x1.373117ce2d43fp-1", "0x1.c393842a40e7ap+1",
+                "0x1.78272cbfdc34ap-1", "0x1.9c80dd8aff73bp+1"),
+    (300, 40): ("0x1.434fc203d1e54p-1", "0x1.c189704d4216cp+1",
+                "0x1.7c66537334ccdp-1", "0x1.a095f5bc48554p+1"),
+}
+
 
 @pytest.fixture(scope="module")
 def calibrated():
@@ -89,6 +106,15 @@ def test_criterion_1_cutoff_reproduction(calibrated):
         assert pairs[STRICT].gamma1 <= pairs[RELAXED].gamma1
         assert pairs[STRICT].gamma2 >= pairs[RELAXED].gamma2
     verdict(1, worst <= 0.06, f"max |cut-off - published| = {worst:.3f} <= 0.06")
+
+
+def test_calibrated_cutoffs_are_pinned(calibrated):
+    # Full-size calibrations, so a change to how the null pass reduces its replicates
+    # must keep every bit at 10,001 replicates, not only at the unit suite's 1,000.
+    for (n, k), expected in CALIBRATED_HEX.items():
+        pairs = calibrated[(n, k)]
+        got = (pairs[STRICT].gamma1, pairs[STRICT].gamma2, pairs[RELAXED].gamma1, pairs[RELAXED].gamma2)
+        assert tuple(value.hex() for value in got) == expected, (n, k)
 
 
 def test_criterion_2_type1_control(calibrated):

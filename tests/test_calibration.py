@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import tracemalloc
@@ -128,6 +129,50 @@ class TestWindowOrderMin:
         finally:
             tracemalloc.stop()
         assert peak < 2 * x.size * 8
+
+
+@functools.cache
+def every_extreme(n, k, c, c_star, replicates, seed):
+    """{q: (lows, highs)}: each replicate's window extremes at rank q, by sorting every window."""
+    out = {}
+    for q in {_order_rank(STRICT, c, c_star), _order_rank(RELAXED, c, c_star)}:
+        lows, highs = [], []
+        for stack in simulators.replicate_stacks(calibration._null(n), seed, replicates=replicates):
+            B, A = stats.backward_forward(stack, k)
+            lows.append(np.sort(sliding_window_view(np.minimum(B, A), c, axis=-1))[..., q - 1].min(-1))
+            highs.append(np.sort(sliding_window_view(np.maximum(B, A), c, axis=-1))[..., c - q - 1].max(-1))
+        out[q] = np.concatenate(lows), np.concatenate(highs)
+    return out
+
+
+class TestTailPools:
+    """_null_pass reduces only the replicates that can reach the order statistics it reads."""
+
+    @pytest.mark.parametrize("window", [(150, 20, 10, 8), (100, 10, 5, 1)])
+    @pytest.mark.parametrize("replicates", [1000, 1001])
+    @pytest.mark.parametrize("alpha", [0.002, 0.05, 0.5])
+    def test_equals_keeping_every_replicate(self, window, replicates, alpha):
+        n, k, c, c_star = window
+        i_lo, i_hi = _quantile_index(alpha / 2, replicates), _quantile_index(1 - alpha / 2, replicates)
+        # Replicate r does not depend on the count, so 1000 replicates are the first 1000 of 1001.
+        extremes = every_extreme(n, k, c, c_star, 1001, 6)
+        found = calibration._null_pass(n, alpha, replicates, 6, window=(k, c, c_star))
+        for variant in (STRICT, RELAXED):
+            lows, highs = extremes[_order_rank(variant, c, c_star)]
+            expected = ThresholdPair(float(np.sort(lows[:replicates])[i_lo]),
+                                     float(np.sort(highs[:replicates])[i_hi]))
+            assert found[variant] == expected
+
+    def test_most_replicates_are_not_reduced(self, monkeypatch):
+        rows = []
+        order_min = calibration._window_order_min
+        monkeypatch.setattr(calibration, "_window_order_min",
+                            lambda x, c, q: rows.append(len(x)) or order_min(x, c, q))
+        calibration._null_pass(150, 0.05, 2002, 6, window=(20, 10, 8))
+        batch = simulators.REPLICATE_BATCH
+        # All of the first stack, while the pools fill, then a shrinking share over 2 sides x 2 ranks.
+        assert rows[0] == 4 * batch
+        assert sum(rows) < 4 * 2002 / 4
 
 
 class TestGoldenCutoffs:

@@ -393,6 +393,14 @@ class TestRunBatch:
         with pytest.raises(InvalidParam, match="got shape \\(0,\\)"):
             run_batch([], DetectionConfig(k=30, thresholds=relaxed_300_30))
 
+    def test_cluster_window_longer_than_the_statistics_rejected(self, brownian_300):
+        # n = 300 steps at k = 30 gives 241 statistics; (1.3, 1.35) classifies nearly all of them.
+        pair = ThresholdPair(1.3, 1.35)
+        report = run_batch([brownian_300], DetectionConfig(k=30, thresholds=pair, c=241, c_star=12))[0]
+        assert report.change_points == [237]
+        with pytest.raises(InvalidParam, match="cluster window c exceeds the statistic range"):
+            run_batch([brownian_300], DetectionConfig(k=30, thresholds=pair, c=242, c_star=12))
+
     def test_one_immobile_row_fails_the_batch(self, brownian_300, relaxed_300_30):
         pos = brownian_300.positions.copy()
         pos[100:150] = pos[100]

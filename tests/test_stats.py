@@ -18,7 +18,7 @@ from diffswitch import (
     sliding_stats,
     statistic_T,
 )
-from diffswitch import stats
+from diffswitch import simulators, stats
 from diffswitch.errors import (
     InvalidParam,
     NoMotion,
@@ -241,6 +241,64 @@ class TestStatisticT:
             for call in calls:
                 with pytest.raises(InvalidParam, match="positions span too wide a range"):
                     call(traj)
+
+
+@st.composite
+def hard_rows(draw):
+    """A 2-D array of nonnegative floats that is hard to sum exactly.
+
+    Each row is one of: wide, tiny and subnormal values; a value plus
+    pieces that add up to exactly half its ulp (a tie that rounds to
+    even), perhaps nudged off the tie by a tiny value; or all zeros.
+    """
+    m = draw(st.integers(1, 40))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["values", "tie", "zero"]))
+        row = [0.0] * m
+        if kind == "values":
+            values = st.floats(0, 4) | st.floats(0, 1e-300) | st.floats(0, 2.0**-1022)
+            row = draw(st.lists(values, min_size=m, max_size=m))
+        elif kind == "tie" and m >= 2:
+            a = draw(st.floats(2.0**-1000, 4))
+            half, pieces = np.spacing(a) / 2, draw(st.integers(1, m - 1))
+            # half / 2, half / 4, ..., and the last one twice: together exactly half.
+            parts = [half / 2**j for j in range(1, pieces)] + [half / 2 ** (pieces - 1)]
+            row[:pieces + 1] = [a, *parts]
+            if draw(st.booleans()) and pieces + 1 < m:
+                row[-1] = draw(st.floats(0, half * 2.0**-40))
+            row = draw(st.permutations(row))
+        rows.append(row)
+    return np.array(rows)
+
+
+class TestRowSums:
+    """stats._row_sums, the vectorised exact sum behind whole-row T."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(hard_rows())
+    def test_equals_fsum(self, x):
+        assert stats._row_sums(x) == [math.fsum(row) for row in x.tolist()]
+
+    def test_fallback_only_near_a_tie(self, monkeypatch):
+        rows = []
+        fsum = math.fsum
+        monkeypatch.setattr(stats.math, "fsum", lambda values: rows.append(values) or fsum(values))
+        # 1 + 2**-53 lies half-way between 1 and its successor and rounds to even.
+        tie = [1.0, 2.0**-53, 0.0, 0.0, 0.0]
+        # Just above that tie, by pieces each below half an ulp of the running residue sum,
+        # which rounds them all away: only the rounding bound of the residues sends it to fsum.
+        lost = np.nextafter(2.0**-107, 0.0)
+        above = [1.0, 2.0**-53 - 2.0**-106, lost, lost, lost]
+        x = np.array([tie, above, [1.0, 2.0**-52, 0.0, 0.0, 0.0]])
+        assert stats._row_sums(x) == [1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-52]
+        assert rows == [tie, above]
+        rows.clear()
+        null = simulators.ScenarioSpec(300, (), (simulators.RegimeSpec(simulators.BROWNIAN),))
+        stack = next(simulators.replicate_stacks(null, 3, replicates=32))
+        segments = SegmentStats(stack)
+        assert segments.whole()[1].tolist() == [fsum(row) for row in segments.ssq.tolist()]
+        assert rows == []
 
 
 class TestBackwardForward:

@@ -1,4 +1,4 @@
-"""Paired timing of stats.backward_forward from two source trees in one process.
+"""Paired timing of the B/A kernel and a cold null pass from two source trees in one process.
 
 Usage (from the root of a checkout):
 
@@ -6,9 +6,12 @@ Usage (from the root of a checkout):
 
 PARENT_SRC and CHANGE_SRC are directories that hold a `diffswitch`
 package, e.g. the `src` of two checkouts. Both are imported side by side
-under distinct module names, every case is checked bit for bit between
-them, and each round times the two kernels back to back, alternating
-which one goes first. Standard output is one JSON object: per case, the
+under distinct module names, every case is checked by value between
+them, and each round times the two trees back to back, alternating
+which one goes first. The kernel cases call `stats.backward_forward` on
+a random stack and compare B and A bit for bit; the null-pass case runs
+`calibration._null_pass` at (300, 30, 15, 12) with the segment test and
+compares its cut-offs. Standard output is one JSON object: per case, the
 median parent and change times, the median of the per-round ratios
 change / parent, and each tree's tracemalloc peak for one call.
 """
@@ -24,13 +27,15 @@ from pathlib import Path
 
 import numpy as np
 
-# (name, rows, points, k, calls per round)
-CASES = (
+# Kernel cases: (name, rows, points, k, calls per round).
+KERNEL_CASES = (
     ("1x301_k30", 1, 301, 30, 200),
     ("32x301_k30", 32, 301, 30, 20),
     ("1x50001_k300", 1, 50_001, 300, 1),
     ("1x100001_k300", 1, 100_001, 300, 1),
 )
+# The null-pass case: _null_pass arguments and calls per round.
+NULL_PASS = ((300, 0.05, 2002, 1), {"window": (30, 15, 12), "segment": True}, 1)
 
 
 def load(src, name):
@@ -43,39 +48,45 @@ def load(src, name):
     return module
 
 
-def per_call(kernel, stack, k, calls):
+def per_call(call, calls):
     start = time.process_time()
     for _ in range(calls):
-        kernel(stack, k)
+        call()
     return (time.process_time() - start) / calls
 
 
-def peak_bytes(kernel, stack, k):
+def peak_bytes(call):
     tracemalloc.start()
     try:
-        kernel(stack, k)
+        call()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def run_case(kernels, rows, points, k, calls, rounds):
-    stack = np.random.default_rng(points).normal(size=(rows, points, 2)).cumsum(axis=1)
-    (B0, A0), (B1, A1) = (kernel(stack, k) for kernel in kernels)
-    if not (np.array_equal(B0, B1) and np.array_equal(A0, A1)):
-        raise SystemExit(f"B or A differ between the trees at {rows}x{points}, k={k}")
+def by_value(result):
+    """A view of a case's result that compares equal across the two trees' classes."""
+    if isinstance(result, dict):
+        return {variant: (pair.gamma1, pair.gamma2) for variant, pair in result.items()}
+    return [np.asarray(array).tobytes() for array in result]
+
+
+def run_case(name, calls_of_trees, calls, rounds):
+    """Times two zero-argument calls, one per tree, after checking that they agree by value."""
+    if by_value(calls_of_trees[0]()) != by_value(calls_of_trees[1]()):
+        raise SystemExit(f"case {name}: results differ between the trees")
     times = []
     for r in range(rounds):
         order = (0, 1) if r % 2 == 0 else (1, 0)
-        pair = {side: per_call(kernels[side], stack, k, calls) for side in order}
+        pair = {side: per_call(calls_of_trees[side], calls) for side in order}
         times.append((pair[0], pair[1]))
     parent, change = zip(*times)
     return {
         "parent_us": round(statistics.median(parent) * 1e6, 1),
         "change_us": round(statistics.median(change) * 1e6, 1),
         "ratio": round(statistics.median(c / p for p, c in times), 3),
-        "parent_peak_mb": round(peak_bytes(kernels[0], stack, k) / 2**20, 2),
-        "change_peak_mb": round(peak_bytes(kernels[1], stack, k) / 2**20, 2),
+        "parent_peak_mb": round(peak_bytes(calls_of_trees[0]) / 2**20, 2),
+        "change_peak_mb": round(peak_bytes(calls_of_trees[1]) / 2**20, 2),
     }
 
 
@@ -85,10 +96,16 @@ def main(argv=None):
     parser.add_argument("change_src")
     parser.add_argument("--rounds", type=int, default=9)
     args = parser.parse_args(argv)
-    kernels = [load(src, name).backward_forward
-               for src, name in ((args.parent_src, "diffswitch_parent"), (args.change_src, "diffswitch_change"))]
-    result = {name: run_case(kernels, rows, points, k, calls, args.rounds)
-              for name, rows, points, k, calls in CASES}
+    trees = [load(src, name) for src, name in
+             ((args.parent_src, "diffswitch_parent"), (args.change_src, "diffswitch_change"))]
+    result = {}
+    for name, rows, points, k, calls in KERNEL_CASES:
+        stack = np.random.default_rng(points).normal(size=(rows, points, 2)).cumsum(axis=1)
+        kernels = [lambda tree=tree, stack=stack, k=k: tree.backward_forward(stack, k) for tree in trees]
+        result[name] = run_case(name, kernels, calls, args.rounds)
+    pass_args, pass_kwargs, calls = NULL_PASS
+    passes = [lambda tree=tree: tree.calibration._null_pass(*pass_args, **pass_kwargs) for tree in trees]
+    result["null_pass_300_k30"] = run_case("null_pass_300_k30", passes, calls, args.rounds)
     print(json.dumps({"rounds": args.rounds, "cases": result}, indent=1))
 
 
