@@ -206,7 +206,7 @@ def run_cell(spec, param, k, thresholds, quantiles=None):
 
 def run_experiment(spec):
     """Sweep the full grid; deterministic given the spec's seeds."""
-    table = ThresholdTable(spec.cache_path) if spec.cache_path else None
+    table = ThresholdTable(spec.cache_path)
     quantiles = None
     if spec.label and not spec.external_detector:
         quantiles = SegmentQuantiles(
@@ -251,7 +251,7 @@ class Type1Spec:
 
 def run_type1_experiment(spec):
     """Empirical type-I error for each (n, k, variant) grid cell."""
-    table = ThresholdTable(spec.cache_path) if spec.cache_path else None
+    table = ThresholdTable(spec.cache_path)
     report = ExperimentReport(
         spec_summary={
             "experiment": "type1",

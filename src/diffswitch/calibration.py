@@ -13,6 +13,7 @@ import json
 import math
 import os
 import tempfile
+import threading
 import time
 from dataclasses import dataclass, replace
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from ._version import __version__
 from .detection import DetectionConfig, default_cluster_params, find_clusters
-from .errors import CorruptCache, Degenerate, InvalidParam, IoFailure
+from .errors import CorruptCache, Degenerate, DiffswitchError, InvalidParam, IoFailure
 from .rng import DEFAULT_SEED
 from .simulators import BROWNIAN, RegimeSpec, ScenarioSpec, replicate_stacks
 from .stats import SegmentStats, ThresholdPair, backward_forward, sliding_stats, statistic_T
@@ -206,12 +207,14 @@ def segment_test_key(n, alpha=0.05, replicates=10_001, seed=DEFAULT_SEED):
 
 
 class ThresholdTable:
-    """Persistent map from CalibrationKey to ThresholdPair (single JSON file)."""
+    """CalibrationKey -> ThresholdPair, kept in one JSON file, or only in memory if path is None."""
 
-    def __init__(self, path):
+    def __init__(self, path=None):
         self.path = path
         self.entries = {}
-        self._load()
+        self._lock = threading.Lock()  # held by put and all of save, so threads may share a table
+        if path is not None:
+            self._load()
 
     def _load(self):
         if not os.path.exists(self.path):
@@ -224,9 +227,9 @@ class ThresholdTable:
             for entry in doc["entries"]:
                 key = CalibrationKey(**entry["key"])
                 self.entries[key] = ThresholdPair(entry["gamma1"], entry["gamma2"])
-        except (CorruptCache, OSError, ValueError, KeyError, TypeError):
-            # Corrupt or other-schema cache: move it aside so that the next
-            # save cannot overwrite it, and recalibrate on demand.
+        except (DiffswitchError, OSError, ValueError, KeyError, TypeError, AttributeError):
+            # Unreadable, invalid or other-schema cache: move it aside so that
+            # the next save cannot overwrite it, and recalibrate on demand.
             self.entries = {}
             try:
                 os.replace(self.path, f"{self.path}.unreadable")
@@ -234,62 +237,66 @@ class ThresholdTable:
                 pass
 
     def save(self):
-        doc = {
-            "version": CACHE_SCHEMA_VERSION,
-            "library_version": __version__,
-            "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "entries": [
-                {"key": vars(key), "gamma1": pair.gamma1, "gamma2": pair.gamma2}
-                for key, pair in self.entries.items()
-            ],
-        }
-        directory = os.path.dirname(os.path.abspath(self.path))
-        try:
-            os.makedirs(directory, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2)
-            os.replace(tmp, self.path)
-        except OSError as exc:
-            raise IoFailure(f"cannot write cache {self.path}: {exc}") from exc
+        if self.path is None:
+            return
+        with self._lock:
+            doc = {
+                "version": CACHE_SCHEMA_VERSION,
+                "library_version": __version__,
+                "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
+                "entries": [
+                    {"key": vars(key), "gamma1": pair.gamma1, "gamma2": pair.gamma2}
+                    for key, pair in self.entries.items()
+                ],
+            }
+            directory = os.path.dirname(os.path.abspath(self.path))
+            try:
+                os.makedirs(directory, exist_ok=True)
+                fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    json.dump(doc, fh, indent=2)
+                os.replace(tmp, self.path)
+            except OSError as exc:
+                raise IoFailure(f"cannot write cache {self.path}: {exc}") from exc
 
     def get(self, key):
         return self.entries.get(key)
 
     def put(self, key, pair):
-        self.entries[key] = pair
+        with self._lock:
+            self.entries[key] = pair
 
 
 def _as_table(store):
-    return store if store is None or isinstance(store, ThresholdTable) else ThresholdTable(store)
+    return store if isinstance(store, ThresholdTable) else ThresholdTable(store)
 
 
 def cache_get_or_calibrate(store, key):
     """Cached calibration: exact key hit returns immediately, miss calibrates.
 
-    `store` is a ThresholdTable, a path to one, or None to calibrate
-    without persisting. A miss for a strict or relaxed key persists both
-    variants and, from the same null simulation, the segment test at the
-    same n, alpha, replicates and seed, unless it is stored already or n
-    is off SEGMENT_LENGTH_GRID, where SegmentQuantiles never asks for it.
+    `store` is a ThresholdTable, a path to one, or None for one in memory.
+    A miss for a strict or relaxed key stores both variants and, if the
+    table has a file, from the same null simulation the segment test at
+    the same n, alpha, replicates and seed, unless it is stored already or
+    n is off SEGMENT_LENGTH_GRID, where SegmentQuantiles never asks for it.
     """
     table = _as_table(store)
-    hit = table.get(key) if table is not None else None
+    hit = table.get(key)
     if hit is not None:
         return hit
     if key.variant == SEGMENT_TEST:
         pairs = {key: calibrate_segment_test(key.n, key.alpha, key.replicates, key.seed)}
     else:
         sibling = segment_test_key(key.n, key.alpha, key.replicates, key.seed)
-        segment = table is not None and key.n in SEGMENT_LENGTH_GRID and sibling not in table.entries
+        segment = (table.path is not None and key.n in SEGMENT_LENGTH_GRID
+                   and sibling not in table.entries)
         found = _null_pass(key.n, key.alpha, key.replicates, key.seed,
                            window=(key.k, key.c, key.c_star), segment=segment)
         pairs = {sibling if variant == SEGMENT_TEST else replace(key, variant=variant): p
                  for variant, p in found.items()}
-    if table is not None:
-        for stored_key, p in pairs.items():
-            table.put(stored_key, p)
-        table.save()
+    for stored_key, p in pairs.items():
+        table.put(stored_key, p)
+    table.save()
     return pairs[key]
 
 
@@ -305,17 +312,14 @@ class SegmentQuantiles:
         self.alpha = alpha
         self.replicates = replicates
         self.seed = seed
-        self._memo = {}  # grid length -> pair
-        self._by_steps = {}  # any step count -> its grid length's pair
+        self._by_steps = {}  # any step count -> its grid length's (q1, q2)
 
     def __call__(self, n_steps):
         if n_steps not in self._by_steps:
             length = min(SEGMENT_LENGTH_GRID, key=lambda g: (abs(g - n_steps), g))
-            if length not in self._memo:
-                key = segment_test_key(length, self.alpha, self.replicates, self.seed)
-                pair = cache_get_or_calibrate(self.table, key)
-                self._memo[length] = (pair.gamma1, pair.gamma2)
-            self._by_steps[n_steps] = self._memo[length]
+            key = segment_test_key(length, self.alpha, self.replicates, self.seed)
+            pair = cache_get_or_calibrate(self.table, key)
+            self._by_steps[n_steps] = (pair.gamma1, pair.gamma2)
         return self._by_steps[n_steps]
 
 

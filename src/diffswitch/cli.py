@@ -6,7 +6,6 @@ parse arguments, wire caches, and serialize results.
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import sys
@@ -14,7 +13,7 @@ from contextlib import nullcontext
 
 from . import bench, calibration, detection
 from ._version import __version__
-from .calibration import CACHE_SCHEMA_VERSION, RELAXED, STRICT
+from .calibration import CACHE_SCHEMA_VERSION, RELAXED, STRICT, CalibrationKey
 from .errors import DiffswitchError, InvalidParam, IoFailure
 from .rng import DEFAULT_SEED
 from .simulators import compose_scenario, scenario_from_json, scenario_preset
@@ -65,19 +64,16 @@ def _load_scenario(path):
 
 
 def _key_from_args(args, n, replicates=10_001, seed=DEFAULT_SEED):
-    key = calibration.default_key(
-        n, args.k, variant=args.variant, alpha=args.alpha, replicates=replicates, seed=seed
-    )
     c, c_star = detection.default_cluster_params(
         args.k, getattr(args, "c", None), getattr(args, "c_star", None)
     )
-    return dataclasses.replace(key, c=c, c_star=c_star)
+    return CalibrationKey(n, args.k, c, c_star, args.alpha, args.variant, replicates, seed)
 
 
-def _thresholds_from_args(args, n):
+def _thresholds_from_args(args, n, store):
     if args.gamma1 is not None and args.gamma2 is not None:
         return ThresholdPair(args.gamma1, args.gamma2)
-    return calibration.cache_get_or_calibrate(args.cache, _key_from_args(args, n))
+    return calibration.cache_get_or_calibrate(store, _key_from_args(args, n))
 
 
 def _write_stats_csv(path, stats):
@@ -103,7 +99,7 @@ def cmd_simulate(args):
 
 def cmd_stats(args):
     traj = load_csv(args.input)
-    thresholds = _thresholds_from_args(args, traj.n_steps)
+    thresholds = _thresholds_from_args(args, traj.n_steps, args.cache)
     _write_stats_csv(args.out, sliding_stats(traj, args.k, thresholds))
     return 0
 
@@ -117,13 +113,12 @@ def cmd_calibrate(args):
 
 def cmd_detect(args):
     traj = load_csv(args.input)
-    thresholds = _thresholds_from_args(args, traj.n_steps)
+    table = calibration.ThresholdTable(args.cache)  # shared by the pair and the labelling
+    thresholds = _thresholds_from_args(args, traj.n_steps, table)
     config = detection.DetectionConfig(
         k=args.k, thresholds=thresholds, c=args.c, c_star=args.c_star
     )
-    quantiles = None
-    if args.label:
-        quantiles = calibration.SegmentQuantiles(store=args.cache, alpha=args.alpha)
+    quantiles = calibration.SegmentQuantiles(table, alpha=args.alpha) if args.label else None
     report = detection.run_procedure(traj, config, labelling=args.label, quantiles=quantiles)
     if args.stats_csv:
         _write_stats_csv(args.stats_csv, report.stats)

@@ -13,7 +13,7 @@ from functools import cache
 import numpy as np
 
 from .errors import InvalidParam
-from .stats import REGIME_LABELS, SegmentStats, SlidingStats, ThresholdPair, sliding_stats
+from .stats import REGIME_LABELS, SegmentStats, SlidingStats, ThresholdPair, phi, sliding_stats
 from .stats import BROWNIAN, SUBDIFFUSIVE, SUPERDIFFUSIVE  # re-exported segment labels
 
 UNDETERMINED = "undetermined"
@@ -129,12 +129,11 @@ def estimate_change_points(stats, clusters):
 
 
 def _as_lookup(quantiles):
-    """Step count -> (q1, q2), validated as a ThresholdPair once per step count."""
+    """Step count -> its (q1, q2) as a ThresholdPair, validated once per step count."""
 
     @cache
     def lookup(n_steps):
-        pair = ThresholdPair(*(quantiles(n_steps) if callable(quantiles) else quantiles))
-        return pair.gamma1, pair.gamma2
+        return ThresholdPair(*(quantiles(n_steps) if callable(quantiles) else quantiles))
 
     return lookup
 
@@ -145,8 +144,7 @@ def _label(lo, hi, T, total, lookup):
         return SegmentLabel(lo, hi, UNDETERMINED, None)
     if not math.isfinite(T):
         raise InvalidParam("statistic is not finite; positions span too wide a range")
-    q1, q2 = lookup(hi - lo)
-    return SegmentLabel(lo, hi, REGIME_LABELS[1 if T < q1 else 2 if T > q2 else 0], T)
+    return SegmentLabel(lo, hi, REGIME_LABELS[phi(T, lookup(hi - lo))], T)
 
 
 def _raw_labels(segments, points, lookup):

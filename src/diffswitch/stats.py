@@ -70,7 +70,7 @@ def phi(x, thresholds):
     Each code indexes its label in REGIME_LABELS; NaN is 0. A scalar
     gives a plain int, an array an array of codes.
     """
-    if np.ndim(x) == 0:
+    if isinstance(x, float) or np.ndim(x) == 0:
         return 1 if x < thresholds.gamma1 else 2 if x > thresholds.gamma2 else 0
     x = np.asarray(x)
     return np.where(x < thresholds.gamma1, 1, np.where(x > thresholds.gamma2, 2, 0))

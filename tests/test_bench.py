@@ -235,6 +235,20 @@ class TestRunExperiment:
         assert 0.0 <= cell["type1"] <= 0.25
 
 
+    def test_type1_variants_share_one_null_pass_without_a_cache(self, monkeypatch):
+        passes = []
+        null_pass = calibration._null_pass
+        monkeypatch.setattr(calibration, "_null_pass",
+                            lambda n, *args, **kw: passes.append(n) or null_pass(n, *args, **kw))
+        spec = Type1Spec(
+            n_values=(150,), k_values=(20,), variants=(calibration.STRICT, calibration.RELAXED),
+            replicates=500, seed=11, calib_replicates=1000,
+        )
+        report = run_type1_experiment(spec)
+        assert passes == [150]
+        assert [cell["variant"] for cell in report.cells] == [calibration.STRICT, calibration.RELAXED]
+
+
 class TestExternalDetector:
     def make_stub(self, tmp_path, points):
         path = tmp_path / "stub_detector.py"

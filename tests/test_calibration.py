@@ -1,6 +1,8 @@
 import functools
 import json
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -314,6 +316,63 @@ class TestThresholdTable:
         assert (tmp_path / "cache.json.unreadable").read_text() == newer
         assert ThresholdTable(path).get(self.key(seed=7)) == ThresholdPair(0.5, 3.0)
 
+    @pytest.mark.parametrize("content", [
+        [],
+        "x",
+        {"version": 1, "entries": [{"key": vars(segment_test_key(25)), "gamma1": 3.0, "gamma2": 1.0}]},
+        {"version": 1, "entries": [{"key": vars(segment_test_key(25)), "gamma1": 0.5, "gamma2": math.nan}]},
+    ], ids=["list", "string", "gammas_reversed", "nan_gamma"])
+    def test_invalid_content_is_set_aside(self, tmp_path, content):
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps(content))
+        assert ThresholdTable(path).entries == {}
+        assert not path.exists()
+        assert (tmp_path / "cache.json.unreadable").read_text() == json.dumps(content)
+
+    def test_threads_share_a_table(self, tmp_path):
+        # One thread puts new keys while another saves: no save may fail, and
+        # a save started after the last put holds every entry.
+        path = tmp_path / "cache.json"
+        table, errors, saved = ThresholdTable(path), [], threading.Event()
+
+        def putting():
+            for seed in range(2000):
+                if saved.is_set():
+                    break
+                table.put(segment_test_key(25, replicates=REPS, seed=seed), ThresholdPair(0.5, 3.0))
+
+        def saving():
+            for _ in range(20):
+                try:
+                    table.save()
+                except Exception as exc:
+                    errors.append(exc)
+            saved.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fn) for fn in (putting, saving)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        table.save()
+        assert ThresholdTable(path).entries == table.entries
+
+    def test_table_without_a_file_keeps_its_entries(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        table = ThresholdTable()
+        pair = cache_get_or_calibrate(table, self.key(seed=7))
+        table.save()
+        assert set(table.entries) == {self.key(seed=7), self.key(seed=7, variant=STRICT)}
+        assert cache_get_or_calibrate(table, self.key(seed=7)) == pair
+        assert list(tmp_path.iterdir()) == []
+
     def test_no_store_calibrates_without_persisting(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         pair = cache_get_or_calibrate(None, self.key(seed=7))
@@ -417,7 +476,7 @@ class TestSegmentQuantiles:
         sq = SegmentQuantiles(tmp_path / "cache.json", replicates=REPS, seed=3)
         assert sq(24) == sq(25) == sq(30)
         assert sq(430) == sq(500)
-        assert len(sq._memo) == 2
+        assert {key.n for key in sq.table.entries} == {25, 500}
 
     def test_every_step_count_memoised_to_its_grid_pair(self, monkeypatch):
         calls = []
@@ -434,7 +493,8 @@ class TestSegmentQuantiles:
         assert sorted(calls) == sorted(set(calls)) == list(SEGMENT_LENGTH_GRID)
         for n, pair in zip(steps, pairs):
             nearest = min(SEGMENT_LENGTH_GRID, key=lambda g: (abs(g - n), g))
-            assert pair == sq(nearest) == sq._memo[nearest]
+            stored = sq.table.get(segment_test_key(nearest, replicates=REPS, seed=3))
+            assert pair == sq(nearest) == (stored.gamma1, stored.gamma2)
 
     def test_grid_is_increasing(self):
         assert list(SEGMENT_LENGTH_GRID) == sorted(SEGMENT_LENGTH_GRID)

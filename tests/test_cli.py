@@ -195,6 +195,23 @@ class TestStatsAndDetect:
         assert [(key.c, key.c_star) for key in keys] == [expected]
         assert [(cfg.c, cfg.c_star) for cfg in configs] == [expected]
 
+    def test_detect_label_reads_the_cache_once(self, traj_csv, tmp_path, capsys, monkeypatch):
+        cache = tmp_path / "cache.json"
+        table = calibration.ThresholdTable(cache)
+        table.put(calibration.default_key(300, 30), ThresholdPair(0.74, 3.26))
+        for length in calibration.SEGMENT_LENGTH_GRID:
+            table.put(calibration.segment_test_key(length), ThresholdPair(0.6, 2.6))
+        table.save()
+        loads = []
+        load = calibration.ThresholdTable._load
+        monkeypatch.setattr(calibration.ThresholdTable, "_load", lambda t: loads.append(t) or load(t))
+        code, stdout, _ = run(
+            capsys, "detect", "--input", traj_csv, "--k", "30", "--label", "--cache", str(cache),
+        )
+        assert code == 0
+        assert len(loads) == 1
+        assert json.loads(stdout)["segments"]
+
     def test_detect_missing_input(self, capsys):
         code, _, stderr = run(
             capsys, "detect", "--input", "/no/such/file.csv", "--k", "30",
