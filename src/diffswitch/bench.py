@@ -31,6 +31,7 @@ from .calibration import (
 from .errors import DiffswitchError, InvalidParam, IoFailure
 from .rng import DEFAULT_SEED
 from .simulators import replicate_stacks, scenario_preset
+from .stats import SegmentStats
 from .trajectory import TimeGrid, Trajectory, save_csv
 
 DIFF_CATEGORIES = ("-2", "-1", "0", "1", "2+")
@@ -118,30 +119,33 @@ def _diff_category(n_hat, n_true):
     return DIFF_CATEGORIES[min(max(n_hat - n_true, -2), 2) + 2]
 
 
-def _outcomes(spec, trajs, config, do_label, quantiles):
-    """(change points, raw labels) per trajectory, or None where detection failed.
+def _outcomes(spec, stack, delta, config, lookup):
+    """(change points, raw labels) per row of a stack, or None where detection failed.
 
-    The built-in detector runs the whole batch in one call; if that
-    raises, the batch is run again one trajectory at a time, so only the
-    trajectories that fail on their own count as failures. An external
-    detector is called once per trajectory.
+    The built-in detector takes the whole stack, on time step `delta`,
+    through one detection.raw_batch; if that raises, it takes each row
+    again as its own stack[r:r+1], so only the rows that fail on their
+    own count as failures. An external detector is called once per row,
+    on a Trajectory written to CSV.
     """
 
-    def detect(batch):
+    def detect(rows):
         if spec.external_detector:
-            return [(_run_external(spec.external_detector, traj), None) for traj in batch]
-        reports = detection.run_batch(batch, config, labelling=do_label, quantiles=quantiles)
-        return [(report.change_points, report.raw_labels) for report in reports]
+            grid = TimeGrid(t0=0.0, delta=delta, n_steps=rows.shape[1] - 1)
+            trajs = [Trajectory(grid=grid, positions=row) for row in rows]
+            return [(_run_external(spec.external_detector, traj), None) for traj in trajs]
+        points, labels = detection.raw_batch(SegmentStats(rows, delta), config, lookup)[2:]
+        return list(zip(points, labels))
 
     if not spec.external_detector:
         try:
-            return detect(trajs)
+            return detect(stack)
         except DiffswitchError:
             pass
     outcomes = []
-    for traj in trajs:
+    for r in range(len(stack)):
         try:
-            outcomes += detect([traj])
+            outcomes += detect(stack[r : r + 1])
         except DiffswitchError:
             outcomes.append(None)
     return outcomes
@@ -150,25 +154,29 @@ def _outcomes(spec, trajs, config, do_label, quantiles):
 def run_cell(spec, param, k, thresholds, quantiles=None):
     """All replicates of one grid cell, tallied into a CellResult.
 
-    Replicates are simulated and detected a replicate_stacks stack at a
-    time. Replicate rep always draws from replicate_rng(seed, *cell, rep),
-    so the result does not depend on how replicates are batched.
+    Each replicate_stacks stack goes as one array, with the scenario's
+    time step, into the outcomes of its rows: no per-replicate Trajectory,
+    merge or report is built for the built-in detector. Labels read one
+    label_lookup for the whole cell. Replicate rep always draws from
+    replicate_rng(seed, *cell, rep), so the result does not depend on how
+    replicates are batched.
     """
     scenario = _scenario_spec(spec, param)
     truth = [r.diffusion_type() for r in scenario.regimes]
     n_true = len(scenario.change_points)
     config = detection.DetectionConfig(k=k, thresholds=thresholds)
     cell_tag = (spec.param_values.index(param), spec.k_values.index(k))
-    do_label = spec.label and quantiles is not None
-    grid = TimeGrid(t0=0.0, delta=scenario.delta, n_steps=scenario.n)
+    lookup = detection.label_lookup(quantiles) if spec.label and quantiles is not None else None
 
     counts = {cat: 0 for cat in DIFF_CATEGORIES}
     qualifying_points = []
     label_hits = label_total = failures = 0
     start = time.perf_counter()
     for stack in replicate_stacks(scenario, spec.seed, *cell_tag, replicates=spec.replicates):
-        trajs = [Trajectory(grid=grid, positions=row) for row in stack]
-        for outcome in _outcomes(spec, trajs, config, do_label, quantiles):
+        # A scenario whose paths overflow is an error, not a cell of failed replicates.
+        if not np.isfinite(stack).all():
+            raise InvalidParam("positions contain NaN or Inf")
+        for outcome in _outcomes(spec, stack, scenario.delta, config, lookup):
             if outcome is None:
                 failures += 1
                 continue

@@ -9,6 +9,7 @@ the recommended default. A JSON cache keyed by the full calibration key
 makes repeated runs free.
 """
 
+import bisect
 import json
 import math
 import os
@@ -35,6 +36,7 @@ CACHE_SCHEMA_VERSION = 1
 # Segment lengths (in steps) at which labelling quantiles are
 # precalibrated; arbitrary lengths snap to the nearest entry.
 SEGMENT_LENGTH_GRID = (25, 50, 100, 150, 200, 300, 500)
+_GRID_MIDPOINTS = [(a + b) / 2 for a, b in zip(SEGMENT_LENGTH_GRID, SEGMENT_LENGTH_GRID[1:])]
 
 
 @dataclass(frozen=True)
@@ -300,6 +302,11 @@ def cache_get_or_calibrate(store, key):
     return pairs[key]
 
 
+def grid_length(n_steps):
+    """The SEGMENT_LENGTH_GRID entry nearest to n_steps; a tie goes to the shorter one."""
+    return SEGMENT_LENGTH_GRID[bisect.bisect_left(_GRID_MIDPOINTS, n_steps)]
+
+
 class SegmentQuantiles:
     """Length-dependent labelling quantiles on a fixed grid of lengths.
 
@@ -312,15 +319,15 @@ class SegmentQuantiles:
         self.alpha = alpha
         self.replicates = replicates
         self.seed = seed
-        self._by_steps = {}  # any step count -> its grid length's (q1, q2)
+        self._by_length = {}  # grid length -> its (q1, q2)
 
     def __call__(self, n_steps):
-        if n_steps not in self._by_steps:
-            length = min(SEGMENT_LENGTH_GRID, key=lambda g: (abs(g - n_steps), g))
+        length = grid_length(n_steps)
+        if length not in self._by_length:
             key = segment_test_key(length, self.alpha, self.replicates, self.seed)
             pair = cache_get_or_calibrate(self.table, key)
-            self._by_steps[n_steps] = (pair.gamma1, pair.gamma2)
-        return self._by_steps[n_steps]
+            self._by_length[length] = (pair.gamma1, pair.gamma2)
+        return self._by_length[length]
 
 
 def estimate_type1_error(n, k, c, c_star, thresholds, replicates, seed):

@@ -125,10 +125,10 @@ def estimate_change_points(stats, clusters):
     Ties break to the smallest index.
     """
     gap, i0 = np.abs(stats.B - stats.A), stats.first_index
-    return [cl.start + int(np.argmax(gap[cl.start - i0 : cl.end - i0 + 1])) for cl in clusters]
+    return [cl.start + int(gap[cl.start - i0 : cl.end - i0 + 1].argmax()) for cl in clusters]
 
 
-def _as_lookup(quantiles):
+def label_lookup(quantiles):
     """Step count -> its (q1, q2) as a ThresholdPair, validated once per step count."""
 
     @cache
@@ -178,7 +178,7 @@ def label_segments(traj, change_points, quantiles):
     segment's step count to its pair (quantiles depend on length).
     Change points must be non-decreasing integers within 0 .. n.
     """
-    return _raw_labels(SegmentStats(traj), [change_points], _as_lookup(quantiles))[0]
+    return _raw_labels(SegmentStats(traj), [change_points], label_lookup(quantiles))[0]
 
 
 def merge_same_label(traj, change_points, labels, quantiles):
@@ -190,21 +190,18 @@ def merge_same_label(traj, change_points, labels, quantiles):
     """
     segments = SegmentStats(traj)
     segments.bounds([change_points])
-    return _merge(segments, 0, change_points, labels, _as_lookup(quantiles))
+    return _merge(segments, 0, change_points, labels, label_lookup(quantiles))
 
 
-def run_batch(trajectories, config, labelling=False, quantiles=None):
-    """Run the full detection procedure on trajectories of one length and time step.
+def raw_batch(segments, config, lookup=None):
+    """Detection up to the raw labels on every row of a SegmentStats, with no merge.
 
-    One SegmentStats feeds one sliding pass over the whole batch and one
-    labelling pass, around one clustering pass; change points are estimated
-    and labels merged trajectory by trajectory. Report r equals
-    run_procedure(trajectories[r], ...) exactly. An error in any
-    trajectory raises for the whole batch.
+    One sliding pass over the whole stack, one clustering pass, change
+    points estimated row by row and, given a label_lookup, one labelling
+    pass. Returns the lists (stats, clusters, change points, raw labels),
+    one entry per row; raw labels are None without a lookup. An error in
+    any row raises for the whole stack.
     """
-    if labelling and quantiles is None:
-        raise InvalidParam("labelling requires segment quantiles")
-    segments = SegmentStats(list(trajectories))
     batch = sliding_stats(segments, config.k, config.thresholds)
     if config.c > batch.Q.shape[-1]:
         raise InvalidParam("cluster window c exceeds the statistic range")
@@ -212,13 +209,27 @@ def run_batch(trajectories, config, labelling=False, quantiles=None):
     stats = [SlidingStats(batch.k, batch.first_index, *row) for row in arrays]
     clusters = find_clusters(batch.Q, config.c, config.c_star, first_index=batch.first_index)
     points = [estimate_change_points(s, cl) for s, cl in zip(stats, clusters)]
-    labels = [(None, None, None)] * len(stats)  # raw labels, merged points, merged labels
-    if labelling:
-        lookup = _as_lookup(quantiles)
-        raw = enumerate(zip(points, _raw_labels(segments, points, lookup)))
-        labels = [(l, *_merge(segments, r, p, l, lookup)) for r, (p, l) in raw]
-    return [ChangePointReport(config, cl, p, *lab, s)
-            for cl, p, lab, s in zip(clusters, points, labels, stats)]
+    labels = [None] * len(points) if lookup is None else _raw_labels(segments, points, lookup)
+    return stats, clusters, points, labels
+
+
+def run_batch(trajectories, config, labelling=False, quantiles=None):
+    """Run the full detection procedure on trajectories of one length and time step.
+
+    raw_batch on one SegmentStats of the whole batch, then labels merged
+    and reports built trajectory by trajectory. Report r equals
+    run_procedure(trajectories[r], ...) exactly. An error in any
+    trajectory raises for the whole batch.
+    """
+    if labelling and quantiles is None:
+        raise InvalidParam("labelling requires segment quantiles")
+    segments = SegmentStats(list(trajectories))
+    lookup = label_lookup(quantiles) if labelling else None
+    stats, clusters, points, raw = raw_batch(segments, config, lookup)
+    merged = [(None, None) if l is None else _merge(segments, r, p, l, lookup)
+              for r, (p, l) in enumerate(zip(points, raw))]
+    return [ChangePointReport(config, cl, p, l, *m, s)
+            for cl, p, l, m, s in zip(clusters, points, raw, merged, stats)]
 
 
 def run_procedure(traj, config, labelling=False, quantiles=None):

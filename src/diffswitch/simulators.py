@@ -107,28 +107,61 @@ class ScenarioSpec:
                 )
 
 
-def _advance(stack, lo, hi, regime, delta, rngs):
-    """Simulate `regime` over steps lo..hi of every row of a stack, in place.
+def _advance(stack, bounds, regimes, delta, rngs):
+    """Simulate regimes[j] over steps bounds[j] .. bounds[j+1] of every row of a stack, in place.
 
-    `stack` has shape (b, n+1, dim); each row continues from its position
-    at index lo and draws its noise from its own generator in `rngs`, so a
-    row does not depend on the rows it is stacked with. OU regimes with
-    theta unset anchor their equilibrium at that starting position.
+    `stack` has shape (b, n+1, dim) and each row continues from its
+    position at index bounds[0]. Row r draws only from rngs[r], in regime
+    order, so a row does not depend on the rows it is stacked with: one
+    standard-normal fill per maximal run of non-fBm regimes, straight into
+    the run's steps, and one (2, dim, 2n) draw per fBm regime. _piece then
+    gives each step the bits of Generator.normal(0.0, sd), 0.0 + sd * z,
+    drawn regime by regime.
     """
-    n, dim = hi - lo, stack.shape[-1]
-    start = stack[:, lo : lo + 1]
-    out = stack[:, lo + 1 : hi + 1]
+    pieces = list(zip(regimes, bounds, bounds[1:]))
+    draws = []  # (lo, hi, the fBm piece's index, or None for a run of other regimes)
+    for j, (regime, lo, hi) in enumerate(pieces):
+        fbm = regime.kind == FRACTIONAL_BROWNIAN
+        if not fbm and draws and draws[-1][2] is None:
+            draws[-1] = (draws[-1][0], hi, None)
+        else:
+            draws.append((lo, hi, j if fbm else None))
+    fbm_noise = {j: [] for _, _, j in draws if j is not None}
+    for row, rng in zip(stack, rngs):
+        for lo, hi, j in draws:
+            if j is None:
+                rng.standard_normal(out=row[lo + 1 : hi + 1])
+            else:
+                fbm_noise[j].append(rng.standard_normal((2, stack.shape[-1], 2 * (hi - lo))))
+    for j, (regime, lo, hi) in enumerate(pieces):
+        _piece(stack[:, lo : lo + 1], stack[:, lo + 1 : hi + 1], regime, delta, fbm_noise.get(j))
+
+
+def _piece(start, out, regime, delta, fbm_noise):
+    """Turn the noise in `out` (b, n, dim) into positions that continue from `start` (b, 1, dim).
+
+    `out` holds standard normals, except for an fBm regime, whose noise
+    is the list `fbm_noise` of each row's (2, dim, 2n) draw. OU regimes
+    with theta unset anchor their equilibrium at the starting position.
+    """
+    n, dim = out.shape[-2:]
     if regime.kind == ORNSTEIN_UHLENBECK:
-        # Exact AR(1) transition, one step of every row at a time.
+        # Exact AR(1) transition, one step of every row at a time, on a step-major copy
+        # (so each step is contiguous) with every ufunc writing into a buffer.
         a = math.exp(-regime.lam * delta)
         sd = regime.sigma * math.sqrt((1.0 - a * a) / (2.0 * regime.lam))
-        for row, rng in zip(out, rngs):
-            row[...] = rng.normal(0.0, sd, size=(n, dim))
+        steps = np.multiply(out.swapaxes(0, 1), sd, order="C")
+        steps += 0.0  # normal's loc: a -0.0 turns into +0.0
         theta = start[:, 0] if regime.theta is None else np.asarray(regime.theta, float)
-        prev = start[:, 0]
-        for step in range(n):
-            out[:, step] = theta + (prev - theta) * a + out[:, step]
-            prev = out[:, step]
+        prev, buf = start[:, 0], np.empty_like(start[:, 0])
+        for step in steps:
+            # step = theta + (prev - theta) * a + step, in that order.
+            np.subtract(prev, theta, buf)
+            np.multiply(buf, a, buf)
+            np.add(theta, buf, buf)
+            np.add(buf, step, step)
+            prev = step
+        out[...] = steps.swapaxes(0, 1)
         return
     if regime.kind == FRACTIONAL_BROWNIAN:
         # rho[j] is the lag-j autocovariance of unit fGn (rho[0] = 1).
@@ -142,15 +175,21 @@ def _advance(stack, lo, hi, regime, delta, rngs):
                 f"circulant embedding is not nonnegative definite at hurst={regime.hurst}"
             )
         np.maximum(lam, 0.0, out=lam)
-        z = np.stack([rng.standard_normal((2, dim, 2 * n)) for rng in rngs])
+        z = np.stack(fbm_noise)
         z = z[:, 0] + 1j * z[:, 1]
         fgn = np.fft.fft(np.sqrt(lam / (2 * n)) * z, axis=-1)[..., :n].real
         out[...] = (regime.sigma * delta**regime.hurst) * fgn.swapaxes(-1, -2)
     else:
-        for row, rng in zip(out, rngs):
-            row[...] = rng.normal(0.0, regime.sigma * math.sqrt(delta), size=(n, dim))
+        sd = regime.sigma * math.sqrt(delta)
+        if sd != 1.0:  # z * 1.0 is z
+            out *= sd
         if regime.kind == BROWNIAN_DRIFT:
+            # A drift v >= 0 gives the bits of adding normal's loc 0.0 first.
             out += (regime.v / math.sqrt(dim)) * delta
+        else:
+            # normal's loc: 0.0 + -0.0 is +0.0. A -0.0 step changes the cumulative sum below
+            # only where that sum is -0.0, which only a piece's first step can make it.
+            out[:, 0] += 0.0
     np.cumsum(out, axis=1, out=out)
     # Repeated rows add much faster than a broadcast start; paths from the origin need neither.
     if start.any():
@@ -161,7 +200,7 @@ def _one_path(grid, dim, regime, rng, start):
     stack = np.zeros((1, grid.n_steps + 1, dim))
     if start is not None:
         stack[0, 0] = start
-    _advance(stack, 0, grid.n_steps, regime, grid.delta, [rng])
+    _advance(stack, (0, grid.n_steps), (regime,), grid.delta, [rng])
     return Trajectory(grid=grid, positions=stack[0])
 
 
@@ -215,14 +254,14 @@ def compose_stack(spec, rngs, dim=2):
 
     Every path starts at the origin, and each regime continues from the
     last position of the previous one, so paths are continuous at change
-    points. Row r draws only from rngs[r], in regime order, so it equals
-    compose_scenario(spec, dim, rngs[r]) whatever it is stacked with.
+    points. Row r draws only from rngs[r], in regime order, straight into
+    its own steps (see _advance), so it equals compose_scenario(spec, dim,
+    rngs[r]) whatever it is stacked with, and leaves rngs[r] where drawing
+    each regime's normals in turn would.
     """
     rngs = list(rngs)
     stack = np.zeros((len(rngs), spec.n + 1, dim))
-    bounds = (0,) + spec.change_points + (spec.n,)
-    for j, regime in enumerate(spec.regimes):
-        _advance(stack, bounds[j], bounds[j + 1], regime, spec.delta, rngs)
+    _advance(stack, (0, *spec.change_points, spec.n), spec.regimes, spec.delta, rngs)
     return stack
 
 

@@ -91,8 +91,8 @@ def _unit_scaled(positions):
     return np.ldexp(positions, -exponent), exponent
 
 
-def _positions(traj):
-    """(positions, delta) of a Trajectory, a list of them or a unit-grid stack.
+def _positions(traj, delta=1.0):
+    """(positions, delta) of a Trajectory, a list of them or a stack on time step `delta`.
 
     A list of trajectories on one time step is stacked.
     """
@@ -106,7 +106,7 @@ def _positions(traj):
     pos = np.asarray(traj, dtype=float)
     if pos.ndim < 2:
         raise InvalidParam(f"need positions of shape (..., points, dim), got shape {pos.shape}")
-    return pos, 1.0
+    return pos, delta
 
 
 def _require_finite(*values):
@@ -122,11 +122,12 @@ class SegmentStats:
     included, is a slice of the same arrays. A segment's T equals
     statistic_T of that segment cut out as its own trajectory bit for bit,
     unless a value goes subnormal under the row's scale but not under the
-    segment's own: steps below 2**-500 of the row's largest.
+    segment's own: steps below 2**-500 of the row's largest. `delta` is
+    the time step of a stack of positions; a Trajectory carries its own.
     """
 
-    def __init__(self, traj):
-        pos, self.delta = _positions(traj)
+    def __init__(self, traj, delta=1.0):
+        pos, self.delta = _positions(traj, delta)
         self.shape, (length, self.dim) = pos.shape[:-2], pos.shape[-2:]
         self.pos, exponent = _unit_scaled(pos.reshape(-1, length, self.dim))
         self.exponent = exponent.reshape(self.shape)

@@ -27,6 +27,8 @@ from diffswitch.bench import (
 from diffswitch.calibration import SEGMENT_LENGTH_GRID
 from diffswitch.errors import InvalidParam, NoMotion
 from diffswitch.rng import replicate_rng
+from diffswitch.stats import SegmentStats
+from diffswitch.trajectory import TimeGrid, Trajectory
 
 THRESHOLDS = ThresholdPair(0.74, 3.26)  # published relaxed pair for n=300, k=30
 
@@ -202,6 +204,37 @@ class TestBatchedCell:
         cell = run_cell(spec, 2.0, 30, THRESHOLDS, quantiles=(0.6, 2.6))
         assert cell.failures == 1
         assert cell_fields(cell) == expected
+
+
+class TestRawBatch:
+    # A time step of 0.1, unlike 0.25, is not a power of two: it changes the bits of B, A and T.
+    @pytest.mark.parametrize("scenario", [simulators.scenario_preset(2, lam=0.5), CUSTOM,
+                                          dataclasses.replace(CUSTOM, delta=0.1)],
+                             ids=["preset2", "custom", "custom_delta0.1"])
+    @pytest.mark.parametrize("label", [False, True])
+    def test_rows_equal_run_batch_reports(self, monkeypatch, scenario, label):
+        stack = simulators.compose_stack(scenario, [replicate_rng(4, r) for r in range(12)])
+        grid = TimeGrid(t0=0.0, delta=scenario.delta, n_steps=scenario.n)
+        config = DetectionConfig(k=30, thresholds=THRESHOLDS)
+        quantiles = SegmentQuantiles(replicates=1000, seed=3) if label else None
+        reports = detection.run_batch([Trajectory(grid=grid, positions=row) for row in stack],
+                                      config, labelling=label, quantiles=quantiles)
+        rows = []
+        original = detection.estimate_change_points
+
+        def counting(stats, clusters):
+            rows.append(stats.B[0])
+            return original(stats, clusters)
+
+        # The raw stage finds estimate_change_points through the module, where tests inject faults.
+        monkeypatch.setattr(detection, "estimate_change_points", counting)
+        lookup = detection.label_lookup(quantiles) if label else None
+        segments = SegmentStats(stack, scenario.delta)
+        _, _, points, labels = detection.raw_batch(segments, config, lookup)
+        assert rows == [report.stats.B[0] for report in reports]
+        assert points == [report.change_points for report in reports]
+        assert labels == [report.raw_labels for report in reports]
+        assert any(points) and (any(labels) if label else not any(labels))
 
 
 class TestRunExperiment:

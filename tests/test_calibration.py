@@ -35,6 +35,7 @@ from diffswitch.calibration import (
     _window_order_min,
     calibrate_both,
     default_cluster_params,
+    grid_length,
     segment_test_key,
 )
 from diffswitch.errors import Degenerate, InvalidParam
@@ -498,6 +499,10 @@ class TestSegmentQuantiles:
 
     def test_grid_is_increasing(self):
         assert list(SEGMENT_LENGTH_GRID) == sorted(SEGMENT_LENGTH_GRID)
+
+    def test_grid_length_is_the_nearest_entry_ties_to_the_shorter(self):
+        for s in range(1001):
+            assert grid_length(s) == min(SEGMENT_LENGTH_GRID, key=lambda g: (abs(g - s), g)), s
 
     def test_works_without_store(self):
         sq = SegmentQuantiles(replicates=REPS, seed=3)

@@ -206,6 +206,48 @@ class TestScenario:
                 traj, _ = compose_scenario(spec, dim=dim, rng=replicate_rng(6, r))
                 assert np.array_equal(row, traj.positions)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stack_leaves_each_stream_where_piece_by_piece_draws_do(self, dim):
+        # Row equality cannot see a draw too many or too few at the end of a row.
+        for spec in (scenario_preset(1, v=1.0), scenario_preset(2, lam=1.0), mixed_spec(dim)):
+            rngs = [replicate_rng(6, r) for r in range(5)]
+            compose_stack(spec, rngs, dim=dim)
+            bounds = (0,) + spec.change_points + (spec.n,)
+            for r, rng in enumerate(rngs):
+                oracle = replicate_rng(6, r)
+                for lo, hi, regime in zip(bounds, bounds[1:], spec.regimes):
+                    if regime.kind == FRACTIONAL_BROWNIAN:
+                        oracle.standard_normal((2, dim, 2 * (hi - lo)))
+                    else:
+                        oracle.normal(0.0, regime.sigma, size=(hi - lo, dim))
+                assert np.array_equal(rng.random(4), oracle.random(4))
+
+    @pytest.mark.parametrize("sigma, delta", [(1.0, 1.0), (1.5, 0.3), (5e-324, 1.0)],
+                             ids=["unit_scale", "scaled", "signed_zeros"])
+    def test_rows_hold_the_bits_of_normal_draws_regime_by_regime(self, sigma, delta):
+        # A reference path from Generator.normal(0.0, sd) per regime; bytes also tell -0.0 from +0.0.
+        regimes = (BROWNIAN, ORNSTEIN_UHLENBECK, BROWNIAN, BROWNIAN_DRIFT)
+        spec = ScenarioSpec(n=120, change_points=(30, 60, 90), delta=delta,
+                            regimes=[RegimeSpec(kind=k, sigma=sigma, v=1.0, lam=0.5) for k in regimes])
+        bounds = (0,) + spec.change_points + (spec.n,)
+        stack = compose_stack(spec, [replicate_rng(8, r) for r in range(6)])
+        for r, row in enumerate(stack):
+            rng, expected = replicate_rng(8, r), np.zeros((spec.n + 1, 2))
+            for lo, hi, regime in zip(bounds, bounds[1:], spec.regimes):
+                start, n = expected[lo].copy(), hi - lo
+                if regime.kind == ORNSTEIN_UHLENBECK:
+                    a = math.exp(-regime.lam * delta)
+                    noise = rng.normal(0.0, sigma * math.sqrt((1.0 - a * a) / (2.0 * regime.lam)), (n, 2))
+                    for t in range(n):
+                        expected[lo + 1 + t] = start + (expected[lo + t] - start) * a + noise[t]
+                    continue
+                steps = rng.normal(0.0, sigma * math.sqrt(delta), (n, 2))
+                if regime.kind == BROWNIAN_DRIFT:
+                    steps += (regime.v / math.sqrt(2)) * delta
+                steps = np.cumsum(steps, axis=0)
+                expected[lo + 1 : hi + 1] = steps + start if start.any() else steps
+            assert row.tobytes() == expected.tobytes()
+
     def test_diffusion_types_are_segment_labels(self):
         regimes = [
             RegimeSpec(kind=BROWNIAN),

@@ -1,4 +1,4 @@
-"""Paired timing of the B/A kernel and a cold null pass from two source trees in one process.
+"""Paired timing of the B/A kernel, a cold null pass and the study layers from two source trees.
 
 Usage (from the root of a checkout):
 
@@ -11,12 +11,18 @@ them, and each round times the two trees back to back, alternating
 which one goes first. The kernel cases call `stats.backward_forward` on
 a random stack and compare B and A bit for bit; the null-pass case runs
 `calibration._null_pass` at (300, 30, 15, 12) with the segment test and
-compares its cut-offs. Standard output is one JSON object: per case, the
-median parent and change times, the median of the per-round ratios
-change / parent, and each tree's tracemalloc peak for one call.
+compares its cut-offs. The `compose_stack` case simulates 32 rows of the
+scenario-1 preset (v = 1), their 32 streams included, and compares the
+stacks bit for bit; the `run_cell` case runs one labelled scenario-2 cell
+(lam = 0.5, k = 30, 200 replicates, quantiles (0.6, 2.6)) and compares
+the cell's fields other than `runtime_s`. Standard output is one JSON
+object: per case, the median parent and change times, the median of the
+per-round ratios change / parent, and each tree's tracemalloc peak for
+one call.
 """
 
 import argparse
+import dataclasses
 import importlib.util
 import json
 import statistics
@@ -36,6 +42,8 @@ KERNEL_CASES = (
 )
 # The null-pass case: _null_pass arguments and calls per round.
 NULL_PASS = ((300, 0.05, 2002, 1), {"window": (30, 15, 12), "segment": True}, 1)
+# Calls per round of the compose_stack and run_cell cases.
+COMPOSE_CALLS, CELL_CALLS = 50, 1
 
 
 def load(src, name):
@@ -68,7 +76,22 @@ def by_value(result):
     """A view of a case's result that compares equal across the two trees' classes."""
     if isinstance(result, dict):
         return {variant: (pair.gamma1, pair.gamma2) for variant, pair in result.items()}
+    if dataclasses.is_dataclass(result):
+        fields = dataclasses.asdict(result)
+        del fields["runtime_s"]
+        return fields
     return [np.asarray(array).tobytes() for array in result]
+
+
+def compose_call(tree):
+    spec = tree.scenario_preset(1, v=1.0)
+    return lambda: tree.compose_stack(spec, tree.rng.replicate_rngs(1, reps=range(32)))
+
+
+def cell_call(tree):
+    spec = tree.ExperimentSpec(scenario=2, param_values=(0.5,), k_values=(30,), replicates=200)
+    pair = tree.ThresholdPair(0.74, 3.26)
+    return lambda: tree.bench.run_cell(spec, 0.5, 30, pair, quantiles=(0.6, 2.6))
 
 
 def run_case(name, calls_of_trees, calls, rounds):
@@ -106,6 +129,10 @@ def main(argv=None):
     pass_args, pass_kwargs, calls = NULL_PASS
     passes = [lambda tree=tree: tree.calibration._null_pass(*pass_args, **pass_kwargs) for tree in trees]
     result["null_pass_300_k30"] = run_case("null_pass_300_k30", passes, calls, args.rounds)
+    result["compose_stack_s1_32"] = run_case(
+        "compose_stack_s1_32", [compose_call(tree) for tree in trees], COMPOSE_CALLS, args.rounds)
+    result["run_cell_s2_lam0.5"] = run_case(
+        "run_cell_s2_lam0.5", [cell_call(tree) for tree in trees], CELL_CALLS, args.rounds)
     print(json.dumps({"rounds": args.rounds, "cases": result}, indent=1))
 
 
