@@ -10,6 +10,7 @@ makes repeated runs free.
 """
 
 import bisect
+import fcntl
 import json
 import math
 import os
@@ -219,6 +220,7 @@ class ThresholdTable:
             self._load()
 
     def _load(self):
+        """Add the file's entries that the table lacks; the table's own win on equal keys."""
         if not os.path.exists(self.path):
             return
         try:
@@ -226,38 +228,49 @@ class ThresholdTable:
                 doc = json.load(fh)
             if doc.get("version") != CACHE_SCHEMA_VERSION:
                 raise CorruptCache(f"schema version {doc.get('version')!r}")
-            for entry in doc["entries"]:
-                key = CalibrationKey(**entry["key"])
-                self.entries[key] = ThresholdPair(entry["gamma1"], entry["gamma2"])
+            found = {CalibrationKey(**entry["key"]): ThresholdPair(entry["gamma1"], entry["gamma2"])
+                     for entry in doc["entries"]}
         except (DiffswitchError, OSError, ValueError, KeyError, TypeError, AttributeError):
             # Unreadable, invalid or other-schema cache: move it aside so that
             # the next save cannot overwrite it, and recalibrate on demand.
-            self.entries = {}
             try:
                 os.replace(self.path, f"{self.path}.unreadable")
             except OSError:
                 pass
+            return
+        for key, pair in found.items():
+            self.entries.setdefault(key, pair)
 
     def save(self):
+        """Write the table merged with the file under an exclusive flock, so processes lose no entries.
+
+        The lock is on the directory, which unlike the file keeps its inode when the file is replaced.
+        """
         if self.path is None:
             return
         with self._lock:
-            doc = {
-                "version": CACHE_SCHEMA_VERSION,
-                "library_version": __version__,
-                "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                "entries": [
-                    {"key": vars(key), "gamma1": pair.gamma1, "gamma2": pair.gamma2}
-                    for key, pair in self.entries.items()
-                ],
-            }
             directory = os.path.dirname(os.path.abspath(self.path))
             try:
                 os.makedirs(directory, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(doc, fh, indent=2)
-                os.replace(tmp, self.path)
+                held = os.open(directory, os.O_RDONLY)
+                try:
+                    fcntl.flock(held, fcntl.LOCK_EX)
+                    self._load()
+                    doc = {
+                        "version": CACHE_SCHEMA_VERSION,
+                        "library_version": __version__,
+                        "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
+                        "entries": [
+                            {"key": vars(key), "gamma1": pair.gamma1, "gamma2": pair.gamma2}
+                            for key, pair in self.entries.items()
+                        ],
+                    }
+                    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+                    with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                        json.dump(doc, fh, indent=2)
+                    os.replace(tmp, self.path)
+                finally:
+                    os.close(held)  # releases the lock
             except OSError as exc:
                 raise IoFailure(f"cannot write cache {self.path}: {exc}") from exc
 

@@ -1,8 +1,11 @@
 import functools
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -45,6 +48,23 @@ from diffswitch.trajectory import TimeGrid
 # Small but honest replicate counts keep the unit suite fast; the
 # acceptance suite re-derives published values at full size.
 REPS = 1000
+
+# Run as `python -c SAVING_PROCESS path first replicates`: reads the table at path, says it is
+# ready, waits for the go file, then puts and saves keys first .. first + 49 one at a time.
+SAVING_PROCESS = """
+import os, sys, time
+from diffswitch.calibration import ThresholdTable, segment_test_key
+from diffswitch.stats import ThresholdPair
+path, first, replicates = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+folder = os.path.dirname(path)
+table = ThresholdTable(path)
+open(os.path.join(folder, f"ready{first}"), "w").close()
+while not os.path.exists(os.path.join(folder, "go")):
+    time.sleep(0.001)
+for seed in range(first, first + 50):
+    table.put(segment_test_key(25, replicates=replicates, seed=seed), ThresholdPair(0.5, 3.0))
+    table.save()
+"""
 
 
 class TestDefaults:
@@ -364,6 +384,39 @@ class TestThresholdTable:
         assert errors == []
         table.save()
         assert ThresholdTable(path).entries == table.entries
+
+    def test_processes_share_a_file(self, tmp_path):
+        # Two processes each put and save 50 keys, one at a time, into one file, starting
+        # together from tables read while it was empty: the file ends with all 100.
+        path = tmp_path / "cache.json"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        workers = [subprocess.Popen([sys.executable, "-c", SAVING_PROCESS, str(path), str(first), str(REPS)],
+                                    env=env) for first in (0, 50)]
+        try:
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline and not all(
+                    (tmp_path / f"ready{first}").exists() for first in (0, 50)):
+                time.sleep(0.01)
+            (tmp_path / "go").touch()
+            codes = [worker.wait(timeout=60) for worker in workers]
+        finally:
+            for worker in workers:
+                worker.kill()
+        assert codes == [0, 0]
+        expected = {segment_test_key(25, replicates=REPS, seed=seed) for seed in range(100)}
+        assert set(ThresholdTable(path).entries) == expected
+
+    def test_save_merges_the_file_and_keeps_its_own_pairs(self, tmp_path):
+        path = tmp_path / "cache.json"
+        first, second = (segment_test_key(25, replicates=REPS, seed=seed) for seed in (1, 2))
+        older, newer = ThresholdTable(path), ThresholdTable(path)
+        older.put(first, ThresholdPair(0.5, 3.0))
+        older.put(second, ThresholdPair(0.5, 3.0))
+        older.save()
+        newer.put(first, ThresholdPair(0.6, 2.9))
+        newer.save()
+        expected = {first: ThresholdPair(0.6, 2.9), second: ThresholdPair(0.5, 3.0)}
+        assert ThresholdTable(path).entries == expected
 
     def test_table_without_a_file_keeps_its_entries(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -272,33 +273,84 @@ def hard_rows(draw):
     return np.array(rows)
 
 
+@st.composite
+def segment_cases(draw):
+    """A SegmentStats of a random stack and segments of it, each row's tiling or one segment.
+
+    Rows have few or many steps, on both sides of EXACT_SUM_CUTOVER; some
+    may be still, and change points may repeat or sit at 0 and n.
+    """
+    rows, dim = draw(st.integers(1, 4)), draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 300) | st.integers(1000, 3000))
+    pos = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(rows, n + 1, dim))
+    pos = pos.cumsum(axis=1)
+    still = draw(st.lists(st.integers(0, rows - 1), max_size=rows))
+    pos[still] = pos[still, :1]
+    segments = SegmentStats(np.ldexp(pos, draw(st.sampled_from([-500, 0, 500]))))
+    if draw(st.booleans()):
+        cut = st.sampled_from([0, n // 2, n]) | st.integers(0, n)  # repeats and ends are common
+        return segments, [sorted(draw(st.lists(cut, max_size=6))) for _ in range(rows)]
+    lo, hi = sorted(draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
+    return segments, (draw(st.integers(0, rows - 1)), lo, hi)
+
+
+def count_fsum_calls(monkeypatch):
+    """The list of what each later stats.math.fsum call sums, as a list."""
+    calls, fsum = [], math.fsum
+    monkeypatch.setattr(stats.math, "fsum", lambda values: calls.append(list(values)) or fsum(values))
+    return calls
+
+
 class TestRowSums:
-    """stats._row_sums, the vectorised exact sum behind whole-row T."""
+    """stats._exact_sums, the one exact sum behind every step sum of SegmentStats."""
 
     @settings(max_examples=150, deadline=None)
     @given(hard_rows())
     def test_equals_fsum(self, x):
-        assert stats._row_sums(x) == [math.fsum(row) for row in x.tolist()]
+        rows = len(x)
+        with mock.patch.object(stats, "EXACT_SUM_CUTOVER", 0):  # the vectorised pass at any size
+            sums = stats._exact_sums(x, range(rows), [0] * rows, [x.shape[-1]] * rows)
+        assert sums == [math.fsum(row) for row in x.tolist()]
 
     def test_fallback_only_near_a_tie(self, monkeypatch):
-        rows = []
-        fsum = math.fsum
-        monkeypatch.setattr(stats.math, "fsum", lambda values: rows.append(values) or fsum(values))
+        rows = count_fsum_calls(monkeypatch)
+        monkeypatch.setattr(stats, "EXACT_SUM_CUTOVER", 0)
         # 1 + 2**-53 lies half-way between 1 and its successor and rounds to even.
         tie = [1.0, 2.0**-53, 0.0, 0.0, 0.0]
         # Just above that tie, by pieces each below half an ulp of the running residue sum,
         # which rounds them all away: only the rounding bound of the residues sends it to fsum.
         lost = np.nextafter(2.0**-107, 0.0)
         above = [1.0, 2.0**-53 - 2.0**-106, lost, lost, lost]
-        x = np.array([tie, above, [1.0, 2.0**-52, 0.0, 0.0, 0.0]])
-        assert stats._row_sums(x) == [1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-52]
-        assert rows == [tie, above]
-        rows.clear()
-        null = simulators.ScenarioSpec(300, (), (simulators.RegimeSpec(simulators.BROWNIAN),))
-        stack = next(simulators.replicate_stacks(null, 3, replicates=32))
-        segments = SegmentStats(stack)
-        assert segments.whole()[1].tolist() == [fsum(row) for row in segments.ssq.tolist()]
-        assert rows == []
+        # 1 + 3 * 2**-53 lies half-way too, and rounds up to even: the TwoSum error is negative.
+        tie_up = [1.0, 3 * 2.0**-53, 0.0, 0.0, 0.0]
+        x = np.array([tie, above, [1.0, 2.0**-52, 0.0, 0.0, 0.0], tie_up])
+        assert stats._exact_sums(x, range(4), [0] * 4, [5] * 4) == [
+            1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-52, 1.0 + 2.0**-51]
+        assert rows == [tie, above, tie_up]
+
+    @settings(max_examples=100, deadline=None)
+    @given(segment_cases())
+    def test_segments_equal_fsum(self, case):
+        segments, points = case
+        if isinstance(points, tuple):  # one segment, as the merge asks for it
+            sums, (row, lo, hi) = [segments.segment(*points)[1]], ([p] for p in points)
+        else:
+            sums, (row, lo, hi) = [total for _, total in segments.between(points)], segments.bounds(points)
+        assert sums == [math.fsum(segments.ssq[r, a:b].tolist()) for r, a, b in zip(row, lo, hi)]
+
+    def test_brownian_stacks_never_fall_back(self, monkeypatch):
+        fsum, calls = math.fsum, count_fsum_calls(monkeypatch)
+        rng = np.random.default_rng(11)
+        for n, rows, count in ((300, 32, 3), (50_000, 1, 20)):
+            null = simulators.ScenarioSpec(n, (), (simulators.RegimeSpec(simulators.BROWNIAN),))
+            segments = SegmentStats(next(simulators.replicate_stacks(null, 3, replicates=rows)))
+            assert segments.ssq.size >= stats.EXACT_SUM_CUTOVER
+            points = [np.sort(rng.choice(n, count - 1, replace=False)).tolist() for _ in range(rows)]
+            totals = [segments.whole()[1].tolist(), [total for _, total in segments.between(points)]]
+            row, lo, hi = segments.bounds(points)
+            assert calls == []
+            assert totals == [[fsum(r) for r in segments.ssq.tolist()],
+                              [fsum(segments.ssq[r, a:b].tolist()) for r, a, b in zip(row, lo, hi)]]
 
 
 class TestBackwardForward:

@@ -1,4 +1,4 @@
-"""Property tests of the CSV loader: the whole-file parse against the row loop."""
+"""Property tests of the CSV loader: the whole-file parse against the row loop, and its median step."""
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -121,3 +121,16 @@ class TestNonFiniteValues:
             assert (type(exc), str(exc)) == (expected[0], f"{path}:{lineno}: {expected[1]} is not finite")
         else:
             raise AssertionError("a non-finite field loaded")
+
+
+class TestMedian:
+    """trajectory._median, the time step load_csv infers, against np.median."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 30).flatmap(lambda half: st.lists(
+        st.builds(lambda m, e: m * 10.0**e, st.floats(1, 10), st.integers(-300, 299)),
+        min_size=2 * half + 1, max_size=2 * half + 2)))
+    def test_equals_np_median(self, values):
+        # Odd and even counts, magnitudes from 1e-300 to 1e300.
+        x = np.array(values)
+        assert trajectory._median(x).hex() == float(np.median(x)).hex()

@@ -15,7 +15,11 @@ compares its cut-offs. The `compose_stack` case simulates 32 rows of the
 scenario-1 preset (v = 1), their 32 streams included, and compares the
 stacks bit for bit; the `run_cell` case runs one labelled scenario-2 cell
 (lam = 0.5, k = 30, 200 replicates, quantiles (0.6, 2.6)) and compares
-the cell's fields other than `runtime_s`. Standard output is one JSON
+the cell's fields other than `runtime_s`. The segment cases call
+`SegmentStats.between` on random walks (1 x 301 with change points
+[100, 175], 32 x 301 with two random change points per row, 1 x 50,001
+with 19) or `SegmentStats.whole` (32 x 301), and compare every T and
+step sum bit for bit. Standard output is one JSON
 object: per case, the median parent and change times, the median of the
 per-round ratios change / parent, and each tree's tracemalloc peak for
 one call.
@@ -44,6 +48,29 @@ KERNEL_CASES = (
 NULL_PASS = ((300, 0.05, 2002, 1), {"window": (30, 15, 12), "segment": True}, 1)
 # Calls per round of the compose_stack and run_cell cases.
 COMPOSE_CALLS, CELL_CALLS = 50, 1
+
+
+def segment_cases():
+    """(name, stack, change points per row or None for whole rows, calls per round) of each segment case."""
+    rng = np.random.default_rng(20)
+
+    def walk(rows, points):
+        return rng.normal(size=(rows, points, 2)).cumsum(axis=1)
+
+    def cuts(n, count):
+        return np.sort(rng.choice(np.arange(1, n), count, replace=False)).tolist()
+
+    return (
+        ("between_1x301", walk(1, 301), [[100, 175]], 2000),
+        ("between_32x301", walk(32, 301), [cuts(300, 2) for _ in range(32)], 200),
+        ("between_1x50001", walk(1, 50_001), [cuts(50_000, 19)], 20),
+        ("whole_32x301", walk(32, 301), None, 200),
+    )
+
+
+def segment_call(tree, stack, points):
+    segments = tree.stats.SegmentStats(stack)
+    return segments.whole if points is None else lambda: segments.between(points)
 
 
 def load(src, name):
@@ -133,6 +160,9 @@ def main(argv=None):
         "compose_stack_s1_32", [compose_call(tree) for tree in trees], COMPOSE_CALLS, args.rounds)
     result["run_cell_s2_lam0.5"] = run_case(
         "run_cell_s2_lam0.5", [cell_call(tree) for tree in trees], CELL_CALLS, args.rounds)
+    for name, stack, points, calls in segment_cases():
+        calls_of_trees = [segment_call(tree, stack, points) for tree in trees]
+        result[name] = run_case(name, calls_of_trees, calls, args.rounds)
     print(json.dumps({"rounds": args.rounds, "cases": result}, indent=1))
 
 
