@@ -54,7 +54,6 @@ class ExperimentSpec:
     variant: str = RELAXED
     alpha: float = 0.05
     calib_replicates: int = 10_001
-    calib_seed: int = DEFAULT_SEED
     cache_path: str | None = None
     label: bool = True
     external_detector: str | None = None
@@ -219,7 +218,6 @@ def run_experiment(spec):
     if spec.label and not spec.external_detector:
         quantiles = SegmentQuantiles(
             store=table, alpha=spec.alpha, replicates=spec.calib_replicates,
-            seed=spec.calib_seed,
         )
     report = ExperimentReport(
         spec_summary={
@@ -234,7 +232,7 @@ def run_experiment(spec):
     for k in spec.k_values:
         key = default_key(
             n, k, variant=spec.variant, alpha=spec.alpha,
-            replicates=spec.calib_replicates, seed=spec.calib_seed,
+            replicates=spec.calib_replicates,
         )
         thresholds = cache_get_or_calibrate(table, key)
         for param in spec.param_values:
@@ -253,7 +251,6 @@ class Type1Spec:
     seed: int = DEFAULT_SEED
     alpha: float = 0.05
     calib_replicates: int = 10_001
-    calib_seed: int = DEFAULT_SEED
     cache_path: str | None = None
 
 
@@ -273,7 +270,7 @@ def run_type1_experiment(spec):
             for variant in spec.variants:
                 key = default_key(
                     n, k, variant=variant, alpha=spec.alpha,
-                    replicates=spec.calib_replicates, seed=spec.calib_seed,
+                    replicates=spec.calib_replicates,
                 )
                 thresholds = cache_get_or_calibrate(table, key)
                 start = time.perf_counter()

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._version import __version__
 from .detection import DetectionConfig, default_cluster_params, find_clusters
-from .errors import CorruptCache, Degenerate, DiffswitchError, InvalidParam, IoFailure
+from .errors import Degenerate, DiffswitchError, InvalidParam, IoFailure
 from .rng import DEFAULT_SEED
 from .simulators import BROWNIAN, RegimeSpec, ScenarioSpec, replicate_stacks
 from .stats import SegmentStats, ThresholdPair, backward_forward, sliding_stats, statistic_T
@@ -227,7 +227,7 @@ class ThresholdTable:
             with open(self.path, encoding="utf-8") as fh:
                 doc = json.load(fh)
             if doc.get("version") != CACHE_SCHEMA_VERSION:
-                raise CorruptCache(f"schema version {doc.get('version')!r}")
+                raise ValueError(f"schema version {doc.get('version')!r}")
             found = {CalibrationKey(**entry["key"]): ThresholdPair(entry["gamma1"], entry["gamma2"])
                      for entry in doc["entries"]}
         except (DiffswitchError, OSError, ValueError, KeyError, TypeError, AttributeError):

@@ -10,6 +10,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from dataclasses import replace
 
 from . import bench, calibration, detection
 from ._version import __version__
@@ -71,7 +72,7 @@ def _key_from_args(args, n, replicates=10_001, seed=DEFAULT_SEED):
 
 
 def _thresholds_from_args(args, n, store):
-    if args.gamma1 is not None and args.gamma2 is not None:
+    if args.gamma1 is not None:
         return ThresholdPair(args.gamma1, args.gamma2)
     return calibration.cache_get_or_calibrate(store, _key_from_args(args, n))
 
@@ -88,9 +89,11 @@ def _write_stats_csv(path, stats):
 
 def cmd_simulate(args):
     if args.scenario in ("1", "2"):
-        spec = scenario_preset(int(args.scenario), v=args.v, lam=args.lam, seed=args.seed)
+        spec = scenario_preset(int(args.scenario), v=args.v, lam=args.lam, seed=DEFAULT_SEED)
     else:
         spec = _load_scenario(args.scenario)
+    if args.seed is not None:  # an explicit --seed outranks a scenario file's own seed
+        spec = replace(spec, seed=args.seed)
     traj, truth = compose_scenario(spec)
     save_csv(traj, args.out)
     print(json.dumps({"out": args.out, "ground_truth": truth}))
@@ -175,7 +178,7 @@ def build_parser():
     p.add_argument("--lam", type=float, default=None, help="restoring force (scenario 2)")
     p.add_argument("--out", required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, seed=None)  # None: the preset's or the file's seed
 
     p = sub.add_parser("stats", help="emit per-index (i, B, A, Q) as CSV")
     p.add_argument("--input", required=True)
@@ -225,6 +228,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if (getattr(args, "gamma1", None) is None) != (getattr(args, "gamma2", None) is None):
+            raise InvalidParam("--gamma1 and --gamma2 must be given together")
         return args.func(args)
     except DiffswitchError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

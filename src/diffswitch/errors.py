@@ -47,7 +47,3 @@ class WindowTooLarge(DiffswitchError):
 
 class Degenerate(DiffswitchError):
     """Calibration parameters degenerate (e.g. order statistic rank 0)."""
-
-
-class CorruptCache(DiffswitchError):
-    """Threshold cache file failed to parse or has the wrong schema."""

@@ -170,20 +170,20 @@ class SegmentStats:
         # The last 0 keeps the offset of a zero-length last segment in range.
         sq = np.zeros(len(points) * self.n + 1)
         np.einsum("...i,...i->...", disp, disp, out=sq[:-1].reshape(disp.shape[:-1]))
-        peaks = np.maximum.reduceat(sq, np.cumsum(steps) - steps).tolist()
-        return self._statistics(lo, hi, peaks, totals)
+        peaks = np.maximum.reduceat(sq, np.cumsum(steps) - steps)
+        return list(zip(self._statistics(steps, peaks, totals).tolist(), totals))
 
     def segment(self, row, lo, hi):
         """(T, step sum) of segment [lo, hi] of one row."""
         disp = self.pos[row, lo + 1 : hi + 1] - self.pos[row, lo]
         peak = np.einsum("...i,...i->...", disp, disp).max(initial=0.0)
         total = _exact_sums(self.ssq[row : row + 1, lo:hi], [0], [0], [hi - lo])
-        return self._statistics([lo], [hi], [peak], total)[0]
+        return self._statistics(hi - lo, peak, total)[0].item(), total[0]
 
     def whole(self):
         """(T, step sum) arrays of whole rows, shaped like the stack; NoMotion if a row is still.
 
-        One _exact_sums call; T is _statistics' formula on arrays, with its bits wherever T is finite.
+        One _exact_sums call gives every step sum, and one _statistics call every T.
         """
         rows, n = len(self.pos), self.n
         # A repeated start point costs less than one broadcast over the (n, 1, dim) axis.
@@ -192,24 +192,19 @@ class SegmentStats:
         total = np.array(_exact_sums(self.ssq, range(rows), [0] * rows, [n] * rows))
         if (total == 0.0).any():
             raise NoMotion("all steps are zero; diffusion coefficient undefined")
-        with np.errstate(all="ignore"):  # as with Python floats, an extreme delta gives inf or NaN
-            T = np.sqrt(peaks) / np.sqrt(n * self.delta * (total / (n * self.dim * self.delta)))
-        return T.reshape(self.shape), total.reshape(self.shape)
+        return self._statistics(n, peaks, total).reshape(self.shape), total.reshape(self.shape)
 
-    def _statistics(self, lo, hi, peaks, totals):
-        """(T, step sum) of segments [lo, hi], given each one's largest squared distance and step sum.
+    def _statistics(self, steps, peaks, totals):
+        """T of segments of m = `steps` steps, given each one's largest squared distance and step sum.
 
         T = max_i ||X_{t_i} - X_{t_lo}|| / sqrt((t_hi - t_lo) sigma2_hat),
         with sigma2_hat = sum / (m d delta) over the m steps; sqrt is
         monotonic, so the root of the peak is the largest distance. T is
-        NaN for a segment without steps or motion.
+        NaN (0/0) for a segment without steps or motion.
         """
-        values = []
-        for a, b, peak, total in zip(lo, hi, peaks, totals):
-            m = b - a
-            spread = m * self.delta * (total / (m * self.dim * self.delta)) if total else 0.0
-            values.append((math.sqrt(peak) / math.sqrt(spread) if spread else math.nan, total))
-        return values
+        with np.errstate(all="ignore"):  # an extreme delta gives inf or NaN
+            spread = steps * self.delta * (np.asarray(totals) / (steps * self.dim * self.delta))
+            return np.sqrt(peaks) / np.sqrt(spread)
 
 
 def _exact_sums(x, row, lo, hi):
@@ -248,7 +243,10 @@ def _exact_sums(x, row, lo, hi):
     below, above = s - np.nextafter(s, -np.inf), np.nextafter(s, np.inf) - s
     # Twice the distance, not half the gap: half the least gap, 2**-1075, rounds to 0.
     for i in np.flatnonzero((2 * (bound - error) >= below) | (2 * (error + bound) >= above)):
-        s[i] = math.fsum(x[row[i], lo[i] : hi[i]].data)
+        # x >= 0, so q >= 0: a 0 high sum means every q is 0 and every residue its x, and a
+        # 0 low sum then means every x is 0. Such a still segment's sum, 0.0, is exact.
+        if high[i] or low[i]:
+            s[i] = math.fsum(x[row[i], lo[i] : hi[i]].data)
     return s.tolist()
 
 

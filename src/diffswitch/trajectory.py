@@ -6,15 +6,15 @@ them: LF, CRLF or CR line ends, blank lines and a missing final newline
 are all accepted, and a malformed row is reported with its line number.
 A file that is not UTF-8, or has a field over `csv.field_size_limit`,
 raises `MalformedRow`. A file with no quotes or lone CRs is parsed in one
-pass over the whole text; any other file, and every malformed one, goes
-row by row. A non-finite time stamp or position is reported with its
-line number. Non-uniform time grids are rejected rather than resampled:
-the detection statistics assume a constant lag.
+pass over the whole text; any other file, and every malformed or
+non-finite one, goes row by row. A non-finite time stamp or position is
+reported with its line number, unless a malformed row follows it.
+Non-uniform time grids are rejected rather than resampled: the
+detection statistics assume a constant lag.
 """
 
 import csv
 import io
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -102,14 +102,8 @@ def load_csv(path):
         raise MalformedRow(f"{path}: invalid UTF-8 at byte {exc.start}") from None
     del data
     table = _parse_whole(text)
-    if table is None:
+    if table is None or not np.isfinite(table).all():
         table = _parse_rows(text, path)
-    if not np.isfinite(table).all():
-        row = int(np.argmin(np.isfinite(table).all(axis=1)))
-        where = f"{path}:{_line_number(text, row)}"
-        if not np.isfinite(table[row, 0]):
-            raise NonUniformGrid(f"{where}: time stamp is not finite")
-        raise MalformedRow(f"{where}: position is not finite")
 
     if len(table) < 3:
         raise TooShort(f"{path}: need at least 3 points, got {len(table)}")
@@ -172,7 +166,7 @@ def _parse_whole(text):
 
 
 def _parse_rows(text, path):
-    """Parse row by row with `csv.reader`, raising on the first bad row."""
+    """Parse row by row with `csv.reader`; the first malformed row raises before any non-finite one."""
     # StringIO splits lines where the file object did, at \r, \n or \r\n only.
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
@@ -183,7 +177,7 @@ def _parse_rows(text, path):
         ncols = len(header)
         if ncols not in (3, 4):
             raise MalformedRow(f"{path}: header must have 3 or 4 columns, got {ncols}")
-        values = []
+        values, non_finite = [], None
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -193,17 +187,16 @@ def _parse_rows(text, path):
                 values.append([float(v) for v in row])
             except ValueError:
                 raise MalformedRow(f"{path}:{lineno}: non-numeric field")
+            if non_finite is None and not all(map(math.isfinite, values[-1])):
+                non_finite = lineno, math.isfinite(values[-1][0])
     except csv.Error as exc:
         raise MalformedRow(f"{path}:{reader.line_num}: {exc}") from None
+    if non_finite is not None:
+        lineno, finite_time = non_finite
+        if not finite_time:
+            raise NonUniformGrid(f"{path}:{lineno}: time stamp is not finite")
+        raise MalformedRow(f"{path}:{lineno}: position is not finite")
     return np.array(values, dtype=float).reshape(-1, ncols)
-
-
-def _line_number(text, row):
-    """Line number of data row `row` (0-based), as `_parse_rows` counts lines."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    next(reader)
-    lines = (lineno for lineno, fields in enumerate(reader, start=2) if fields)
-    return next(itertools.islice(lines, row, None))
 
 
 def save_csv(traj, path):

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from diffswitch import ThresholdPair, __version__, calibration, detection, load_csv
+from diffswitch import ThresholdPair, __version__, calibration, detection, load_csv, save_csv
 from diffswitch.cli import build_parser, main
-from diffswitch.simulators import scenario_preset, scenario_to_json
+from diffswitch.rng import DEFAULT_SEED
+from diffswitch.simulators import compose_scenario, scenario_preset, scenario_to_json
 
 
 def run(capsys, *argv):
@@ -79,6 +80,14 @@ class TestSimulate:
         run(capsys, "simulate", "--scenario", "2", "--lam", "1", "--out", str(b), "--seed", "2")
         assert a.read_text() != b.read_text()
 
+    @pytest.mark.parametrize("seed_flags, seed", [((), DEFAULT_SEED), (("--seed", "3"), 3)],
+                             ids=["default-seed", "seed-3"])
+    def test_preset_draws_from_its_seed(self, tmp_path, capsys, seed_flags, seed):
+        out, expected = tmp_path / "cli.csv", tmp_path / "library.csv"
+        run(capsys, "simulate", "--scenario", "1", "--v", "1", "--out", str(out), *seed_flags)
+        save_csv(compose_scenario(scenario_preset(1, v=1.0, seed=seed))[0], expected)
+        assert out.read_bytes() == expected.read_bytes()
+
 
 class TestScenarioFile:
     @pytest.mark.parametrize("command", ["simulate", "bench"])
@@ -125,6 +134,21 @@ class TestScenarioFile:
         assert code == 0
         assert json.loads(stdout)["ground_truth"] == [30, 50]
         assert load_csv(out).n_steps == 80
+
+    def test_seed_flag_sets_the_files_seed(self, tmp_path, capsys):
+        spec = scenario_preset(2, lam=1.0, n=80, change_points=(30, 50), seed=5)
+        path = tmp_path / "scenario.json"
+        path.write_text(scenario_to_json(spec))
+        outputs = {}
+        for name, flags in (("none", ()), ("5", ("--seed", "5")), ("1", ("--seed", "1")),
+                            ("2", ("--seed", "2")), ("random", ("--seed", "random"))):
+            out = tmp_path / f"{name}.csv"
+            code, _, _ = run(capsys, "simulate", "--scenario", str(path), "--out", str(out), *flags)
+            assert code == 0
+            outputs[name] = out.read_bytes()
+        save_csv(compose_scenario(spec)[0], tmp_path / "library.csv")
+        assert outputs["none"] == outputs["5"] == (tmp_path / "library.csv").read_bytes()
+        assert len({outputs[name] for name in ("none", "1", "2", "random")}) == 4
 
 
 class TestStatsAndDetect:
@@ -211,6 +235,23 @@ class TestStatsAndDetect:
         assert code == 0
         assert len(loads) == 1
         assert json.loads(stdout)["segments"]
+
+    @pytest.mark.parametrize("command", ["stats", "detect"])
+    @pytest.mark.parametrize("gamma", [("--gamma1", "5"), ("--gamma2", "3.26")], ids=["gamma1", "gamma2"])
+    def test_one_gamma_alone_is_a_domain_error(
+        self, traj_csv, tmp_path, capsys, monkeypatch, command, gamma
+    ):
+        def no_calibration(store, key):
+            raise AssertionError("calibrated without a full gamma pair")
+
+        monkeypatch.setattr(calibration, "cache_get_or_calibrate", no_calibration)
+        cache = tmp_path / "cache.json"
+        code, stdout, stderr = run(
+            capsys, command, "--input", traj_csv, "--k", "30", *gamma, "--cache", str(cache),
+        )
+        assert (code, stdout) == (1, "")
+        assert stderr == "InvalidParam: --gamma1 and --gamma2 must be given together\n"
+        assert not cache.exists()
 
     def test_detect_missing_input(self, capsys):
         code, _, stderr = run(

@@ -169,6 +169,34 @@ class TestSegmentStats:
         with pytest.raises(InvalidParam, match="shape \\(..., points, dim\\)"):
             SegmentStats(positions)
 
+    def test_empty_and_still_segments_give_nan(self):
+        pos = np.random.default_rng(8).normal(size=(301, 2)).cumsum(axis=0)
+        pos[100:161] = pos[100]  # 60 still steps
+        segments = SegmentStats(make(pos))
+        # [0, 100], [100, 100] without steps, [100, 160] still, [160, 300]
+        values = segments.between([[100, 100, 160]])
+        assert [math.isnan(T) for T, _ in values] == [False, True, True, False]
+        for lo, hi in ((100, 100), (100, 160), (120, 150)):
+            T, total = segments.segment(0, lo, hi)
+            assert math.isnan(T) and total == 0.0
+
+    @pytest.mark.parametrize("scale", [2.0**-500, 1.0, 2.0**500], ids=["2**-500", "1", "2**500"])
+    @pytest.mark.parametrize("delta", [1.0, 0.03])
+    def test_whole_row_T_is_one_value_on_every_path(self, delta, scale):
+        rows = 4
+        stack = scale * np.random.default_rng(9).normal(size=(rows, 301, 2)).cumsum(axis=1)
+        trajs = [make(p, delta) for p in stack]
+        segments = SegmentStats(trajs)
+        paths = [
+            segments.whole()[0].tolist(),
+            [T for T, _ in segments.between([[]] * rows)],
+            [segments.segment(r, 0, 300)[0] for r in range(rows)],
+            [statistic_T(t) for t in trajs],
+            statistic_T(trajs).tolist(),
+        ]
+        assert all(math.isfinite(T) for T in paths[0])
+        assert [[T.hex() for T in path] for path in paths] == [[T.hex() for T in paths[0]]] * len(paths)
+
 
 class TestStatisticT:
     def test_hand_computed(self):
@@ -351,6 +379,30 @@ class TestRowSums:
             assert calls == []
             assert totals == [[fsum(r) for r in segments.ssq.tolist()],
                               [fsum(segments.ssq[r, a:b].tolist()) for r, a, b in zip(row, lo, hi)]]
+
+    def test_still_segments_never_fall_back(self, monkeypatch):
+        calls = count_fsum_calls(monkeypatch)
+        stack = np.random.default_rng(12).normal(size=(32, 301, 2)).cumsum(axis=1)
+        stack[5] = stack[5, 0]  # a still row
+        stack[9, 120:181] = stack[9, 120]  # a 60-step still stretch
+        segments = SegmentStats(stack)
+        points = [[120, 180] if r == 9 else [50 + r, 200 + r] for r in range(32)]
+        totals = [total for _, total in segments.between(points)]
+        row, lo, hi = segments.bounds(points)
+        assert calls == []
+        assert totals == [math.fsum(segments.ssq[r, a:b].tolist()) for r, a, b in zip(row, lo, hi)]
+        assert totals.count(0.0) == 4
+
+    def test_segment_without_high_parts_still_falls_back(self, monkeypatch):
+        # Next to a 1.0, values near 2**-200 have no high part: all of their sum is residue.
+        # Scaled down, the above-a-tie row of test_fallback_only_near_a_tie then needs fsum.
+        lost = np.nextafter(2.0**-107, 0.0)
+        tiny = [v * 2.0**-200 for v in (1.0, 2.0**-53 - 2.0**-106, lost, lost, lost)]
+        expected = math.fsum(tiny)
+        calls = count_fsum_calls(monkeypatch)
+        monkeypatch.setattr(stats, "EXACT_SUM_CUTOVER", 0)
+        assert stats._exact_sums(np.array([[1.0, *tiny]]), [0], [1], [6]) == [expected]
+        assert calls == [tiny]
 
 
 class TestBackwardForward:

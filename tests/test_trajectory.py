@@ -96,6 +96,9 @@ class TestLoadCsvMessages:
             ('t,x,y\n0,0,0\n\n"1",1,0\n2,2,NaN\n3,3,0\n', MalformedRow, ":5: position is not finite"),
             ("t,x,y\n0,0,nan\n1,1,0\ninf,2,0\n", MalformedRow, ":2: position is not finite"),
             ("t,x,y\n0,0,0\n-inf,nan,0\n2,2,0\n", NonUniformGrid, ":3: time stamp is not finite"),
+            # A malformed row wins over a non-finite row before it, quoted or not.
+            ("t,x,y\n0,0,0\nnan,1,0\n2,2\n3,3,0\n", MalformedRow, ":4: expected 3 fields, got 2"),
+            ('t,x,y\n0,0,0\n1,inf,0\n"2",x,0\n3,3,0\n', MalformedRow, ":4: non-numeric field"),
             # Finite stamps whose span does not fit in a float.
             ("t,x,y\n-1.5e308,0,0\n0,1,0\n1.5e308,2,0\n", NonUniformGrid,
              ": time span overflows a float"),

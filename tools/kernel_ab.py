@@ -18,8 +18,10 @@ stacks bit for bit; the `run_cell` case runs one labelled scenario-2 cell
 the cell's fields other than `runtime_s`. The segment cases call
 `SegmentStats.between` on random walks (1 x 301 with change points
 [100, 175], 32 x 301 with two random change points per row, 1 x 50,001
-with 19) or `SegmentStats.whole` (32 x 301), and compare every T and
-step sum bit for bit. Standard output is one JSON
+with 19), `SegmentStats.whole` (32 x 301) or `SegmentStats.segment`, as
+the merge of two labels calls it (segment [100, 300] of 1 x 301, and a
+15,000-step segment of 1 x 50,001), and compare every T and step sum
+bit for bit. Standard output is one JSON
 object: per case, the median parent and change times, the median of the
 per-round ratios change / parent, and each tree's tracemalloc peak for
 one call.
@@ -51,7 +53,10 @@ COMPOSE_CALLS, CELL_CALLS = 50, 1
 
 
 def segment_cases():
-    """(name, stack, change points per row or None for whole rows, calls per round) of each segment case."""
+    """(name, stack, what to time, calls per round) of each segment case.
+
+    What to time is change points per row, one (row, lo, hi) segment, or None for whole rows.
+    """
     rng = np.random.default_rng(20)
 
     def walk(rows, points):
@@ -65,11 +70,15 @@ def segment_cases():
         ("between_32x301", walk(32, 301), [cuts(300, 2) for _ in range(32)], 200),
         ("between_1x50001", walk(1, 50_001), [cuts(50_000, 19)], 20),
         ("whole_32x301", walk(32, 301), None, 200),
+        ("segment_1x301", walk(1, 301), (0, 100, 300), 2000),
+        ("segment_1x50001", walk(1, 50_001), (0, 20_000, 35_000), 20),
     )
 
 
 def segment_call(tree, stack, points):
     segments = tree.stats.SegmentStats(stack)
+    if isinstance(points, tuple):
+        return lambda: segments.segment(*points)
     return segments.whole if points is None else lambda: segments.between(points)
 
 
