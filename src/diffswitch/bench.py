@@ -41,9 +41,10 @@ DIFF_CATEGORIES = ("-2", "-1", "0", "1", "2+")
 class ExperimentSpec:
     """A sweep of scenario parameters against window sizes.
 
-    `scenario` is 1, 2, or a ScenarioSpec template whose middle regime
-    is replaced per sweep value (for presets). `param_values` are drift
-    magnitudes (scenario 1) or restoring forces (scenario 2).
+    `scenario` is 1, 2, or a ScenarioSpec. `param_values` are drift
+    magnitudes (scenario 1) or restoring forces (scenario 2); a custom
+    ScenarioSpec runs unchanged at every value, which only tags its cell
+    and its replicate streams.
     """
 
     scenario: object
@@ -298,11 +299,11 @@ def report_to_dict(report):
     return {"spec": report.spec_summary, "cells": cells}
 
 
-def _fmt(value, digits=10):
+def _fmt(value):
     if value is None:
         return ""
     if isinstance(value, float):
-        return f"{value:.{digits}g}"
+        return f"{value:.10g}"
     return str(value)
 
 

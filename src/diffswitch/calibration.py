@@ -11,6 +11,7 @@ makes repeated runs free.
 
 import bisect
 import fcntl
+import functools
 import json
 import math
 import os
@@ -59,14 +60,15 @@ class CalibrationKey:
         if self.variant not in (STRICT, RELAXED, SEGMENT_TEST):
             raise InvalidParam(f"unknown variant {self.variant!r}")
         if self.variant != SEGMENT_TEST:
-            if not 1 <= self.c_star <= self.c:
-                raise InvalidParam(f"need 1 <= c_star <= c, got ({self.c_star}, {self.c})")
+            DetectionConfig(self.k, None, self.c, self.c_star)  # integers, k >= 1, 1 <= c_star <= c
             if self.c > self.n - 2 * self.k + 1:
                 raise InvalidParam("cluster window c exceeds the statistic range")
 
 
-def default_key(n, k, variant=RELAXED, alpha=0.05, replicates=10_001, seed=DEFAULT_SEED):
-    c, c_star = default_cluster_params(k)
+def default_key(n, k, variant=RELAXED, alpha=0.05, replicates=10_001, seed=DEFAULT_SEED,
+                c=None, c_star=None):
+    """The key of a window variant; unset c and c_star are resolved by default_cluster_params."""
+    c, c_star = default_cluster_params(k, c, c_star)
     return CalibrationKey(
         n=n, k=k, c=c, c_star=c_star, alpha=alpha, variant=variant,
         replicates=replicates, seed=seed,
@@ -299,20 +301,16 @@ def cache_get_or_calibrate(store, key):
     hit = table.get(key)
     if hit is not None:
         return hit
-    if key.variant == SEGMENT_TEST:
-        pairs = {key: calibrate_segment_test(key.n, key.alpha, key.replicates, key.seed)}
-    else:
-        sibling = segment_test_key(key.n, key.alpha, key.replicates, key.seed)
-        segment = (table.path is not None and key.n in SEGMENT_LENGTH_GRID
-                   and sibling not in table.entries)
-        found = _null_pass(key.n, key.alpha, key.replicates, key.seed,
-                           window=(key.k, key.c, key.c_star), segment=segment)
-        pairs = {sibling if variant == SEGMENT_TEST else replace(key, variant=variant): p
-                 for variant, p in found.items()}
-    for stored_key, p in pairs.items():
-        table.put(stored_key, p)
+    window = None if key.variant == SEGMENT_TEST else (key.k, key.c, key.c_star)
+    segment_key = (key if window is None
+                   else segment_test_key(key.n, key.alpha, key.replicates, key.seed))
+    segment = window is None or (table.path is not None and key.n in SEGMENT_LENGTH_GRID
+                                 and segment_key not in table.entries)
+    found = _null_pass(key.n, key.alpha, key.replicates, key.seed, window=window, segment=segment)
+    for variant, pair in found.items():
+        table.put(segment_key if variant == SEGMENT_TEST else replace(key, variant=variant), pair)
     table.save()
-    return pairs[key]
+    return found[key.variant]
 
 
 def grid_length(n_steps):
@@ -329,16 +327,13 @@ class SegmentQuantiles:
 
     def __init__(self, store=None, alpha=0.05, replicates=10_001, seed=DEFAULT_SEED):
         self.table = _as_table(store)
-        self.alpha = alpha
-        self.replicates = replicates
-        self.seed = seed
+        self._key = functools.partial(segment_test_key, alpha=alpha, replicates=replicates, seed=seed)
         self._by_length = {}  # grid length -> its (q1, q2)
 
     def __call__(self, n_steps):
         length = grid_length(n_steps)
         if length not in self._by_length:
-            key = segment_test_key(length, self.alpha, self.replicates, self.seed)
-            pair = cache_get_or_calibrate(self.table, key)
+            pair = cache_get_or_calibrate(self.table, self._key(length))
             self._by_length[length] = (pair.gamma1, pair.gamma2)
         return self._by_length[length]
 
@@ -350,8 +345,7 @@ def estimate_type1_error(n, k, c, c_star, thresholds, replicates, seed):
     """
     if replicates < 500:
         raise InvalidParam(f"need at least 500 replicates, got {replicates}")
-    # DetectionConfig's and CalibrationKey's checks (any alpha) of k, c and c_star against n.
-    DetectionConfig(k, thresholds, c, c_star)
+    # CalibrationKey's checks (any alpha) of k, c and c_star against n.
     CalibrationKey(n, k, c, c_star, 0.05, RELAXED, replicates, seed)
     hits = 0
     for stack in replicate_stacks(_null(n), seed, replicates=replicates):

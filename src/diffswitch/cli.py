@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from . import bench, calibration, detection
 from ._version import __version__
-from .calibration import CACHE_SCHEMA_VERSION, RELAXED, STRICT, CalibrationKey
+from .calibration import CACHE_SCHEMA_VERSION, RELAXED, STRICT
 from .errors import DiffswitchError, InvalidParam, IoFailure
 from .rng import DEFAULT_SEED
 from .simulators import compose_scenario, scenario_from_json, scenario_preset
@@ -64,17 +64,12 @@ def _load_scenario(path):
         raise InvalidParam(f"{path}: not a scenario document: {exc}") from None
 
 
-def _key_from_args(args, n, replicates=10_001, seed=DEFAULT_SEED):
-    c, c_star = detection.default_cluster_params(
-        args.k, getattr(args, "c", None), getattr(args, "c_star", None)
-    )
-    return CalibrationKey(n, args.k, c, c_star, args.alpha, args.variant, replicates, seed)
-
-
 def _thresholds_from_args(args, n, store):
     if args.gamma1 is not None:
         return ThresholdPair(args.gamma1, args.gamma2)
-    return calibration.cache_get_or_calibrate(store, _key_from_args(args, n))
+    key = calibration.default_key(n, args.k, args.variant, args.alpha,
+                                  c=getattr(args, "c", None), c_star=getattr(args, "c_star", None))
+    return calibration.cache_get_or_calibrate(store, key)
 
 
 def _write_stats_csv(path, stats):
@@ -108,7 +103,8 @@ def cmd_stats(args):
 
 
 def cmd_calibrate(args):
-    key = _key_from_args(args, args.n, args.replicates, args.seed)
+    key = calibration.default_key(args.n, args.k, args.variant, args.alpha, args.replicates,
+                                  args.seed, args.c, args.c_star)
     pair = calibration.cache_get_or_calibrate(args.cache, key)
     print(json.dumps({"gamma1": pair.gamma1, "gamma2": pair.gamma2, "key": vars(key)}))
     return 0
@@ -205,7 +201,7 @@ def build_parser():
     p = sub.add_parser("bench", help="run a Monte Carlo benchmark sweep")
     p.add_argument("--scenario", default="1", help="1, 2, or a scenario JSON file")
     p.add_argument("--sweep", type=float, nargs="+", default=[1.0],
-                   help="drift or restoring-force values")
+                   help="drift or restoring-force values (a scenario file runs unchanged at each)")
     p.add_argument("--k-list", type=int, nargs="+", default=[30])
     p.add_argument("--n-list", type=int, nargs="+", default=[150, 300],
                    help="trajectory lengths (type-1 mode)")

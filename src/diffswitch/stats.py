@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParam, NoMotion, NoMotionWindow, OutOfBounds, TooShort, WindowTooLarge
 from .trajectory import Trajectory
@@ -335,6 +336,10 @@ def backward_forward(traj, k):
     sig2_back, sig2_fwd = win[:, :m], win[:, k : k + m]
     bad = (sig2_back == 0) | (sig2_fwd == 0)
     if bad.any():
+        # A still window whose unit-scaled positions move holds squares that underflowed.
+        held = sliding_window_view(np.diff(segments.pos, axis=-2).any(-1), k, axis=-1).any(-1)
+        if ((held[:, :m] & (sig2_back == 0)) | (held[:, k : k + m] & (sig2_fwd == 0))).any():
+            raise InvalidParam("squared steps underflow; positions span too wide a dynamic range")
         raise NoMotionWindow(k + int(np.nonzero(bad)[-1].min()))
 
     # Column u of a block's peaks is its point u + k; row r of the block starts at r (n + 1).

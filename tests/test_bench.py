@@ -101,8 +101,8 @@ class TestRunCell:
             calls.append(n)
             return original(n, *args, **kwargs)
 
-        original = calibration.calibrate_segment_test
-        monkeypatch.setattr(calibration, "calibrate_segment_test", counting)
+        original = calibration._null_pass
+        monkeypatch.setattr(calibration, "_null_pass", counting)
         quantiles = SegmentQuantiles(replicates=1000, seed=3)
         spec = spec_1(replicates=20, label=True)
         run_cell(spec, 2.0, 30, THRESHOLDS, quantiles=quantiles)
@@ -116,6 +116,13 @@ class TestRunCell:
         a = run_cell(spec_1(), 2.0, 30, THRESHOLDS)
         b = run_cell(spec_1(), 2.0, 30, THRESHOLDS)
         assert a.proportions == b.proportions and a.tau_mean == b.tau_mean
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_scenario_is_an_error_not_failures(self):
+        brownian, drift = RegimeSpec(kind="brownian"), RegimeSpec(kind="brownian_drift", v=1e308)
+        scenario = ScenarioSpec(n=300, change_points=(100, 175), regimes=(brownian, drift, brownian))
+        with pytest.raises(InvalidParam, match="positions contain NaN or Inf"):
+            run_cell(spec_1(scenario=scenario), 2.0, 30, THRESHOLDS)
 
 
 # Non-unit time step, an OU piece with a fixed equilibrium and an fBm piece.
@@ -255,6 +262,26 @@ class TestRunExperiment:
             return doc
 
         assert strip(report_to_dict(again)) == strip(report_to_dict(report))
+
+    def test_labelled_sweep_fills_and_then_reads_the_cache(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.json"
+        spec = spec_1(scenario=2, param_values=(1.0,), label=True, cache_path=str(path))
+        report = run_experiment(spec)
+        assert all(cell.label_accuracy is not None for cell in report.cells)
+        pair = calibration.default_key(300, 30, replicates=1000)
+        keys = set(calibration.ThresholdTable(path).entries)
+        segment_keys = {key for key in keys if key.variant == calibration.SEGMENT_TEST}
+        assert keys - segment_keys == {pair, dataclasses.replace(pair, variant=calibration.STRICT)}
+        assert segment_keys and {key.n for key in segment_keys} <= set(SEGMENT_LENGTH_GRID)
+        assert all(key == calibration.segment_test_key(key.n, replicates=1000)
+                   for key in segment_keys)
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a warm cache calibrated")
+
+        monkeypatch.setattr(calibration, "_null_pass", no_pass)
+        again = run_experiment(spec)
+        assert [cell_fields(c) for c in again.cells] == [cell_fields(c) for c in report.cells]
 
     def test_type1_grid(self, tmp_path):
         spec = Type1Spec(

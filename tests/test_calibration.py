@@ -94,6 +94,21 @@ class TestDefaults:
             CalibrationKey(n=70, k=30, c=15, c_star=12, alpha=0.05,
                            variant=RELAXED, replicates=1000, seed=1)
 
+    @pytest.mark.parametrize("c, c_star, expected", [
+        (None, None, (15, 12)), (20, None, (20, 15)), (None, 10, (15, 10)), (20, 9, (20, 9)),
+    ])
+    def test_default_key_resolves_cluster_params(self, c, c_star, expected):
+        key = default_key(300, 30, c=c, c_star=c_star)
+        assert (key.c, key.c_star) == expected
+
+    def test_hand_edited_non_integer_entry_is_set_aside(self, tmp_path):
+        key = vars(default_key(300, 30)) | {"k": 30.0}
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps({"version": 1, "entries": [
+            {"key": key, "gamma1": 0.74, "gamma2": 3.26}]}))
+        assert ThresholdTable(path).entries == {}
+        assert (tmp_path / "cache.json.unreadable").exists()
+
 
 class TestOrderRank:
     def test_strict_halves(self):
@@ -525,6 +540,35 @@ class TestSharedNullPass:
         assert ThresholdTable(tmp_path / "cache.json").get(self.SIBLING) == sentinel
 
 
+class TestMissPath:
+    """Every miss is one _null_pass call; its reductions follow the key and the table."""
+
+    PAIR = default_key(150, 20, replicates=REPS, seed=4)
+    WINDOW = (20, 10, 8)
+
+    @pytest.mark.parametrize("case, key, expected", [
+        ("file", PAIR, (WINDOW, True)),
+        ("memory", PAIR, (WINDOW, False)),
+        ("file", default_key(140, 20, replicates=REPS, seed=4), (WINDOW, False)),
+        ("file", segment_test_key(150, replicates=REPS, seed=4), (None, True)),
+        ("stored", PAIR, (WINDOW, False)),
+    ], ids=["pair_on_grid", "pair_in_memory", "pair_off_grid", "segment", "segment_stored"])
+    def test_one_null_pass_per_miss(self, tmp_path, monkeypatch, case, key, expected):
+        calls = []
+        null_pass = calibration._null_pass
+
+        def spying(n, alpha, replicates, seed, window=None, segment=False):
+            calls.append((n, window, segment))
+            return null_pass(n, alpha, replicates, seed, window=window, segment=segment)
+
+        table = ThresholdTable(None if case == "memory" else tmp_path / "cache.json")
+        if case == "stored":
+            table.put(segment_test_key(150, replicates=REPS, seed=4), ThresholdPair(0.5, 3.0))
+        monkeypatch.setattr(calibration, "_null_pass", spying)
+        cache_get_or_calibrate(table, key)
+        assert calls == [(key.n, *expected)]
+
+
 class TestSegmentQuantiles:
     def test_snaps_to_grid_and_memoises(self, tmp_path):
         sq = SegmentQuantiles(tmp_path / "cache.json", replicates=REPS, seed=3)
@@ -539,8 +583,8 @@ class TestSegmentQuantiles:
             calls.append(n)
             return original(n, *args, **kwargs)
 
-        original = calibration.calibrate_segment_test
-        monkeypatch.setattr(calibration, "calibrate_segment_test", counting)
+        original = calibration._null_pass
+        monkeypatch.setattr(calibration, "_null_pass", counting)
         sq = SegmentQuantiles(replicates=REPS, seed=3)
         steps = list(range(1, 700, 7)) * 2
         pairs = [sq(n) for n in steps]

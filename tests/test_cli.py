@@ -182,6 +182,15 @@ class TestStatsAndDetect:
         assert code == 0
         assert stdout.splitlines()[0] == "i,B,A,Q"
 
+    def test_detect_stats_csv_equals_stats(self, traj_csv, tmp_path, capsys):
+        pair = ("--k", "30", "--gamma1", "0.74", "--gamma2", "3.26")
+        stats_out, detect_out = tmp_path / "stats.csv", tmp_path / "detect.csv"
+        assert run(capsys, "stats", "--input", traj_csv, *pair, "--out", str(stats_out))[0] == 0
+        with_csv = run(capsys, "detect", "--input", traj_csv, *pair, "--stats-csv", str(detect_out))
+        assert with_csv == run(capsys, "detect", "--input", traj_csv, *pair)
+        assert with_csv[0] == 0
+        assert detect_out.read_bytes() == stats_out.read_bytes()
+
     def test_detect_with_explicit_thresholds(self, traj_csv, capsys):
         code, stdout, _ = run(
             capsys, "detect", "--input", traj_csv, "--k", "30",
@@ -330,3 +339,30 @@ class TestBench:
             assert (out / name).exists()
         doc = json.loads((out / "report.json").read_text())
         assert doc["cells"][0]["n"] == 300
+
+    def test_experiment_mode_reads_a_warm_cache(self, tmp_path, capsys, monkeypatch):
+        cache, out = tmp_path / "cache.json", tmp_path / "bench"
+        table = calibration.ThresholdTable(cache)
+        table.put(calibration.default_key(300, 30), ThresholdPair(0.74, 3.26))
+        for length in calibration.SEGMENT_LENGTH_GRID:
+            table.put(calibration.segment_test_key(length), ThresholdPair(0.6, 2.6))
+        table.save()
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a warm cache calibrated")
+
+        monkeypatch.setattr(calibration, "_null_pass", no_pass)
+        code, stdout, _ = run(
+            capsys, "bench", "--scenario", "1", "--sweep", "2", "--k-list", "30",
+            "--replicates", "10", "--cache", str(cache), "--out", str(out),
+        )
+        assert code == 0
+        assert json.loads(stdout) == {"out": str(out), "cells": 1}
+        assert json.loads((out / "report.json").read_text())["cells"][0]["label_accuracy"] is not None
+        assert (out / "report.csv").read_text().splitlines()[0] == (
+            "param,k,p(-2),p(-1),p(0),p(1),p(2+),n_qualifying,"
+            "tau1_mean,tau1_sd,tau2_mean,tau2_sd,label_accuracy"
+        )
+        assert (out / "report.md").read_text().splitlines()[0] == (
+            "| v/lam | k | -2 | -1 | 0 | 1 | >=2 | tau1 (SD) | tau2 (SD) |"
+        )

@@ -594,6 +594,36 @@ class TestBackwardForward:
             backward_forward(traj, 5)
         assert exc.value.index == 5
 
+    @staticmethod
+    def outlier_track(exponent=None, still=None):
+        """n=300 Brownian positions, step 150 scaled by 2**exponent, steps still[0]:still[1] zero."""
+        steps = np.random.default_rng(1).normal(size=(300, 2))
+        if exponent is not None:
+            steps[150] *= 2.0**exponent
+        if still is not None:
+            steps[slice(*still)] = 0.0
+        return np.cumsum(np.vstack([np.zeros((1, 2)), steps]), axis=0)
+
+    def test_underflowing_squares_are_a_range_error(self):
+        # Under the row's unit scale every other step squares to 0, yet the windows move.
+        pos = self.outlier_track(540)
+        with pytest.raises(InvalidParam, match="dynamic range"):
+            backward_forward(make(pos), 30)
+        with pytest.raises(InvalidParam, match="dynamic range"):
+            backward_forward(np.stack([self.outlier_track(), pos]), 30)
+
+    @pytest.mark.parametrize("exponent", [500, 520])
+    def test_positions_absorbed_by_an_outlier_are_still(self, exponent):
+        # The cumulative sum absorbs the unit steps: the stored positions after 151 are constant.
+        with pytest.raises(NoMotionWindow) as exc:
+            backward_forward(make(self.outlier_track(exponent)), 30)
+        assert exc.value.index == 151
+
+    def test_still_stretch_is_still_no_motion(self):
+        with pytest.raises(NoMotionWindow) as exc:
+            backward_forward(make(self.outlier_track(still=(120, 150))), 30)
+        assert exc.value.index == 120
+
 
 class TestSlidingStats:
     def test_q_is_difference(self, brownian_300, relaxed_300_30):
