@@ -28,7 +28,6 @@ from .calibration import (
     SegmentQuantiles,
     ThresholdTable,
     cache_get_or_calibrate,
-    calibrate_segment_test,
     default_key,
     estimate_type1_error,
 )
@@ -53,7 +52,7 @@ __all__ = [
     "SlidingStats", "ThresholdPair", "phi", "backward_forward",
     "estimate_sigma2", "statistic_T", "sliding_stats",
     "CalibrationKey", "ThresholdTable", "SegmentQuantiles",
-    "calibrate_segment_test", "cache_get_or_calibrate", "default_key",
+    "cache_get_or_calibrate", "default_key",
     "estimate_type1_error",
     "DetectionConfig", "Cluster", "ChangePointReport", "find_clusters",
     "estimate_change_points", "label_segments", "merge_same_label", "run_batch",

@@ -57,6 +57,9 @@ class CalibrationKey:
     def __post_init__(self):
         if not 0 < self.alpha < 1:
             raise InvalidParam(f"alpha must be in (0, 1), got {self.alpha}")
+        if not all(isinstance(v, (int, np.integer)) for v in (self.n, self.replicates, self.seed)):
+            raise InvalidParam(
+                f"n, replicates and seed must be integers, got {(self.n, self.replicates, self.seed)!r}")
         if self.variant not in (STRICT, RELAXED, SEGMENT_TEST):
             raise InvalidParam(f"unknown variant {self.variant!r}")
         if self.variant != SEGMENT_TEST:
@@ -78,8 +81,6 @@ def default_key(n, k, variant=RELAXED, alpha=0.05, replicates=10_001, seed=DEFAU
 def _order_rank(variant, c, c_star):
     """1-based rank q of the d order statistic; the D side uses c - q."""
     q = math.ceil(c_star / 2) if variant == STRICT else c_star
-    if q < 1:
-        raise Degenerate(f"order-statistic rank {q} < 1")
     if c - q < 1:
         raise Degenerate(f"complementary rank c - q = {c - q} < 1 (c_star too close to c)")
     return q
@@ -150,10 +151,10 @@ def _null_pass(n, alpha, replicates, seed, window=None, segment=False):
 
     Each stack feeds every requested reduction: with `window` = (k, c,
     c_star), the strict and relaxed windowed order-statistic extremes;
-    with `segment`, the SEGMENT_TEST whole-row statistic T.
+    with `segment`, the SEGMENT_TEST whole-row statistic T. The strict pair
+    lies outside the relaxed one, from the same replicates. The one caller,
+    cache_get_or_calibrate, passes the fields of a key, which checked them.
     """
-    if not 0 < alpha < 1:
-        raise InvalidParam(f"alpha must be in (0, 1), got {alpha}")
     if replicates < 1000:
         raise InvalidParam(f"need at least 1000 replicates, got {replicates}")
     k, c, c_star = window or (None, None, None)
@@ -182,26 +183,6 @@ def _null_pass(n, alpha, replicates, seed, window=None, segment=False):
     T = np.sort(np.concatenate(T)) if segment else None
     return ({v: ThresholdPair(lo, -hi) for v, lo, hi in zip((STRICT, RELAXED), low, high)}
             | ({SEGMENT_TEST: ThresholdPair(float(T[i_lo]), float(T[i_hi]))} if segment else {}))
-
-
-def calibrate_both(n, k, c, c_star, alpha, replicates, seed):
-    """Calibrate strict and relaxed pairs from one shared replicate set.
-
-    Returns {variant: ThresholdPair}. The two variants differ only in
-    the order-statistic rank, so both come from the same simulations and
-    the ordering gamma1_strict <= gamma1_relaxed, gamma2_strict >=
-    gamma2_relaxed holds deterministically.
-    """
-    return _null_pass(n, alpha, replicates, seed, window=(k, c, c_star))
-
-
-def calibrate_segment_test(n, alpha, replicates, seed):
-    """Quantiles (q1, q2) of the whole-segment statistic under the null.
-
-    Used for a-posteriori segment labelling: subdiffusive below q1,
-    superdiffusive above q2, Brownian in between.
-    """
-    return _null_pass(n, alpha, replicates, seed, segment=True)[SEGMENT_TEST]
 
 
 def segment_test_key(n, alpha=0.05, replicates=10_001, seed=DEFAULT_SEED):
@@ -345,12 +326,11 @@ def estimate_type1_error(n, k, c, c_star, thresholds, replicates, seed):
     """
     if replicates < 500:
         raise InvalidParam(f"need at least 500 replicates, got {replicates}")
-    # CalibrationKey's checks (any alpha) of k, c and c_star against n.
-    CalibrationKey(n, k, c, c_star, 0.05, RELAXED, replicates, seed)
+    key = default_key(n, k, c=c, c_star=c_star, replicates=replicates, seed=seed)
     hits = 0
     for stack in replicate_stacks(_null(n), seed, replicates=replicates):
         Q = sliding_stats(stack, k, thresholds).Q
-        hits += sum(map(bool, find_clusters(Q, c, c_star)))
+        hits += sum(map(bool, find_clusters(Q, key.c, key.c_star)))
     p = hits / replicates
     se = math.sqrt(p * (1 - p) / replicates)
     return p, se

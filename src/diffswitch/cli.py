@@ -67,7 +67,7 @@ def _load_scenario(path):
 def _thresholds_from_args(args, n, store):
     if args.gamma1 is not None:
         return ThresholdPair(args.gamma1, args.gamma2)
-    key = calibration.default_key(n, args.k, args.variant, args.alpha,
+    key = calibration.default_key(n, args.k, args.variant, args.alpha, seed=args.seed,
                                   c=getattr(args, "c", None), c_star=getattr(args, "c_star", None))
     return calibration.cache_get_or_calibrate(store, key)
 
@@ -117,7 +117,8 @@ def cmd_detect(args):
     config = detection.DetectionConfig(
         k=args.k, thresholds=thresholds, c=args.c, c_star=args.c_star
     )
-    quantiles = calibration.SegmentQuantiles(table, alpha=args.alpha) if args.label else None
+    quantiles = (calibration.SegmentQuantiles(table, alpha=args.alpha, seed=args.seed)
+                 if args.label else None)
     report = detection.run_procedure(traj, config, labelling=args.label, quantiles=quantiles)
     if args.stats_csv:
         _write_stats_csv(args.stats_csv, report.stats)
@@ -173,8 +174,9 @@ def build_parser():
     p.add_argument("--v", type=float, default=None, help="drift magnitude (scenario 1)")
     p.add_argument("--lam", type=float, default=None, help="restoring force (scenario 2)")
     p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_simulate, seed=None)  # None: the preset's or the file's seed
+    p.add_argument("--seed", type=_parse_seed, default=None,
+                   help="master seed, or 'random'; default: the preset's or the file's seed")
+    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("stats", help="emit per-index (i, B, A, Q) as CSV")
     p.add_argument("--input", required=True)

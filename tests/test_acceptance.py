@@ -31,9 +31,9 @@ from diffswitch import (
     save_csv,
     scenario_preset,
 )
-from diffswitch import simulators
+from diffswitch import calibration, simulators
 from diffswitch.bench import run_cell
-from diffswitch.calibration import RELAXED, STRICT, calibrate_both, default_cluster_params
+from diffswitch.calibration import RELAXED, STRICT, default_cluster_params
 from diffswitch.rng import DEFAULT_SEED
 from diffswitch.trajectory import TimeGrid
 
@@ -73,8 +73,8 @@ def calibrated():
     out = {}
     for n, k in PUBLISHED_CUTOFFS:
         c, c_star = default_cluster_params(k)
-        out[(n, k)] = calibrate_both(
-            n, k, c, c_star, 0.05, CALIB_REPLICATES, DEFAULT_SEED
+        out[(n, k)] = calibration._null_pass(
+            n, 0.05, CALIB_REPLICATES, DEFAULT_SEED, window=(k, c, c_star)
         )
     return out
 
@@ -226,7 +226,7 @@ def test_criterion_7_property_suite(tmp_path, monkeypatch):
     runs = []
     for batch in (1, simulators.REPLICATE_BATCH, 7):
         monkeypatch.setattr(simulators, "REPLICATE_BATCH", batch)
-        runs.append(calibrate_both(150, 20, 10, 8, 0.05, 1000, DEFAULT_SEED))
+        runs.append(calibration._null_pass(150, 0.05, 1000, DEFAULT_SEED, window=(20, 10, 8)))
     checks["batch determinism"] = runs[0] == runs[1] == runs[2]
 
     # CSV round-trip preserves positions exactly.

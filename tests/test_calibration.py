@@ -21,7 +21,6 @@ from diffswitch import (
     ThresholdPair,
     ThresholdTable,
     cache_get_or_calibrate,
-    calibrate_segment_test,
     default_key,
     estimate_type1_error,
     gen_brownian,
@@ -36,7 +35,6 @@ from diffswitch.calibration import (
     _order_rank,
     _quantile_index,
     _window_order_min,
-    calibrate_both,
     default_cluster_params,
     grid_length,
     segment_test_key,
@@ -101,8 +99,16 @@ class TestDefaults:
         key = default_key(300, 30, c=c, c_star=c_star)
         assert (key.c, key.c_star) == expected
 
-    def test_hand_edited_non_integer_entry_is_set_aside(self, tmp_path):
-        key = vars(default_key(300, 30)) | {"k": 30.0}
+    def test_non_integer_fields_raise(self):
+        with pytest.raises(InvalidParam, match="must be integers"):
+            default_key(300, 30, replicates=1000.5)
+        with pytest.raises(InvalidParam, match="must be integers"):
+            segment_test_key(100.0)
+
+    @pytest.mark.parametrize("field", ["k", "n", "replicates", "seed"])
+    def test_hand_edited_non_integer_entry_is_set_aside(self, tmp_path, field):
+        key = vars(default_key(300, 30))
+        key = key | {field: float(key[field])}
         path = tmp_path / "cache.json"
         path.write_text(json.dumps({"version": 1, "entries": [
             {"key": key, "gamma1": 0.74, "gamma2": 3.26}]}))
@@ -217,7 +223,7 @@ class TestGoldenCutoffs:
     """Cut-offs pinned bit for bit, so kernel rewrites cannot move them."""
 
     def test_calibrate_both(self):
-        pairs = calibrate_both(150, 20, 10, 8, 0.05, 1000, DEFAULT_SEED)
+        pairs = calibration._null_pass(150, 0.05, 1000, DEFAULT_SEED, window=(20, 10, 8))
         assert pairs[STRICT] == ThresholdPair(
             float.fromhex("0x1.3170cce391758p-1"), float.fromhex("0x1.aeafbb51043fdp+1")
         )
@@ -226,19 +232,20 @@ class TestGoldenCutoffs:
         )
 
     def test_calibrate_segment_test(self):
-        assert calibrate_segment_test(100, 0.05, 1000, 5) == ThresholdPair(
+        found = calibration._null_pass(100, 0.05, 1000, 5, segment=True)
+        assert found[SEGMENT_TEST] == ThresholdPair(
             float.fromhex("0x1.85a5406f576f1p-1"), float.fromhex("0x1.6894fed644639p+1")
         )
 
 
 @pytest.fixture(scope="module")
 def pairs():
-    return calibrate_both(300, 30, 15, 12, 0.05, REPS, seed=7)
+    return calibration._null_pass(300, 0.05, REPS, 7, window=(30, 15, 12))
 
 
 @pytest.fixture(scope="module")
 def q100():
-    return calibrate_segment_test(100, 0.05, REPS, seed=5)
+    return calibration._null_pass(100, 0.05, REPS, 5, segment=True)[SEGMENT_TEST]
 
 
 class TestCalibrateBoth:
@@ -255,16 +262,16 @@ class TestCalibrateBoth:
             assert 2.0 < pair.gamma2 < 4.5
 
     def test_deterministic(self, pairs):
-        again = calibrate_both(300, 30, 15, 12, 0.05, REPS, seed=7)
+        again = calibration._null_pass(300, 0.05, REPS, 7, window=(30, 15, 12))
         assert again == pairs
 
     def test_batch_size_does_not_change_result(self, pairs, monkeypatch):
         for batch in (1, simulators.REPLICATE_BATCH, 7):
             monkeypatch.setattr(simulators, "REPLICATE_BATCH", batch)
-            assert calibrate_both(300, 30, 15, 12, 0.05, REPS, seed=7) == pairs
+            assert calibration._null_pass(300, 0.05, REPS, 7, window=(30, 15, 12)) == pairs
 
     def test_seed_changes_result(self, pairs):
-        other = calibrate_both(300, 30, 15, 12, 0.05, REPS, seed=8)
+        other = calibration._null_pass(300, 0.05, REPS, 8, window=(30, 15, 12))
         assert other != pairs
 
     def test_calibrate_rejects_tiny_replicate_count(self):
@@ -289,12 +296,12 @@ class TestSegmentTest:
 
     def test_replicate_floor(self):
         with pytest.raises(InvalidParam):
-            calibrate_segment_test(100, 0.05, 10, seed=5)
+            calibration._null_pass(100, 0.05, 10, 5, segment=True)
 
     def test_batch_size_does_not_change_result(self, q100, monkeypatch):
         for batch in (1, simulators.REPLICATE_BATCH, 7):
             monkeypatch.setattr(simulators, "REPLICATE_BATCH", batch)
-            assert calibrate_segment_test(100, 0.05, REPS, seed=5) == q100
+            assert calibration._null_pass(100, 0.05, REPS, 5, segment=True)[SEGMENT_TEST] == q100
 
 
 class TestThresholdTable:
@@ -445,7 +452,7 @@ class TestThresholdTable:
     def test_no_store_calibrates_without_persisting(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         pair = cache_get_or_calibrate(None, self.key(seed=7))
-        assert pair == calibrate_both(300, 30, 15, 12, 0.05, REPS, 7)[RELAXED]
+        assert pair == calibration._null_pass(300, 0.05, REPS, 7, window=(30, 15, 12))[RELAXED]
         assert pair == cache_get_or_calibrate(tmp_path / "cache.json", self.key(seed=7))
         assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
 
@@ -483,8 +490,10 @@ class TestSharedNullPass:
         path = tmp_path / "cache.json"
         pair = cache_get_or_calibrate(path, self.KEY)
         table = ThresholdTable(path)
-        assert table.get(self.SIBLING) == calibrate_segment_test(150, 0.05, REPS, 4)
-        assert table.get(self.KEY) == pair == calibrate_both(150, 20, 10, 8, 0.05, REPS, 4)[RELAXED]
+        sibling = calibration._null_pass(150, 0.05, REPS, 4, segment=True)[SEGMENT_TEST]
+        assert table.get(self.SIBLING) == sibling
+        direct = calibration._null_pass(150, 0.05, REPS, 4, window=(20, 10, 8))
+        assert table.get(self.KEY) == pair == direct[RELAXED]
 
     def test_pair_then_segment_simulates_once(self, tmp_path, counted):
         table = ThresholdTable(tmp_path / "cache.json")
@@ -493,7 +502,7 @@ class TestSharedNullPass:
         assert len(counted["passes"]) == 1
 
     def test_sibling_independent_of_batch_size(self, tmp_path, monkeypatch):
-        expected = calibrate_segment_test(150, 0.05, REPS, 4)
+        expected = calibration._null_pass(150, 0.05, REPS, 4, segment=True)[SEGMENT_TEST]
         for batch in (1, 7, 32):
             monkeypatch.setattr(simulators, "REPLICATE_BATCH", batch)
             table = ThresholdTable(tmp_path / f"cache_{batch}.json")
@@ -507,7 +516,8 @@ class TestSharedNullPass:
         found = calibration._null_pass(150, 0.05, REPS, 4, window=(20, 10, 8), segment=True)
         batch = simulators.REPLICATE_BATCH
         assert calls == [(batch, 151, 2)] * (REPS // batch) + [(REPS % batch, 151, 2)]
-        assert found[SEGMENT_TEST] == calibrate_segment_test(150, 0.05, REPS, 4)
+        direct = calibration._null_pass(150, 0.05, REPS, 4, segment=True)
+        assert found[SEGMENT_TEST] == direct[SEGMENT_TEST]
 
     def test_no_store_skips_the_segment_reduction(self, counted):
         cache_get_or_calibrate(None, self.KEY)
@@ -630,6 +640,16 @@ class TestType1Error:
         # A window that can never qualify would report a type-I error of zero.
         with pytest.raises(InvalidParam, match=message):
             estimate_type1_error(300, 30, c, c_star, ThresholdPair(0.74, 3.26), 500, 1)
+
+    def test_published_pair_at_the_default_seed(self):
+        # 105 of 2,000 fully Brownian tracks report a change point.
+        p, _ = estimate_type1_error(300, 30, 15, 12, ThresholdPair(0.74, 3.26), 2000, DEFAULT_SEED)
+        assert p == 0.0525
+
+    def test_unset_cluster_parameters_take_the_defaults(self):
+        pair = ThresholdPair(0.74, 3.26)
+        assert (estimate_type1_error(300, 30, None, None, pair, 500, 1)
+                == estimate_type1_error(300, 30, 15, 12, pair, 500, 1))
 
     def test_replicate_floor(self):
         with pytest.raises(InvalidParam):

@@ -52,7 +52,8 @@ class TestParser:
         common = {"-h", "--help", "--seed", "--cache"}
         for name, parser in sub.choices.items():
             options = {o for action in parser._actions for o in action.option_strings}
-            assert options == set(self.OPTIONS[name].split()) | common
+            expected = set(self.OPTIONS[name].split()) | common
+            assert options == (expected - {"--cache"} if name == "simulate" else expected)
 
 
 class TestSimulate:
@@ -244,6 +245,26 @@ class TestStatsAndDetect:
         assert code == 0
         assert len(loads) == 1
         assert json.loads(stdout)["segments"]
+
+    @pytest.mark.parametrize("command, flags", [("detect", ("--label",)), ("stats", ())],
+                             ids=["detect", "stats"])
+    def test_seed_selects_the_cached_calibration(
+        self, traj_csv, tmp_path, capsys, monkeypatch, command, flags
+    ):
+        cache = tmp_path / "cache.json"
+        table = calibration.ThresholdTable(cache)
+        table.put(calibration.default_key(300, 30, seed=7), ThresholdPair(0.74, 3.26))
+        for length in calibration.SEGMENT_LENGTH_GRID:
+            table.put(calibration.segment_test_key(length, seed=7), ThresholdPair(0.6, 2.6))
+        table.save()
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a warm cache calibrated")
+
+        monkeypatch.setattr(calibration, "_null_pass", no_pass)
+        code, _, _ = run(capsys, command, "--input", traj_csv, "--k", "30", *flags,
+                         "--seed", "7", "--cache", str(cache))
+        assert code == 0
 
     @pytest.mark.parametrize("command", ["stats", "detect"])
     @pytest.mark.parametrize("gamma", [("--gamma1", "5"), ("--gamma2", "3.26")], ids=["gamma1", "gamma2"])

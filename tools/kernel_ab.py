@@ -11,11 +11,14 @@ them, and each round times the two trees back to back, alternating
 which one goes first. The kernel cases call `stats.backward_forward` on
 a random stack and compare B and A bit for bit; the null-pass case runs
 `calibration._null_pass` at (300, 30, 15, 12) with the segment test and
-compares its cut-offs. The `compose_stack` case simulates 32 rows of the
-scenario-1 preset (v = 1), their 32 streams included, and compares the
-stacks bit for bit; the `run_cell` case runs one labelled scenario-2 cell
-(lam = 0.5, k = 30, 200 replicates, quantiles (0.6, 2.6)) and compares
-the cell's fields other than `runtime_s`. The segment cases call
+compares its cut-offs; the type-I case runs `estimate_type1_error` at
+(300, 30, 15, 12) with the pair (0.74, 3.26), 2,000 replicates and seed
+1729, and compares the rate and its standard error bit for bit. The
+`compose_stack` case simulates 32 rows of the scenario-1 preset (v = 1),
+their 32 streams included, and compares the stacks bit for bit; the
+`run_cell` case runs one labelled scenario-2 cell (lam = 0.5, k = 30,
+200 replicates, quantiles (0.6, 2.6)) and compares the cell's fields
+other than `runtime_s`. The segment cases call
 `SegmentStats.between` on random walks (1 x 301 with change points
 [100, 175], 32 x 301 with two random change points per row, 1 x 50,001
 with 19), `SegmentStats.whole` (32 x 301) or `SegmentStats.segment`, as
@@ -48,6 +51,8 @@ KERNEL_CASES = (
 )
 # The null-pass case: _null_pass arguments and calls per round.
 NULL_PASS = ((300, 0.05, 2002, 1), {"window": (30, 15, 12), "segment": True}, 1)
+# The type-I case: estimate_type1_error's (n, k, c, c_star), pair, (replicates, seed), calls per round.
+TYPE1 = ((300, 30, 15, 12), (0.74, 3.26), (2000, 1729), 1)
 # Calls per round of the compose_stack and run_cell cases.
 COMPOSE_CALLS, CELL_CALLS = 50, 1
 
@@ -165,6 +170,10 @@ def main(argv=None):
     pass_args, pass_kwargs, calls = NULL_PASS
     passes = [lambda tree=tree: tree.calibration._null_pass(*pass_args, **pass_kwargs) for tree in trees]
     result["null_pass_300_k30"] = run_case("null_pass_300_k30", passes, calls, args.rounds)
+    window, gammas, draws, calls = TYPE1
+    type1 = [lambda tree=tree: tree.estimate_type1_error(*window, tree.ThresholdPair(*gammas), *draws)
+             for tree in trees]
+    result["type1_300_k30"] = run_case("type1_300_k30", type1, calls, args.rounds)
     result["compose_stack_s1_32"] = run_case(
         "compose_stack_s1_32", [compose_call(tree) for tree in trees], COMPOSE_CALLS, args.rounds)
     result["run_cell_s2_lam0.5"] = run_case(
