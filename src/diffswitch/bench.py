@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import os
+import shutil
 import subprocess
 import tempfile
 import time
@@ -62,10 +63,12 @@ class ExperimentSpec:
     def __post_init__(self):
         object.__setattr__(self, "param_values", tuple(self.param_values))
         object.__setattr__(self, "k_values", tuple(self.k_values))
-        if self.replicates < 1:
-            raise InvalidParam("need at least one replicate")
+        if not (isinstance(self.replicates, (int, np.integer)) and self.replicates >= 1):
+            raise InvalidParam(f"replicates must be a positive integer, got {self.replicates!r}")
         if not self.param_values or not self.k_values:
             raise InvalidParam("sweep grid must be non-empty")
+        if self.external_detector and shutil.which(self.external_detector) is None:
+            raise InvalidParam(f"external detector {self.external_detector!r} is not an executable")
 
 
 @dataclass
@@ -100,7 +103,7 @@ def _scenario_spec(spec, param):
 
 
 def _run_external(prog, traj):
-    """Invoke an external detector: prog --input traj.csv --output cps.json."""
+    """Invoke an external detector: prog --input traj.csv --output cps.json of integer points."""
     with tempfile.TemporaryDirectory() as tmp:
         in_path = os.path.join(tmp, "traj.csv")
         out_path = os.path.join(tmp, "cps.json")
@@ -111,8 +114,15 @@ def _run_external(prog, traj):
         )
         if proc.returncode != 0:
             raise IoFailure(f"external detector failed: {proc.stderr.strip()}")
-        with open(out_path, encoding="utf-8") as fh:
-            return [int(i) for i in json.load(fh)["change_points"]]
+        try:
+            with open(out_path, encoding="utf-8") as fh:
+                points = json.load(fh)["change_points"]
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise IoFailure(f"external detector wrote no change points: {exc!r}") from None
+        if not (isinstance(points, list) and all(
+                type(i) is int or type(i) is float and i.is_integer() for i in points)):
+            raise IoFailure(f"external change points are not integers: {points!r}")
+        return [int(i) for i in points]
 
 
 def _diff_category(n_hat, n_true):
@@ -235,7 +245,7 @@ def run_experiment(spec):
             n, k, variant=spec.variant, alpha=spec.alpha,
             replicates=spec.calib_replicates,
         )
-        thresholds = cache_get_or_calibrate(table, key)
+        thresholds = None if spec.external_detector else cache_get_or_calibrate(table, key)
         for param in spec.param_values:
             report.cells.append(run_cell(spec, param, k, thresholds, quantiles))
     return report

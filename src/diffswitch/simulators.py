@@ -10,7 +10,8 @@ covariance.
 
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,7 +39,7 @@ _DIFFUSION_TYPE = {
 
 @dataclass(frozen=True)
 class RegimeSpec:
-    """Parameters of one homogeneous stretch of motion."""
+    """Parameters of one homogeneous stretch of motion; theta is kept as a tuple of floats."""
 
     kind: str
     sigma: float = 1.0
@@ -58,6 +59,11 @@ class RegimeSpec:
             raise InvalidParam(f"lambda must be positive, got {self.lam}")
         if self.kind == FRACTIONAL_BROWNIAN and not 0 < self.hurst < 1:
             raise InvalidParam(f"hurst must be in (0, 1), got {self.hurst}")
+        if self.theta is not None:
+            theta = np.asarray(self.theta, dtype=object)
+            if theta.ndim != 1 or not all(isinstance(x, numbers.Real) for x in theta):
+                raise InvalidParam(f"theta must be a flat sequence of numbers, got {self.theta!r}")
+            object.__setattr__(self, "theta", tuple(map(float, theta)))
 
     def diffusion_type(self):
         if self.kind == FRACTIONAL_BROWNIAN:
@@ -148,11 +154,13 @@ def _piece(start, out, regime, delta, fbm_noise):
     if regime.kind == ORNSTEIN_UHLENBECK:
         # Exact AR(1) transition, one step of every row at a time, on a step-major copy
         # (so each step is contiguous) with every ufunc writing into a buffer.
+        if regime.theta is not None and len(regime.theta) != dim:
+            raise InvalidParam(f"theta has {len(regime.theta)} coordinates, the path has {dim}")
         a = math.exp(-regime.lam * delta)
         sd = regime.sigma * math.sqrt((1.0 - a * a) / (2.0 * regime.lam))
         steps = np.multiply(out.swapaxes(0, 1), sd, order="C")
         steps += 0.0  # normal's loc: a -0.0 turns into +0.0
-        theta = start[:, 0] if regime.theta is None else np.asarray(regime.theta, float)
+        theta = start[:, 0] if regime.theta is None else np.asarray(regime.theta)
         prev, buf = start[:, 0], np.empty_like(start[:, 0])
         for step in steps:
             # step = theta + (prev - theta) * a + step, in that order.
@@ -229,11 +237,10 @@ def gen_ou(grid, sigma, lam, rng, theta=None, dim=2, start=None):
     Starts at theta unless a start point is supplied; theta defaults to
     the start point (or the origin).
     """
-    if start is None and theta is not None:
-        start = theta
-    theta = None if theta is None else tuple(np.asarray(theta, dtype=float))
     regime = RegimeSpec(kind=ORNSTEIN_UHLENBECK, sigma=sigma, lam=lam, theta=theta)
-    return _one_path(grid, dim, regime, rng, start)
+    if theta is not None and len(regime.theta) != dim:
+        raise InvalidParam(f"theta has {len(regime.theta)} coordinates, the path has {dim}")
+    return _one_path(grid, dim, regime, rng, regime.theta if start is None else start)
 
 
 def gen_fbm(grid, dim, sigma, hurst, rng, start=None):
@@ -313,46 +320,12 @@ def scenario_preset(number, *, v=None, lam=None, n=300, change_points=(100, 175)
 
 
 def scenario_to_json(spec):
-    doc = {
-        "n": spec.n,
-        "delta": spec.delta,
-        "seed": spec.seed,
-        "change_points": list(spec.change_points),
-        "regimes": [],
-    }
-    for r in spec.regimes:
-        entry = {"kind": r.kind, "sigma": r.sigma}
-        if r.kind == BROWNIAN_DRIFT:
-            entry["v"] = r.v
-        elif r.kind == ORNSTEIN_UHLENBECK:
-            entry["lam"] = r.lam
-            if r.theta is not None:
-                entry["theta"] = list(r.theta)
-        elif r.kind == FRACTIONAL_BROWNIAN:
-            entry["hurst"] = r.hurst
-        doc["regimes"].append(entry)
-    return json.dumps(doc, indent=2)
+    """Every field of the spec and of its regimes, as a JSON document."""
+    return json.dumps(asdict(spec), indent=2)
 
 
 def scenario_from_json(text):
+    """The spec whose fields are the document's keys; a missing n, regimes or kind is a KeyError."""
     doc = json.loads(text)
-    regimes = []
-    for entry in doc["regimes"]:
-        theta = entry.get("theta")
-        regimes.append(
-            RegimeSpec(
-                kind=entry["kind"],
-                sigma=entry.get("sigma", 1.0),
-                v=entry.get("v", 0.0),
-                lam=entry.get("lam", 1.0),
-                theta=tuple(theta) if theta is not None else None,
-                hurst=entry.get("hurst", 0.5),
-            )
-        )
-    return ScenarioSpec(
-        n=doc["n"],
-        change_points=tuple(doc.get("change_points", ())),
-        regimes=tuple(regimes),
-        delta=doc.get("delta", 1.0),
-        seed=doc.get("seed", 0),
-    )
+    regimes = [RegimeSpec(entry.pop("kind"), **entry) for entry in doc.pop("regimes")]
+    return ScenarioSpec(doc.pop("n"), doc.pop("change_points", ()), regimes, **doc)

@@ -53,6 +53,10 @@ class TestSpecValidation:
         with pytest.raises(InvalidParam):
             spec_1(replicates=0)
 
+    def test_non_integer_replicates_rejected(self):
+        with pytest.raises(InvalidParam, match="replicates must be a positive integer, got 40.0"):
+            spec_1(replicates=40.0)
+
 
 class TestDiffCategory:
     def test_buckets(self):
@@ -310,7 +314,8 @@ class TestRunExperiment:
 
 
 class TestExternalDetector:
-    def make_stub(self, tmp_path, points):
+    def make_stub(self, tmp_path, points, output=None):
+        """A detector that writes {"change_points": points}, or runs `output` in its place."""
         path = tmp_path / "stub_detector.py"
         path.write_text(
             "#!/usr/bin/env python3\n"
@@ -318,18 +323,19 @@ class TestExternalDetector:
             "p = argparse.ArgumentParser()\n"
             "p.add_argument('--input'); p.add_argument('--output')\n"
             "a = p.parse_args()\n"
-            f"json.dump({{'change_points': {points}}}, open(a.output, 'w'))\n"
+            + (output or f"json.dump({{'change_points': {points}}}, open(a.output, 'w'))") + "\n"
         )
         path.chmod(path.stat().st_mode | stat.S_IEXEC)
         return str(path)
 
     def test_perfect_stub_scores_perfectly(self, tmp_path):
-        prog = self.make_stub(tmp_path, [100, 175])
-        cell = run_cell(
-            spec_1(replicates=3, external_detector=prog), 2.0, 30, THRESHOLDS
-        )
-        assert cell.proportions["0"] == 1.0
-        assert cell.tau_mean == [100.0, 175.0]
+        for points in ([100, 175], [100.0, 175.0]):  # integer-valued floats are change points too
+            prog = self.make_stub(tmp_path, points)
+            cell = run_cell(
+                spec_1(replicates=3, external_detector=prog), 2.0, 30, THRESHOLDS
+            )
+            assert cell.proportions["0"] == 1.0
+            assert cell.tau_mean == [100.0, 175.0]
 
     def test_empty_stub_scores_minus2(self, tmp_path):
         prog = self.make_stub(tmp_path, [])
@@ -337,6 +343,34 @@ class TestExternalDetector:
             spec_1(replicates=3, external_detector=prog), 2.0, 30, THRESHOLDS
         )
         assert cell.proportions["-2"] == 1.0
+
+    @pytest.mark.parametrize("points, output", [
+        ([100.7, 175.2], None), (["100", 175], None), ([True, 175], None), (100, None),
+        (None, "pass"), (None, "open(a.output, 'w').write('not json')"),
+        (None, "json.dump([100, 175], open(a.output, 'w'))"),
+    ], ids=["fractional", "string", "bool", "not-a-list", "no-output", "not-json", "no-key"])
+    def test_bad_output_fails_every_replicate(self, tmp_path, points, output):
+        prog = self.make_stub(tmp_path, points, output)
+        cell = run_cell(spec_1(replicates=3, external_detector=prog), 2.0, 30, None)
+        assert cell.failures == cell.replicates == 3
+        assert cell.tau_mean == [] and cell.n_qualifying == 0
+
+    def test_missing_program_raises_before_calibrating(self, tmp_path, monkeypatch):
+        def no_pass(*args, **kwargs):
+            raise AssertionError("calibrated for an external detector")
+
+        monkeypatch.setattr(calibration, "_null_pass", no_pass)
+        with pytest.raises(InvalidParam, match="is not an executable"):
+            run_experiment(spec_1(external_detector=str(tmp_path / "no_such_program")))
+
+    def test_external_run_calibrates_nothing(self, tmp_path, monkeypatch):
+        passes = []
+        monkeypatch.setattr(calibration, "_null_pass", lambda *args, **kw: passes.append(args))
+        prog = self.make_stub(tmp_path, [100, 175])
+        report = run_experiment(spec_1(replicates=2, label=True, external_detector=prog,
+                                       cache_path=str(tmp_path / "cache.json")))
+        assert passes == []
+        assert report.cells[0].proportions["0"] == 1.0
 
 
 class TestExport:

@@ -1,6 +1,8 @@
 import argparse
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +57,17 @@ class TestParser:
             expected = set(self.OPTIONS[name].split()) | common
             assert options == (expected - {"--cache"} if name == "simulate" else expected)
 
+    def test_readme_command_examples_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.replace("\\\n", " ").splitlines()
+                 if line.startswith("diffswitch ")]
+        assert len(lines) == 6
+        parser = build_parser()
+        for line in lines:
+            args = parser.parse_args(shlex.split(line)[1:])
+            assert callable(args.func), line
+
 
 class TestSimulate:
     def test_scenario1_writes_csv(self, tmp_path, capsys):
@@ -81,6 +94,17 @@ class TestSimulate:
         run(capsys, "simulate", "--scenario", "2", "--lam", "1", "--out", str(b), "--seed", "2")
         assert a.read_text() != b.read_text()
 
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--scenario", "1", "--v", "2", "--out", "t.csv", "--seed", "-5"),
+        ("calibrate", "--n", "300", "--k", "30", "--replicates", "1000", "--seed", "-5"),
+    ], ids=["simulate", "calibrate"])
+    def test_negative_seed_is_one_line_domain_error(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 1 and stdout == ""
+        assert stderr == "InvalidParam: seed must be a nonnegative integer, got -5\n"
+        assert not (tmp_path / "t.csv").exists()
+
     @pytest.mark.parametrize("seed_flags, seed", [((), DEFAULT_SEED), (("--seed", "3"), 3)],
                              ids=["default-seed", "seed-3"])
     def test_preset_draws_from_its_seed(self, tmp_path, capsys, seed_flags, seed):
@@ -96,7 +120,16 @@ class TestScenarioFile:
         (None, "IoFailure: cannot read {}: "),
         ("{not json", "InvalidParam: {}: not a scenario document: "),
         ('{"n": 300, "change_points": []}', "InvalidParam: {}: missing key 'regimes'"),
-    ], ids=["missing", "malformed", "no-regimes"])
+        ('{"n": 300, "regimes": [{"kind": "brownian", "sgima": 3}]}',
+         "InvalidParam: {}: not a scenario document: RegimeSpec.__init__() got an unexpected "
+         "keyword argument 'sgima'\n"),
+        ('{"n": 300, "delta_t": 0.01, "regimes": [{"kind": "brownian"}]}',
+         "InvalidParam: {}: not a scenario document: ScenarioSpec.__init__() got an unexpected "
+         "keyword argument 'delta_t'\n"),
+        ('{"regimes": [{"kind": "brownian"}]}', "InvalidParam: {}: missing key 'n'\n"),
+        ('{"n": 300, "regimes": [{"sigma": 2.0}]}', "InvalidParam: {}: missing key 'kind'\n"),
+    ], ids=["missing", "malformed", "no-regimes", "misspelled-regime-key", "misspelled-top-level-key",
+            "no-n", "no-kind"])
     def test_bad_file_is_one_line_domain_error(self, tmp_path, capsys, command, content, error):
         path = tmp_path / "scenario.json"
         if content is not None:
@@ -126,6 +159,17 @@ class TestScenarioFile:
         assert stderr.startswith("InvalidParam: n and change points must be integers")
         assert stderr.count("\n") == 1 and stderr.endswith("\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", [1.5, None], ids=["float", "null"])
+    def test_bad_seed_is_one_line_domain_error(self, tmp_path, capsys, seed):
+        doc = json.loads(scenario_to_json(scenario_preset(1, v=1.0)))
+        doc["seed"] = seed
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, _, stderr = run(capsys, "simulate", "--scenario", str(path), "--out", str(tmp_path / "t.csv"))
+        assert code == 1
+        assert stderr == f"InvalidParam: seed must be a nonnegative integer, got {seed!r}\n"
+        assert not (tmp_path / "t.csv").exists()
 
     def test_scenario_file_runs(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"

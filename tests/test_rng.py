@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import diffswitch
+from diffswitch.errors import InvalidParam
 from diffswitch.rng import DEFAULT_SEED, replicate_rng, replicate_rngs
 
 
@@ -59,7 +60,16 @@ class TestReplicateRngs:
     def test_numpy_integer_indices(self):
         assert_same_streams(np.int64(DEFAULT_SEED), (np.int32(2),), np.arange(4), draws=50)
 
-    @pytest.mark.parametrize("seed, prefix, reps", [(-1, (), [0]), (1, (-2,), [0]), (1, (), [3, -1])])
+    @pytest.mark.parametrize("seed", [-1, None, 1.5, "7"])
+    def test_bad_seed_is_invalid_param(self, seed):
+        # SeedSequence(None) would draw fresh OS entropy: a stream that no seed reproduces.
+        with pytest.raises(InvalidParam, match="seed must be a nonnegative integer"):
+            replicate_rng(seed)
+        with pytest.raises(InvalidParam, match="seed must be a nonnegative integer"):
+            replicate_rngs(seed, reps=range(2))
+
+    @pytest.mark.parametrize("seed, prefix, reps", [(1, (-2,), [0]), (1, (), [3, -1])],
+                             ids=["1-prefix1-reps1", "1-prefix2-reps2"])
     def test_negative_seed_or_index_raises_as_seed_sequence_does(self, seed, prefix, reps):
         with pytest.raises(ValueError) as expected:
             [np.random.SeedSequence(seed, spawn_key=(*prefix, r)) for r in reps]

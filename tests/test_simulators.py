@@ -100,6 +100,29 @@ class TestOrnsteinUhlenbeck:
         with pytest.raises(InvalidParam):
             gen_ou(grid(10), 1.0, 0.0, np.random.default_rng(0))
 
+    def test_theta_is_a_tuple_of_floats(self):
+        as_list = RegimeSpec(kind=ORNSTEIN_UHLENBECK, theta=[1, 2])
+        assert as_list == RegimeSpec(kind=ORNSTEIN_UHLENBECK, theta=(1.0, 2.0))
+        assert as_list == RegimeSpec(kind=ORNSTEIN_UHLENBECK, theta=np.array([1, 2]))
+        assert hash(as_list) == hash(RegimeSpec(kind=ORNSTEIN_UHLENBECK, theta=(1.0, 2.0)))
+        assert as_list.theta == (1.0, 2.0) and all(type(x) is float for x in as_list.theta)
+
+    @pytest.mark.parametrize("theta", ["12", [[1, 2]], [1, [2]], [1, "2"]])
+    def test_theta_must_be_a_flat_sequence_of_numbers(self, theta):
+        with pytest.raises(InvalidParam, match="theta must be a flat sequence of numbers"):
+            RegimeSpec(kind=ORNSTEIN_UHLENBECK, theta=theta)
+
+    def test_theta_of_another_dimension_is_rejected(self):
+        with pytest.raises(InvalidParam, match="theta has 3 coordinates, the path has 2"):
+            gen_ou(grid(10), 1.0, 1.0, np.random.default_rng(0), theta=(0, 0, 0))
+        spec = ScenarioSpec(n=30, change_points=(10, 20), regimes=(
+            RegimeSpec(kind=BROWNIAN),
+            RegimeSpec(kind=ORNSTEIN_UHLENBECK, lam=0.5, theta=(0, 0, 0)),
+            RegimeSpec(kind=BROWNIAN),
+        ))
+        with pytest.raises(InvalidParam, match="theta has 3 coordinates, the path has 2"):
+            compose_stack(spec, [replicate_rng(1)])
+
 
 def lag1_autocorrelation(x):
     """Known-mean (zero) lag-1 autocorrelation estimate of fGn."""
@@ -176,6 +199,19 @@ def mixed_spec(dim):
             RegimeSpec(kind=ORNSTEIN_UHLENBECK, lam=0.5),
         ),
     )
+
+
+# Every regime kind, an OU equilibrium, an fBm hurst, and a non-default time step and seed.
+EVERY_KIND = ScenarioSpec(
+    n=200, change_points=(40, 80, 120, 160), delta=0.25, seed=12,
+    regimes=(
+        RegimeSpec(kind=BROWNIAN, sigma=2.0),
+        RegimeSpec(kind=ORNSTEIN_UHLENBECK, lam=3.0, theta=(1, -2.5)),
+        RegimeSpec(kind=FRACTIONAL_BROWNIAN, sigma=0.5, hurst=0.8),
+        RegimeSpec(kind=BROWNIAN),
+        RegimeSpec(kind=BROWNIAN_DRIFT, v=1.5),
+    ),
+)
 
 
 class TestScenario:
@@ -332,16 +368,36 @@ class TestScenario:
             delta=0.5,
             seed=9,
         )
-        back = scenario_from_json(scenario_to_json(spec))
-        assert back == spec
-        a, _ = compose_scenario(spec)
-        b, _ = compose_scenario(back)
-        assert np.array_equal(a.positions, b.positions)
+        for spec in (spec, EVERY_KIND):
+            back = scenario_from_json(scenario_to_json(spec))
+            assert back == spec
+            a, _ = compose_scenario(spec)
+            b, _ = compose_scenario(back)
+            assert np.array_equal(a.positions, b.positions)
+
+    def test_json_in_the_per_kind_layout_reads_back(self):
+        # The per-kind layout of older files: each kind's own fields, theta only when set.
+        text = """{
+          "n": 200, "delta": 0.25, "seed": 12, "change_points": [40, 80, 120, 160],
+          "regimes": [
+            {"kind": "brownian", "sigma": 2.0},
+            {"kind": "ornstein_uhlenbeck", "sigma": 1.0, "lam": 3.0, "theta": [1.0, -2.5]},
+            {"kind": "fractional_brownian", "sigma": 0.5, "hurst": 0.8},
+            {"kind": "brownian", "sigma": 1.0},
+            {"kind": "brownian_drift", "sigma": 1.0, "v": 1.5}
+          ]
+        }"""
+        back = scenario_from_json(text)
+        assert back == EVERY_KIND
+        assert compose_scenario(back)[0].positions.tobytes() == (
+            compose_scenario(EVERY_KIND)[0].positions.tobytes())
 
     def test_json_is_valid_document(self):
         doc = json.loads(scenario_to_json(scenario_preset(1, v=1.0)))
         assert doc["change_points"] == [100, 175]
         assert len(doc["regimes"]) == 3
+        assert set(doc) == {"n", "change_points", "regimes", "delta", "seed"}
+        assert all(set(r) == {"kind", "sigma", "v", "lam", "theta", "hurst"} for r in doc["regimes"])
 
 
 class TestReplicateStacks:
