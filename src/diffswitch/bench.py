@@ -336,7 +336,7 @@ def export_report(report, fmt, path):
 
 def _export_csv(doc, path):
     cells = doc["cells"]
-    if cells and "type1" in cells[0]:
+    if doc["spec"].get("experiment") == "type1":
         headers = ["n", "k", "variant", "type1", "se", "gamma1", "gamma2", "replicates"]
         rows = [[_fmt(c[h]) for h in headers] for c in cells]
     else:
@@ -363,7 +363,7 @@ def _export_csv(doc, path):
 def _export_markdown(doc, path):
     cells = doc["cells"]
     with open(path, "w", encoding="utf-8") as fh:
-        if cells and "type1" in cells[0]:
+        if doc["spec"].get("experiment") == "type1":
             fh.write("| n | k | variant | type I (%) | SE (%) |\n")
             fh.write("|---|---|---------|-----------|--------|\n")
             for c in cells:

@@ -60,7 +60,7 @@ def _load_scenario(path):
         return scenario_from_json(data.decode("utf-8"))
     except KeyError as exc:
         raise InvalidParam(f"{path}: missing key {exc}") from None
-    except (ValueError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise InvalidParam(f"{path}: not a scenario document: {exc}") from None
 
 

@@ -205,8 +205,7 @@ def raw_batch(segments, config, lookup=None):
     batch = sliding_stats(segments, config.k, config.thresholds)
     if config.c > batch.Q.shape[-1]:
         raise InvalidParam("cluster window c exceeds the statistic range")
-    arrays = zip(batch.B, batch.A, batch.phi_B, batch.phi_A, batch.Q)
-    stats = [SlidingStats(batch.k, batch.first_index, *row) for row in arrays]
+    stats = [SlidingStats(batch.k, *row) for row in zip(batch.B, batch.A, batch.Q)]
     clusters = find_clusters(batch.Q, config.c, config.c_star, first_index=batch.first_index)
     points = [estimate_change_points(s, cl) for s, cl in zip(stats, clusters)]
     labels = [None] * len(points) if lookup is None else _raw_labels(segments, points, lookup)

@@ -27,11 +27,11 @@ def replicate_rng(seed, *indices):
     Distinct index tuples give statistically independent streams; the
     mapping is pure, so the same tuple always yields the same stream.
     """
-    _check_seed(seed)
+    check_seed(seed)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(indices)))
 
 
-def _check_seed(seed):
+def check_seed(seed):
     """Every stream's one seed check: numpy would also take None, and draw OS entropy."""
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise InvalidParam(f"seed must be a nonnegative integer, got {seed!r}")
@@ -61,7 +61,7 @@ def replicate_rngs(seed, *prefix, reps):
     `bit_generator.seed_seq` holds only the four PCG64 seed words: it is
     not a SeedSequence and cannot spawn.
     """
-    _check_seed(seed)
+    check_seed(seed)
     reps = [r.__index__() for r in reps]
     if reps and not 0 <= min(reps) <= max(reps) < 1 << 32:
         return [replicate_rng(seed, *prefix, r) for r in reps]

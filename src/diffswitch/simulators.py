@@ -17,7 +17,7 @@ import numpy as np
 
 from . import stats
 from .errors import InvalidParam
-from .rng import replicate_rng, replicate_rngs
+from .rng import check_seed, replicate_rng, replicate_rngs
 from .trajectory import TimeGrid, Trajectory
 
 BROWNIAN = "brownian"
@@ -96,6 +96,7 @@ class ScenarioSpec:
             raise InvalidParam(f"n must be >= 1, got {self.n}")
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise InvalidParam(f"delta must be finite and positive, got {self.delta}")
+        check_seed(self.seed)
         cps = self.change_points
         if len(self.regimes) != len(cps) + 1:
             raise InvalidParam(
@@ -325,7 +326,18 @@ def scenario_to_json(spec):
 
 
 def scenario_from_json(text):
-    """The spec whose fields are the document's keys; a missing n, regimes or kind is a KeyError."""
-    doc = json.loads(text)
-    regimes = [RegimeSpec(entry.pop("kind"), **entry) for entry in doc.pop("regimes")]
+    """The spec whose fields are the document's keys.
+
+    A missing n, regimes or kind is a KeyError; a document or regime that is not a JSON object
+    is a TypeError that names it.
+    """
+    doc = _json_object("the document", json.loads(text))
+    regimes = [_json_object(f"regime {i}", entry) for i, entry in enumerate(doc.pop("regimes"))]
+    regimes = [RegimeSpec(entry.pop("kind"), **entry) for entry in regimes]
     return ScenarioSpec(doc.pop("n"), doc.pop("change_points", ()), regimes, **doc)
+
+
+def _json_object(what, value):
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} is not a JSON object: {value!r:.40}")
+    return value

@@ -54,18 +54,19 @@ class ThresholdPair:
 
 @dataclass(frozen=True)
 class SlidingStats:
-    """Per-index backward/forward statistics over i = k .. n-k.
+    """Per-index backward/forward statistics over i = k .. n-k, and Q = phi(A) - phi(B).
 
     Arrays are aligned: entry j corresponds to trajectory index k + j.
     """
 
     k: int
-    first_index: int
     B: np.ndarray = field(repr=False)
     A: np.ndarray = field(repr=False)
-    phi_B: np.ndarray = field(repr=False)
-    phi_A: np.ndarray = field(repr=False)
     Q: np.ndarray = field(repr=False)
+
+    @property
+    def first_index(self):
+        return self.k
 
     @property
     def indices(self):
@@ -382,10 +383,6 @@ def backward_forward(traj, k):
 
 
 def sliding_stats(traj, k, thresholds):
-    """Full sliding pass: B, A, their classifications and the Q signal."""
+    """Full sliding pass: B, A and the Q signal phi(A) - phi(B)."""
     B, A = backward_forward(traj, k)
-    phi_B = phi(B, thresholds)
-    phi_A = phi(A, thresholds)
-    return SlidingStats(
-        k=k, first_index=k, B=B, A=A, phi_B=phi_B, phi_A=phi_A, Q=phi_A - phi_B
-    )
+    return SlidingStats(k, B, A, phi(A, thresholds) - phi(B, thresholds))

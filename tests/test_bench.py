@@ -25,7 +25,7 @@ from diffswitch.bench import (
     run_type1_experiment,
 )
 from diffswitch.calibration import SEGMENT_LENGTH_GRID
-from diffswitch.errors import InvalidParam, NoMotion
+from diffswitch.errors import InvalidParam, IoFailure, NoMotion
 from diffswitch.rng import replicate_rng
 from diffswitch.stats import SegmentStats
 from diffswitch.trajectory import TimeGrid, Trajectory
@@ -348,7 +348,9 @@ class TestExternalDetector:
         ([100.7, 175.2], None), (["100", 175], None), ([True, 175], None), (100, None),
         (None, "pass"), (None, "open(a.output, 'w').write('not json')"),
         (None, "json.dump([100, 175], open(a.output, 'w'))"),
-    ], ids=["fractional", "string", "bool", "not-a-list", "no-output", "not-json", "no-key"])
+        (None, "json.dump({'change_points': [100, 175]}, open(a.output, 'w')); raise SystemExit(1)"),
+    ], ids=["fractional", "string", "bool", "not-a-list", "no-output", "not-json", "no-key",
+            "good-output-exit-1"])
     def test_bad_output_fails_every_replicate(self, tmp_path, points, output):
         prog = self.make_stub(tmp_path, points, output)
         cell = run_cell(spec_1(replicates=3, external_detector=prog), 2.0, 30, None)
@@ -412,8 +414,17 @@ class TestExport:
         for fmt, name in (("json", "a.json"), ("csv", "a.csv"), ("markdown", "a.md")):
             export_report(report, fmt, tmp_path / name)
         assert json.loads((tmp_path / "a.json").read_text())["cells"] == []
-        # An empty grid still yields a well-formed CSV (header only may be absent).
+        # An empty grid still yields the type-I headers, not the sweep's.
         assert os.path.exists(tmp_path / "a.csv")
+        assert (tmp_path / "a.csv").read_text() == "n,k,variant,type1,se,gamma1,gamma2,replicates\n"
+        assert (tmp_path / "a.md").read_text().startswith("| n | k | variant | type I (%) | SE (%) |\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+    def test_unwritable_path_is_io_failure(self, tmp_path, report, fmt):
+        # A parent that is a regular file refuses the write whatever the user's permissions.
+        (tmp_path / "file").write_text("")
+        with pytest.raises(IoFailure, match="cannot write"):
+            export_report(report, fmt, tmp_path / "file" / "report")
 
     def test_unknown_format(self, tmp_path, report):
         with pytest.raises(InvalidParam):

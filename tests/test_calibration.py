@@ -39,7 +39,7 @@ from diffswitch.calibration import (
     grid_length,
     segment_test_key,
 )
-from diffswitch.errors import Degenerate, InvalidParam
+from diffswitch.errors import Degenerate, InvalidParam, IoFailure
 from diffswitch.rng import DEFAULT_SEED, replicate_rng
 from diffswitch.trajectory import TimeGrid
 
@@ -321,6 +321,14 @@ class TestThresholdTable:
         # The strict variant and the segment test at n were persisted by the same miss.
         assert set(table.entries) == self.pass_keys(7)
         assert table.get(self.key(seed=7, variant=STRICT)) is not None
+
+    def test_unwritable_path_is_io_failure(self, tmp_path):
+        # A parent that is a regular file refuses the write whatever the user's permissions.
+        (tmp_path / "file").write_text("")
+        table = ThresholdTable(tmp_path / "file" / "cache.json")
+        table.put(self.key(seed=7), ThresholdPair(0.5, 2.0))
+        with pytest.raises(IoFailure, match="cannot write cache"):
+            table.save()
 
     def test_cache_hit_skips_simulation(self, tmp_path):
         path = tmp_path / "cache.json"

@@ -128,8 +128,19 @@ class TestScenarioFile:
          "keyword argument 'delta_t'\n"),
         ('{"regimes": [{"kind": "brownian"}]}', "InvalidParam: {}: missing key 'n'\n"),
         ('{"n": 300, "regimes": [{"sigma": 2.0}]}', "InvalidParam: {}: missing key 'kind'\n"),
+        ('{"n": 300, "seed": null, "regimes": [{"kind": "brownian"}]}',
+         "InvalidParam: seed must be a nonnegative integer, got None\n"),
+        ('{"n": 300, "seed": 1.5, "regimes": [{"kind": "brownian"}]}',
+         "InvalidParam: seed must be a nonnegative integer, got 1.5\n"),
+        ('{"n": 300, "seed": -1, "regimes": [{"kind": "brownian"}]}',
+         "InvalidParam: seed must be a nonnegative integer, got -1\n"),
+        ("[1]", "InvalidParam: {}: not a scenario document: the document is not a JSON object: [1]\n"),
+        ("null", "InvalidParam: {}: not a scenario document: the document is not a JSON object: None\n"),
+        ('{"n": 300, "regimes": ["brownian"]}',
+         "InvalidParam: {}: not a scenario document: regime 0 is not a JSON object: 'brownian'\n"),
     ], ids=["missing", "malformed", "no-regimes", "misspelled-regime-key", "misspelled-top-level-key",
-            "no-n", "no-kind"])
+            "no-n", "no-kind", "null-seed", "float-seed", "negative-seed", "list-document",
+            "null-document", "string-regime"])
     def test_bad_file_is_one_line_domain_error(self, tmp_path, capsys, command, content, error):
         path = tmp_path / "scenario.json"
         if content is not None:

@@ -513,6 +513,12 @@ class TestSegmentPass:
             with pytest.raises(OutOfBounds):
                 merge_same_label(brownian_300, points, labels, (0.6, 2.6))
 
+    def test_non_finite_segment_statistic_raises(self, brownian_300):
+        # Finite positions, but a time step this large leaves each segment's T not finite.
+        traj = Trajectory(grid=TimeGrid(0.0, 1e307, 300), positions=brownian_300.positions)
+        with pytest.raises(InvalidParam, match="statistic is not finite"):
+            label_segments(traj, [100, 175], (0.6, 2.6))
+
     def test_immobile_segment_undetermined_between_labelled(self, brownian_300):
         pos = brownian_300.positions.copy()
         pos[100:176] = pos[100]

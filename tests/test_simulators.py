@@ -352,6 +352,20 @@ class TestScenario:
         with pytest.raises(InvalidParam):
             ScenarioSpec(n, change_points, regimes[: len(change_points) + 1])
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: RegimeSpec("nope"), "unknown regime kind 'nope'"),
+        (lambda: ScenarioSpec(300, (100,), (RegimeSpec(BROWNIAN),)), "1 change points require 2 regimes"),
+        (lambda: ScenarioSpec(300, (175, 100), (RegimeSpec(BROWNIAN), RegimeSpec(ORNSTEIN_UHLENBECK),
+                                                RegimeSpec(BROWNIAN))), "strictly increasing"),
+        (lambda: ScenarioSpec(300, (), (RegimeSpec(BROWNIAN),), seed=None), "seed must be a nonneg"),
+        (lambda: scenario_preset(2), "scenario 2 needs a restoring force lam"),
+        (lambda: scenario_preset(3, v=1.0), "unknown scenario preset 3"),
+    ], ids=["unknown-kind", "regime-count", "decreasing-change-points", "null-seed", "no-lam",
+            "unknown-preset"])
+    def test_bad_spec_rejected(self, build, message):
+        with pytest.raises(InvalidParam, match=message):
+            build()
+
     def test_change_point_bounds(self):
         with pytest.raises(InvalidParam):
             scenario_preset(1, v=1.0, change_points=(100, 400))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -628,10 +629,15 @@ class TestBackwardForward:
 class TestSlidingStats:
     def test_q_is_difference(self, brownian_300, relaxed_300_30):
         stats = sliding_stats(brownian_300, 30, relaxed_300_30)
-        assert np.array_equal(stats.Q, stats.phi_A - stats.phi_B)
+        assert np.array_equal(stats.Q, phi(stats.A, relaxed_300_30) - phi(stats.B, relaxed_300_30))
         assert stats.first_index == 30
         assert stats.indices[0] == 30
         assert stats.indices[-1] == 270
+
+    def test_holds_only_what_detection_reads(self, brownian_300, relaxed_300_30):
+        stats = sliding_stats(brownian_300, 30, relaxed_300_30)
+        assert [f.name for f in dataclasses.fields(stats)] == ["k", "B", "A", "Q"]
+        assert stats.first_index == stats.k == 30
 
     def test_q_range(self, brownian_300, relaxed_300_30):
         stats = sliding_stats(brownian_300, 30, relaxed_300_30)

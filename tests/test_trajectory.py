@@ -187,6 +187,13 @@ class TestTrajectory:
             TimeGrid(t0=t0, delta=delta, n_steps=3)
         assert str(exc.value) == f"t0 and delta must be finite, got ({t0}, {delta})"
 
+    @pytest.mark.parametrize("delta, n_steps, message", [(0.0, 10, "delta must be positive, got 0.0"),
+                                                         (1.0, 0, "n_steps must be >= 1, got 0")])
+    def test_grid_rejects_no_step(self, delta, n_steps, message):
+        with pytest.raises(InvalidParam) as exc:
+            TimeGrid(t0=0.0, delta=delta, n_steps=n_steps)
+        assert str(exc.value) == message
+
     def test_rejects_wrong_length(self):
         with pytest.raises(InvalidParam):
             Trajectory(grid=TimeGrid(0, 1, 3), positions=[[0, 0], [1, 0]])

@@ -18,7 +18,10 @@ compares its cut-offs; the type-I case runs `estimate_type1_error` at
 their 32 streams included, and compares the stacks bit for bit; the
 `run_cell` case runs one labelled scenario-2 cell (lam = 0.5, k = 30,
 200 replicates, quantiles (0.6, 2.6)) and compares the cell's fields
-other than `runtime_s`. The segment cases call
+other than `runtime_s`. The `detect` case runs `run_procedure` with
+labels on one n=300 Brownian track (k = 30, pair (0.74, 3.26), quantiles
+(0.6, 2.6)) and compares the JSON text of `detection.report_to_dict`.
+The segment cases call
 `SegmentStats.between` on random walks (1 x 301 with change points
 [100, 175], 32 x 301 with two random change points per row, 1 x 50,001
 with 19), `SegmentStats.whole` (32 x 301) or `SegmentStats.segment`, as
@@ -55,6 +58,8 @@ NULL_PASS = ((300, 0.05, 2002, 1), {"window": (30, 15, 12), "segment": True}, 1)
 TYPE1 = ((300, 30, 15, 12), (0.74, 3.26), (2000, 1729), 1)
 # Calls per round of the compose_stack and run_cell cases.
 COMPOSE_CALLS, CELL_CALLS = 50, 1
+# The per-track detection case: pair, segment quantiles and calls per round.
+DETECT = ((0.74, 3.26), (0.6, 2.6), 200)
 
 
 def segment_cases():
@@ -115,6 +120,8 @@ def peak_bytes(call):
 
 def by_value(result):
     """A view of a case's result that compares equal across the two trees' classes."""
+    if isinstance(result, str):
+        return result
     if isinstance(result, dict):
         return {variant: (pair.gamma1, pair.gamma2) for variant, pair in result.items()}
     if dataclasses.is_dataclass(result):
@@ -133,6 +140,13 @@ def cell_call(tree):
     spec = tree.ExperimentSpec(scenario=2, param_values=(0.5,), k_values=(30,), replicates=200)
     pair = tree.ThresholdPair(0.74, 3.26)
     return lambda: tree.bench.run_cell(spec, 0.5, 30, pair, quantiles=(0.6, 2.6))
+
+
+def detect_call(tree):
+    gammas, quantiles, _ = DETECT
+    traj = tree.gen_brownian(tree.TimeGrid(0.0, 1.0, 300), 2, 1.0, np.random.default_rng(300))
+    config = tree.DetectionConfig(30, tree.ThresholdPair(*gammas))
+    return lambda: json.dumps(tree.detection.report_to_dict(tree.run_procedure(traj, config, True, quantiles)))
 
 
 def run_case(name, calls_of_trees, calls, rounds):
@@ -178,6 +192,8 @@ def main(argv=None):
         "compose_stack_s1_32", [compose_call(tree) for tree in trees], COMPOSE_CALLS, args.rounds)
     result["run_cell_s2_lam0.5"] = run_case(
         "run_cell_s2_lam0.5", [cell_call(tree) for tree in trees], CELL_CALLS, args.rounds)
+    result["detect_1x301_k30"] = run_case(
+        "detect_1x301_k30", [detect_call(tree) for tree in trees], DETECT[2], args.rounds)
     for name, stack, points, calls in segment_cases():
         calls_of_trees = [segment_call(tree, stack, points) for tree in trees]
         result[name] = run_case(name, calls_of_trees, calls, args.rounds)
