@@ -5,10 +5,10 @@ and a decimal point. Fields are read as `csv.reader` and ``float`` read
 them: LF, CRLF or CR line ends, blank lines and a missing final newline
 are all accepted, and a malformed row is reported with its line number.
 A file that is not UTF-8, or has a field over `csv.field_size_limit`,
-raises `MalformedRow`. A file with no quotes or lone CRs is parsed in one
-pass over the whole text; any other file, and every malformed or
-non-finite one, goes row by row. A non-finite time stamp or position is
-reported with its line number, unless a malformed row follows it.
+raises `MalformedRow`. Files without quotes or lone CRs are parsed whole,
+by numpy's C parser where ASCII without whitespace (see `_parse_whole`);
+any other file, and every malformed or non-finite one, goes row by row. A
+non-finite value is reported with its line, unless a malformed row follows.
 Non-uniform time grids are rejected rather than resampled: the
 detection statistics assume a constant lag.
 """
@@ -16,6 +16,7 @@ detection statistics assume a constant lag.
 import csv
 import io
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,10 +138,15 @@ def _parse_whole(text):
     """Every data row of a CSV file as one (rows, columns) array, or None.
 
     Covers files without quotes or lone carriage returns whose rows all
-    have the header's 3 or 4 fields: the fields are split with `str.split`
-    and parsed with ``float`` in one ``np.array`` call, as `csv.reader`
-    and the row loop would read them. Anything else returns None and goes
-    through `_parse_rows`, which gives each error its exact message.
+    have the header's 3 or 4 fields, read as `csv.reader` and ``float``
+    read them. An ASCII body free of whitespace and NUL (numpy reads a
+    whitespace-only field as -1.0) goes to `np.fromstring` with an ``inf``
+    field closing each line. If the values fill one (columns + 1)-wide row
+    per line and all but the last column are finite, the lines' ``inf``
+    fill that column in order, so each line held the header's field count.
+    Blank lines, underscores and non-finite values fall back to ``float``
+    on the fields of `str.split`; what that cannot read returns None and
+    goes through `_parse_rows`, which gives each error its exact message.
     """
     if '"' in text:
         return None
@@ -148,15 +154,24 @@ def _parse_whole(text):
         text = text.replace("\r\n", "\n")
         if "\r" in text:
             return None
-    header, *lines = text.split("\n")
+    header, _, body = text.partition("\n")
     ncols = header.count(",") + 1
-    lines = list(filter(None, lines))
-    # Each row must hold its own fields: a total comma count alone would
-    # pass a short row next to a long one.
+    limit = csv.field_size_limit()
+    if ncols in (3, 4) and len(header) <= limit and body.isascii() and not any(
+            c in body for c in " \t\x0b\x0c\x00"):
+        raw = body.rstrip("\n").encode()
+        marked = raw.replace(b"\n", b",inf,") + b",inf"  # 4 bytes longer per line
+        step = limit // 2 + 1  # a field over the limit covers some [j * step, (j + 1) * step)
+        fits = all(marked.find(b",", i, i + step) >= 0 for i in range(0, len(marked) - step + 1, step))
+        with suppress(ValueError):  # a field numpy cannot read whole, or a value count off
+            table = np.fromstring(marked, sep=",").reshape((len(marked) - len(raw)) // 4, ncols + 1)
+            if fits and np.isfinite(table[:, :-1]).all():
+                return table[:, :-1]
+    lines = list(filter(None, body.split("\n")))
+    # Each row must hold its own fields: a total comma count would pass a short row next to a long one.
     if ncols not in (3, 4) or any(line.count(",") != ncols - 1 for line in lines):
         return None
     fields = ",".join(lines).split(",")
-    limit = csv.field_size_limit()
     if len(text) > limit and max(map(len, [header, *fields])) > limit:
         return None
     try:

@@ -85,6 +85,9 @@ class TestLoadCsvMessages:
             # A form feed or vertical tab is data, not a line break.
             ("t,x,y\n0,0,0\n1,1\x0c5,0\n2,2,0\n", MalformedRow, ":3: non-numeric field"),
             ("t,x,y\n0,0,0\x0b1,1,0\n2,2,0\n", MalformedRow, ":2: expected 3 fields, got 5"),
+            # A field of whitespace or NUL is not a number (numpy's parser reads whitespace as -1.0).
+            *[(f"t,x,y\n0,0,0\n1,{field},0\n2,2,0\n", MalformedRow, ":3: non-numeric field")
+              for field in [" ", "  ", "\t", "\x0b", "\x0c", "\x00", " \t"]],
             # Short and long rows whose commas add up to the right total.
             ("t,x,y\n5\n1,2,3,4,5\n2,2,0\n", MalformedRow, ":2: expected 3 fields, got 1"),
             # Non-finite values are named by line, blank and CRLF lines counted.
@@ -144,6 +147,76 @@ class TestLoadCsvMessages:
 
 def assert_bit_equal(a, b):
     assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def c_parse(monkeypatch, text):
+    """_parse_whole's table for `text`, checked to be a view of the array np.fromstring returned."""
+    parsed, real = [], np.fromstring
+
+    def spy(*args, **kwargs):
+        parsed.append(real(*args, **kwargs))
+        return parsed[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "fromstring", spy)
+        table = trajectory._parse_whole(text)
+    assert table is not None and np.shares_memory(table, parsed[-1])
+    return table
+
+
+class TestCParse:
+    """Files that numpy's parser reads, and those it must leave to the float conversion or the row loop."""
+
+    @pytest.mark.parametrize(
+        "text, suffix",
+        [
+            # A short row, then a long row whose extra field is inf, first or last.
+            ("t,x,y\n0,0,0\n1,1\ninf,2,2,0\n3,3,0\n", ":3: expected 3 fields, got 2"),
+            ("t,x,y\n0,0,0\n1,1\n2,2,0,inf\n3,3,0\n", ":3: expected 3 fields, got 2"),
+            # A long row with an inf where a line's own inf would close a row.
+            ("t,x,y\n0,0,0\n1,1,0,inf,2,2,0\n3,3,0\n", ":3: expected 3 fields, got 7"),
+            # A short row, then a long row: the same value count, one line's inf in a data column.
+            ("t,x,y\n0,0,0\n1,1\n2,2,0,0\n3,3,0\n", ":3: expected 3 fields, got 2"),
+        ],
+    )
+    def test_short_and_long_rows_are_malformed(self, tmp_path, text, suffix):
+        assert trajectory._parse_whole(text) is None
+        path = write(tmp_path, text)
+        with pytest.raises(MalformedRow) as exc:
+            load_csv(path)
+        assert str(exc.value) == f"{path}{suffix}"
+
+    @pytest.mark.parametrize("blank_lines_after", [0, 1, 3])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    @pytest.mark.parametrize("ncols", [3, 4])
+    def test_line_ends_load_bit_equal(self, tmp_path, monkeypatch, ncols, eol, blank_lines_after):
+        rng = np.random.default_rng(ncols)
+        pos = rng.normal(size=(40, ncols - 1)) * 10.0 ** rng.integers(-300, 300, size=(40, ncols - 1))
+        rows = [",".join(map(repr, [float(t), *row])) for t, row in enumerate(pos.tolist())]
+        # No final line end when blank_lines_after is 0.
+        text = eol.join([",".join("txyz"[:ncols]), *rows]) + eol * blank_lines_after
+        assert_bit_equal(c_parse(monkeypatch, text)[:, 1:], pos)
+        path = tmp_path / "traj.csv"
+        path.write_bytes(text.encode())
+        monkeypatch.setattr(trajectory, "_parse_rows", None)
+        traj = load_csv(path)
+        assert_bit_equal(traj.positions, pos)
+        assert (traj.grid.t0, traj.grid.delta, traj.n_steps) == (0.0, 1.0, 39)
+
+    def test_file_over_field_limit_takes_c_parse(self, tmp_path, monkeypatch):
+        limit = csv.field_size_limit()
+        rows = [f"{t},{t / 7!r},{-t / 3!r}" for t in range(limit // 20)]
+        text = "t,x,y\n" + "\n".join(rows) + "\n"
+        assert len(text) > limit
+        table = c_parse(monkeypatch, text)
+        assert_bit_equal(table, np.array([[float(v) for v in row.split(",")] for row in rows]))
+        # One field over the limit, in a row or the header, sends the file to the row loop.
+        for lineno, longer in ((7, text.replace("\n5,", "\n" + "0" * limit + "5,", 1)),
+                               (1, text.replace("y", "y" * (limit + 1), 1))):
+            path = write(tmp_path, longer)
+            with pytest.raises(MalformedRow) as exc:
+                load_csv(path)
+            assert str(exc.value) == f"{path}:{lineno}: field larger than field limit ({limit})"
 
 
 class TestSaveCsv:

@@ -1,7 +1,10 @@
 """Property tests of the CSV loader: the whole-file parse against the row loop, and its median step."""
 
+import csv
+
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from diffswitch import load_csv, trajectory
@@ -34,6 +37,35 @@ VALID_CSV = b"t,x,y\r\n0,0.5,-1e-3\r\n1,2.25,3\r\n2,-0,4.125\r\n3,1e2,5\r\n"
 SPECIAL_BYTES = b',\n\r" _.-+e0123456789\x00\x0b\x0c\x1c\x85\xc3\xff'
 
 
+@st.composite
+def mutated_bytes(draw):
+    """VALID_CSV after 1 to 4 byte inserts, replacements or deletions."""
+    raw = bytearray(VALID_CSV)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(raw) - 1))
+        byte = draw(st.sampled_from(SPECIAL_BYTES) | st.integers(0, 255))
+        action = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if action == "insert":
+            raw.insert(at, byte)
+        elif action == "replace":
+            raw[at] = byte
+        else:
+            del raw[at]
+    return bytes(raw)
+
+
+@st.composite
+def limited_fields(draw):
+    """A small field size limit, and the widths of zero-padded fields: short, perhaps one near the limit."""
+    limit = draw(st.integers(1, 40))
+    short = st.integers(1, max(1, limit // 4))
+    widths = draw(st.lists(st.lists(short, min_size=3, max_size=3), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        near = st.integers(max(1, limit - 2), limit + 2)
+        draw(st.sampled_from(widths))[draw(st.integers(0, 2))] = draw(near)
+    return limit, widths
+
+
 class TestLoadCsvEquivalence:
     """The whole-file parse reads every file exactly as the row loop does."""
 
@@ -64,19 +96,10 @@ class TestLoadCsvEquivalence:
         max_examples=300, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    @given(st.data())
-    def test_mutated_bytes_raise_only_domain_errors(self, tmp_path, data):
-        raw = bytearray(VALID_CSV)
-        for _ in range(data.draw(st.integers(1, 4))):
-            at = data.draw(st.integers(0, len(raw) - 1))
-            byte = data.draw(st.sampled_from(SPECIAL_BYTES) | st.integers(0, 255))
-            action = data.draw(st.sampled_from(["insert", "replace", "delete"]))
-            if action == "insert":
-                raw.insert(at, byte)
-            elif action == "replace":
-                raw[at] = byte
-            else:
-                del raw[at]
+    @given(mutated_bytes())
+    # An overflowing field: the whole-file parse returns its non-finite table.
+    @example(b"t,x,y\r\n0,0.5,-1e993\r\n1,2.25,3\r\n2,-0,4.125\r\n3,1e2,5\r\n")
+    def test_mutated_bytes_raise_only_domain_errors(self, tmp_path, raw):
         path = tmp_path / "mutated.csv"
         path.write_bytes(raw)
         try:
@@ -88,8 +111,32 @@ class TestLoadCsvEquivalence:
         except UnicodeDecodeError:
             return
         fast = trajectory._parse_whole(text)
-        if fast is not None:
+        if fast is None:
+            return
+        if np.isfinite(fast).all():
             assert_bit_equal(fast, trajectory._parse_rows(text, path))
+        else:
+            # load_csv sends a non-finite table to the row loop, which must name its row.
+            with pytest.raises((MalformedRow, NonUniformGrid)):
+                trajectory._parse_rows(text, path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(limited_fields())
+    def test_field_size_limit_as_row_loop(self, case):
+        limit, widths = case
+        rows = [",".join(f"{t:0{w}d}" for w in row) for t, row in enumerate(widths)]
+        text = "t,x,y\n" + "\n".join(rows) + "\n"
+        saved = csv.field_size_limit(limit)
+        try:
+            fast = trajectory._parse_whole(text)
+            try:
+                table = trajectory._parse_rows(text, "traj.csv")
+            except MalformedRow:
+                assert fast is None
+            else:
+                assert fast is None or np.array_equal(fast, table)
+        finally:
+            csv.field_size_limit(saved)
 
 
 class TestNonFiniteValues:

@@ -1,4 +1,4 @@
-"""Paired timing of the B/A kernel, a cold null pass and the study layers from two source trees.
+"""Paired timing of kernel, null-pass, study and CSV-loader cases from two source trees.
 
 Usage (from the root of a checkout):
 
@@ -21,6 +21,10 @@ their 32 streams included, and compares the stacks bit for bit; the
 other than `runtime_s`. The `detect` case runs `run_procedure` with
 labels on one n=300 Brownian track (k = 30, pair (0.74, 3.26), quantiles
 (0.6, 2.6)) and compares the JSON text of `detection.report_to_dict`.
+The `load_csv` case writes one n=300 Brownian track to a temporary
+directory twice, as perfbench's `write_track` writes it (LF line ends,
+`repr` floats) and through `save_csv` (CRLF line ends, `.17g`); one call
+loads both files, and the positions and grids are compared bit for bit.
 The segment cases call
 `SegmentStats.between` on random walks (1 x 301 with change points
 [100, 175], 32 x 301 with two random change points per row, 1 x 50,001
@@ -39,6 +43,7 @@ import importlib.util
 import json
 import statistics
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -60,6 +65,8 @@ TYPE1 = ((300, 30, 15, 12), (0.74, 3.26), (2000, 1729), 1)
 COMPOSE_CALLS, CELL_CALLS = 50, 1
 # The per-track detection case: pair, segment quantiles and calls per round.
 DETECT = ((0.74, 3.26), (0.6, 2.6), 200)
+# Calls per round of the load_csv case.
+LOAD_CALLS = 200
 
 
 def segment_cases():
@@ -149,6 +156,23 @@ def detect_call(tree):
     return lambda: json.dumps(tree.detection.report_to_dict(tree.run_procedure(traj, config, True, quantiles)))
 
 
+def write_tracks(tree, directory):
+    """One n=300 track as perfbench's write_track writes it (LF, repr) and as save_csv does (CRLF)."""
+    traj = tree.gen_brownian(tree.TimeGrid(0.0, 1.0, 300), 2, 1.0, np.random.default_rng(301))
+    lf, crlf = Path(directory) / "lf.csv", Path(directory) / "crlf.csv"
+    rows = "".join(f"{t},{x!r},{y!r}\n" for t, (x, y) in enumerate(traj.positions.tolist()))
+    lf.write_text("t,x,y\n" + rows, encoding="utf-8")
+    tree.save_csv(traj, crlf)
+    return lf, crlf
+
+
+def load_call(tree, paths):
+    def call():
+        trajs = [tree.load_csv(path) for path in paths]
+        return [a for traj in trajs for a in (traj.positions, [traj.grid.t0, traj.grid.delta, traj.n_steps])]
+    return call
+
+
 def run_case(name, calls_of_trees, calls, rounds):
     """Times two zero-argument calls, one per tree, after checking that they agree by value."""
     if by_value(calls_of_trees[0]()) != by_value(calls_of_trees[1]()):
@@ -194,6 +218,10 @@ def main(argv=None):
         "run_cell_s2_lam0.5", [cell_call(tree) for tree in trees], CELL_CALLS, args.rounds)
     result["detect_1x301_k30"] = run_case(
         "detect_1x301_k30", [detect_call(tree) for tree in trees], DETECT[2], args.rounds)
+    with tempfile.TemporaryDirectory() as directory:
+        paths = write_tracks(trees[0], directory)
+        result["load_csv_1x301"] = run_case(
+            "load_csv_1x301", [load_call(tree, paths) for tree in trees], LOAD_CALLS, args.rounds)
     for name, stack, points, calls in segment_cases():
         calls_of_trees = [segment_call(tree, stack, points) for tree in trees]
         result[name] = run_case(name, calls_of_trees, calls, args.rounds)
