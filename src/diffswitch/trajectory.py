@@ -103,7 +103,7 @@ def load_csv(path):
         raise MalformedRow(f"{path}: invalid UTF-8 at byte {exc.start}") from None
     del data
     table = _parse_whole(text)
-    if table is None or not np.isfinite(table).all():
+    if table is None:
         table = _parse_rows(text, path)
 
     if len(table) < 3:
@@ -135,18 +135,16 @@ def _median(x):
 
 
 def _parse_whole(text):
-    """Every data row of a CSV file as one (rows, columns) array, or None.
+    """Every data row of a CSV file as one finite (rows, columns) array, or None.
 
-    Covers files without quotes or lone carriage returns whose rows all
-    have the header's 3 or 4 fields, read as `csv.reader` and ``float``
-    read them. An ASCII body free of whitespace and NUL (numpy reads a
-    whitespace-only field as -1.0) goes to `np.fromstring` with an ``inf``
-    field closing each line. If the values fill one (columns + 1)-wide row
-    per line and all but the last column are finite, the lines' ``inf``
-    fill that column in order, so each line held the header's field count.
-    Blank lines, underscores and non-finite values fall back to ``float``
-    on the fields of `str.split`; what that cannot read returns None and
-    goes through `_parse_rows`, which gives each error its exact message.
+    Covers files without quotes or lone CRs whose rows all have the
+    header's 3 or 4 fields, read as `csv.reader` and ``float`` read them.
+    An ASCII body without whitespace (numpy reads it as -1.0), NUL, empty
+    fields or room for a field over the size limit goes to `np.fromstring`,
+    an ``inf`` closing each line. With one value per field, one (columns
+    + 1)-wide row per line and the other columns finite, the ``inf`` fill
+    the last column in order, so each line held the header's field count.
+    Other texts fall back to ``float`` on the fields of `str.split`.
     """
     if '"' in text:
         return None
@@ -157,16 +155,18 @@ def _parse_whole(text):
     header, _, body = text.partition("\n")
     ncols = header.count(",") + 1
     limit = csv.field_size_limit()
-    if ncols in (3, 4) and len(header) <= limit and body.isascii() and not any(
-            c in body for c in " \t\x0b\x0c\x00"):
-        raw = body.rstrip("\n").encode()
+    step = limit // 2 + 1  # a field over the limit covers some [j * step, (j + 1) * step)
+    raw = body.rstrip("\n").encode()
+    if ncols in (3, 4) and len(header) <= limit and raw.isascii() and not any(
+            c in raw for c in b" \t\x0b\x0c\x00") and all(
+            raw.find(b",", i, i + step) >= 0 for i in range(0, len(raw) - step + 1, step)):
         marked = raw.replace(b"\n", b",inf,") + b",inf"  # 4 bytes longer per line
-        step = limit // 2 + 1  # a field over the limit covers some [j * step, (j + 1) * step)
-        fits = all(marked.find(b",", i, i + step) >= 0 for i in range(0, len(marked) - step + 1, step))
-        with suppress(ValueError):  # a field numpy cannot read whole, or a value count off
-            table = np.fromstring(marked, sep=",").reshape((len(marked) - len(raw)) // 4, ncols + 1)
-            if fits and np.isfinite(table[:, :-1]).all():
-                return table[:, :-1]
+        commas = np.frombuffer(marked, np.uint8) == ord(",")
+        if not (commas[1:] & commas[:-1]).any():  # an empty field, as a blank line leaves, stops numpy
+            with suppress(ValueError, DeprecationWarning):  # older numpy warns and returns a prefix
+                table = np.fromstring(marked, sep=",").reshape((len(marked) - len(raw)) // 4, ncols + 1)
+                if table.size == np.count_nonzero(commas) + 1 and np.isfinite(table[:, :-1]).all():
+                    return table[:, :-1]
     lines = list(filter(None, body.split("\n")))
     # Each row must hold its own fields: a total comma count would pass a short row next to a long one.
     if ncols not in (3, 4) or any(line.count(",") != ncols - 1 for line in lines):
@@ -174,10 +174,10 @@ def _parse_whole(text):
     fields = ",".join(lines).split(",")
     if len(text) > limit and max(map(len, [header, *fields])) > limit:
         return None
-    try:
-        return np.array(fields, dtype=float).reshape(-1, ncols)
-    except ValueError:
-        return None
+    with suppress(ValueError):
+        table = np.array(fields, dtype=float).reshape(-1, ncols)
+        return table if np.isfinite(table).all() else None
+    return None
 
 
 def _parse_rows(text, path):

@@ -203,6 +203,30 @@ class TestCParse:
         assert_bit_equal(traj.positions, pos)
         assert (traj.grid.t0, traj.grid.delta, traj.n_steps) == (0.0, 1.0, 39)
 
+    @pytest.mark.parametrize("stop", ["prefix", "warning"])
+    def test_parse_that_stops_early_takes_no_malformed_file(self, tmp_path, monkeypatch, stop):
+        """Older numpy warns at a field it cannot read whole and returns the values before it."""
+        def fromstring(string, sep):
+            values = []
+            for text_field in string.split(sep.encode()):
+                try:
+                    values.append(float(text_field))
+                except ValueError:
+                    if stop == "warning":  # as under -W error
+                        raise DeprecationWarning("string or file could not be read to its end")
+                    break
+            return np.array(values)
+
+        monkeypatch.setattr(np, "fromstring", fromstring)
+        # The 15 values before "x" and one inf fill the 4 rows of 4 that the 4 lines ask for.
+        text = "t,x,y\n" + ",".join(map(str, range(15))) + "\nx,0,0\n1,1,1\n2,2,2\n"
+        assert trajectory._parse_whole(text) is None
+        path = write(tmp_path, text)
+        with pytest.raises(MalformedRow) as exc:
+            load_csv(path)
+        assert str(exc.value) == f"{path}:2: expected 3 fields, got 15"
+        assert_bit_equal(c_parse(monkeypatch, "t,x,y\n0,1,2\n1,3,4\n"), np.array([[0.0, 1, 2], [1, 3, 4]]))
+
     def test_file_over_field_limit_takes_c_parse(self, tmp_path, monkeypatch):
         limit = csv.field_size_limit()
         rows = [f"{t},{t / 7!r},{-t / 3!r}" for t in range(limit // 20)]

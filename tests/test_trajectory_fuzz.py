@@ -3,7 +3,6 @@
 import csv
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -90,14 +89,18 @@ class TestLoadCsvEquivalence:
         except ValueError:
             assert fast is None
         else:
-            assert fast is not None and fast[0, 1].tobytes() == expected.tobytes()
+            # A non-finite value goes to the row loop, which names its line.
+            if not np.isfinite(expected):
+                assert fast is None
+            else:
+                assert fast is not None and fast[0, 1].tobytes() == expected.tobytes()
 
     @settings(
         max_examples=300, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(mutated_bytes())
-    # An overflowing field: the whole-file parse returns its non-finite table.
+    # An overflowing field, which the whole-file parse leaves to the row loop.
     @example(b"t,x,y\r\n0,0.5,-1e993\r\n1,2.25,3\r\n2,-0,4.125\r\n3,1e2,5\r\n")
     def test_mutated_bytes_raise_only_domain_errors(self, tmp_path, raw):
         path = tmp_path / "mutated.csv"
@@ -111,14 +114,9 @@ class TestLoadCsvEquivalence:
         except UnicodeDecodeError:
             return
         fast = trajectory._parse_whole(text)
-        if fast is None:
-            return
-        if np.isfinite(fast).all():
+        if fast is not None:
+            assert np.isfinite(fast).all()
             assert_bit_equal(fast, trajectory._parse_rows(text, path))
-        else:
-            # load_csv sends a non-finite table to the row loop, which must name its row.
-            with pytest.raises((MalformedRow, NonUniformGrid)):
-                trajectory._parse_rows(text, path)
 
     @settings(max_examples=300, deadline=None)
     @given(limited_fields())

@@ -25,6 +25,9 @@ The `load_csv` case writes one n=300 Brownian track to a temporary
 directory twice, as perfbench's `write_track` writes it (LF line ends,
 `repr` floats) and through `save_csv` (CRLF line ends, `.17g`); one call
 loads both files, and the positions and grids are compared bit for bit.
+The `load_csv_fallback` case does the same for two files that numpy's
+parse leaves to the `float` conversion: the LF file with ", " between
+fields, and with a blank line after its 150th row.
 The segment cases call
 `SegmentStats.between` on random walks (1 x 301 with change points
 [100, 175], 32 x 301 with two random change points per row, 1 x 50,001
@@ -157,13 +160,16 @@ def detect_call(tree):
 
 
 def write_tracks(tree, directory):
-    """One n=300 track as perfbench's write_track writes it (LF, repr) and as save_csv does (CRLF)."""
+    """One n=300 track as perfbench's write_track writes it (LF, repr) and as save_csv does (CRLF),
+    then the LF file with ", " between fields and with a blank line mid-file."""
     traj = tree.gen_brownian(tree.TimeGrid(0.0, 1.0, 300), 2, 1.0, np.random.default_rng(301))
-    lf, crlf = Path(directory) / "lf.csv", Path(directory) / "crlf.csv"
-    rows = "".join(f"{t},{x!r},{y!r}\n" for t, (x, y) in enumerate(traj.positions.tolist()))
-    lf.write_text("t,x,y\n" + rows, encoding="utf-8")
+    lf, crlf, spaced, blank = (Path(directory) / f"{name}.csv" for name in ("lf", "crlf", "spaced", "blank"))
+    rows = [f"{t},{x!r},{y!r}\n" for t, (x, y) in enumerate(traj.positions.tolist())]
+    lf.write_text("t,x,y\n" + "".join(rows), encoding="utf-8")
     tree.save_csv(traj, crlf)
-    return lf, crlf
+    spaced.write_text("t,x,y\n" + "".join(rows).replace(",", ", "), encoding="utf-8")
+    blank.write_text("t,x,y\n" + "".join(rows[:150]) + "\n" + "".join(rows[150:]), encoding="utf-8")
+    return lf, crlf, spaced, blank
 
 
 def load_call(tree, paths):
@@ -221,7 +227,9 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as directory:
         paths = write_tracks(trees[0], directory)
         result["load_csv_1x301"] = run_case(
-            "load_csv_1x301", [load_call(tree, paths) for tree in trees], LOAD_CALLS, args.rounds)
+            "load_csv_1x301", [load_call(tree, paths[:2]) for tree in trees], LOAD_CALLS, args.rounds)
+        result["load_csv_fallback_1x301"] = run_case(
+            "load_csv_fallback_1x301", [load_call(tree, paths[2:]) for tree in trees], LOAD_CALLS, args.rounds)
     for name, stack, points, calls in segment_cases():
         calls_of_trees = [segment_call(tree, stack, points) for tree in trees]
         result[name] = run_case(name, calls_of_trees, calls, args.rounds)
