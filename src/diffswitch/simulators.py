@@ -25,9 +25,6 @@ BROWNIAN_DRIFT = "brownian_drift"
 ORNSTEIN_UHLENBECK = "ornstein_uhlenbeck"
 FRACTIONAL_BROWNIAN = "fractional_brownian"
 
-# Monte Carlo replicates simulated, and then detected or reduced, per stack.
-REPLICATE_BATCH = 32
-
 # Diffusion type implied by each regime kind, used for scenario validation
 # and as ground-truth labels in the bench harness.
 _DIFFUSION_TYPE = {
@@ -274,15 +271,16 @@ def compose_stack(spec, rngs, dim=2):
 
 
 def replicate_stacks(spec, seed, *prefix, replicates):
-    """Replicates 0 .. replicates-1 of `spec`, as compose_stack stacks of up to REPLICATE_BATCH.
+    """Replicates 0 .. replicates-1 of `spec`, in compose_stack stacks of stats.block_rows rows.
 
+    A stack is one kernel block (108 rows at n=300, one for n >= 16,384).
     Replicate r draws only from replicate_rng(seed, *prefix, r), so no row
     depends on how replicates are batched; each stack's streams are hashed
     in one replicate_rngs call.
     """
-    for lo in range(0, replicates, REPLICATE_BATCH):
-        reps = range(lo, min(lo + REPLICATE_BATCH, replicates))
-        yield compose_stack(spec, replicate_rngs(seed, *prefix, reps=reps))
+    reps, rows = range(replicates), stats.block_rows(spec.n, 2)
+    for lo in range(0, replicates, rows):
+        yield compose_stack(spec, replicate_rngs(seed, *prefix, reps=reps[lo : lo + rows]))
 
 
 def compose_scenario(spec, dim=2, rng=None):

@@ -24,7 +24,7 @@ REGIME_LABELS = (BROWNIAN, SUBDIFFUSIVE, SUPERDIFFUSIVE) = (
     "superdiffusive",
 )
 
-# B/A kernel scratch bytes per block of rows: a block's working set then fits a 2 MiB L2 cache.
+# B/A kernel block bytes, which size the replicate stacks too (block_rows): a block fits a 2 MiB L2.
 KERNEL_BLOCK_BYTES = 2**19
 
 # Calls of _exact_sums that sum fewer values than this take one math.fsum per segment. Measured
@@ -297,6 +297,11 @@ def _even_part(total, most):
     return -(-total // parts)
 
 
+def block_rows(n, d):
+    """Rows of n + 1 points in d dimensions per kernel block and per replicate stack: at least one."""
+    return max(1, KERNEL_BLOCK_BYTES // (8 * d * (n + 1)))
+
+
 def backward_forward(traj, k):
     """Arrays (B, A) of the windowed statistics for i = k .. n-k.
 
@@ -347,7 +352,7 @@ def backward_forward(traj, k):
     max_b = np.zeros((len(ssq), n + 1))
     max_f = np.zeros_like(max_b)
     cols = max(1, KERNEL_BLOCK_BYTES // (8 * d))
-    rows = max(1, cols // (n + 1))
+    rows = block_rows(n, d)
     for r in range(0, len(ssq), rows):
         pt = np.moveaxis(segments.pos[r : r + rows], -1, 0).copy().reshape(d, -1)
         width = pt.shape[1] - 2 * k

@@ -31,7 +31,7 @@ from diffswitch import (
     save_csv,
     scenario_preset,
 )
-from diffswitch import calibration, simulators
+from diffswitch import calibration
 from diffswitch.bench import run_cell
 from diffswitch.calibration import RELAXED, STRICT, default_cluster_params
 from diffswitch.rng import DEFAULT_SEED
@@ -195,7 +195,7 @@ def test_criterion_6_worked_example():
     verdict(6, ok, f"(c=15, c*=10) -> {clusters}; (c=15, c*=15) -> no clusters")
 
 
-def test_criterion_7_property_suite(tmp_path, monkeypatch):
+def test_criterion_7_property_suite(tmp_path, stack_rows):
     checks = {}
 
     # Scale invariance of B/A/Q and of the full report.
@@ -223,11 +223,12 @@ def test_criterion_7_property_suite(tmp_path, monkeypatch):
     )
 
     # Batch-size determinism of the calibration pipeline.
-    runs = []
-    for batch in (1, simulators.REPLICATE_BATCH, 7):
-        monkeypatch.setattr(simulators, "REPLICATE_BATCH", batch)
+    runs, shapes = [], []
+    for batch in (1, None, 7):
+        stack_rows(batch)
         runs.append(calibration._null_pass(150, 0.05, 1000, DEFAULT_SEED, window=(20, 10, 8)))
-    checks["batch determinism"] = runs[0] == runs[1] == runs[2]
+        shapes.append(stack_rows.made == stack_rows.split(1000, batch, 150))
+    checks["batch determinism"] = runs[0] == runs[1] == runs[2] and all(shapes)
 
     # CSV round-trip preserves positions exactly.
     path = tmp_path / "round_trip.csv"

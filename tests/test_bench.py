@@ -184,36 +184,45 @@ def oracle_cell(spec, param, k, thresholds, quantiles=None, fail=()):
 class TestBatchedCell:
     @pytest.mark.parametrize("scenario,param", [(1, 1.0), (2, 0.5), (CUSTOM, 0.0)])
     @pytest.mark.parametrize("label", [False, True])
-    def test_matches_per_replicate_oracle(self, scenario, param, label):
+    def test_matches_per_replicate_oracle(self, scenario, param, label, stack_rows):
         # 40 replicates: one full stack of 32 and a partial one.
         spec = spec_1(scenario=scenario, param_values=(param,), replicates=40, label=label)
         quantiles = (0.60, 2.60) if label else None
+        stack_rows(32)
         cell = run_cell(spec, param, 30, THRESHOLDS, quantiles=quantiles)
+        assert stack_rows.made == [32, 8]
         assert cell_fields(cell) == oracle_cell(spec, param, 30, THRESHOLDS, quantiles)
 
-    def test_batch_size_does_not_change_cell(self, monkeypatch):
-        spec = spec_1(scenario=2, param_values=(0.5, 1.0), replicates=40, label=True)
+    def test_batch_size_does_not_change_cell(self, stack_rows):
+        # 120 replicates: a full default stack and a partial one.
+        spec = spec_1(scenario=2, param_values=(0.5, 1.0), replicates=120, label=True)
         cells = []
-        for batch in (1, 7, 32):
-            monkeypatch.setattr(simulators, "REPLICATE_BATCH", batch)
+        for batch in (1, None, 7):
+            stack_rows(batch)
             cells.append(cell_fields(run_cell(spec, 1.0, 30, THRESHOLDS, quantiles=(0.6, 2.6))))
+            assert stack_rows.made == stack_rows.split(120, batch, 300)
         assert cells[0] == cells[1] == cells[2]
 
-    def test_one_failing_replicate_counts_once(self, monkeypatch):
-        spec = spec_1(replicates=40, label=True)
-        expected = oracle_cell(spec, 2.0, 30, THRESHOLDS, (0.6, 2.6), fail={5})
-        traj, _ = compose_scenario(_scenario_spec(spec, 2.0), rng=replicate_rng(spec.seed, 0, 0, 5))
-        target = run_procedure(traj, DetectionConfig(k=30, thresholds=THRESHOLDS)).stats.B[0]
+    def test_one_failing_replicate_counts_once(self, monkeypatch, stack_rows):
+        # Replicate 5 fails inside a full default stack of 108 rows, and 113 in the stack after it.
+        spec = spec_1(replicates=120, label=True)
+        expected = oracle_cell(spec, 2.0, 30, THRESHOLDS, (0.6, 2.6), fail={5, 113})
+        targets = set()
+        for rep in (5, 113):
+            traj, _ = compose_scenario(_scenario_spec(spec, 2.0), rng=replicate_rng(spec.seed, 0, 0, rep))
+            targets.add(run_procedure(traj, DetectionConfig(k=30, thresholds=THRESHOLDS)).stats.B[0])
         original = detection.estimate_change_points
 
         def failing(stats, clusters):
-            if stats.B[0] == target:
+            if stats.B[0] in targets:
                 raise NoMotion("injected failure")
             return original(stats, clusters)
 
         monkeypatch.setattr(detection, "estimate_change_points", failing)
+        stack_rows(None)
         cell = run_cell(spec, 2.0, 30, THRESHOLDS, quantiles=(0.6, 2.6))
-        assert cell.failures == 1
+        assert stack_rows.made == [108, 12]
+        assert cell.failures == 2
         assert cell_fields(cell) == expected
 
 

@@ -207,16 +207,37 @@ class TestTailPools:
                                      float(np.sort(highs[:replicates])[i_hi]))
             assert found[variant] == expected
 
-    def test_most_replicates_are_not_reduced(self, monkeypatch):
+    def test_most_replicates_are_not_reduced(self, monkeypatch, stack_rows):
         rows = []
         order_min = calibration._window_order_min
         monkeypatch.setattr(calibration, "_window_order_min",
                             lambda x, c, q: rows.append(len(x)) or order_min(x, c, q))
+        stack_rows(None)
         calibration._null_pass(150, 0.05, 2002, 6, window=(20, 10, 8))
-        batch = simulators.REPLICATE_BATCH
+        batch = stats.block_rows(150, 2)
+        assert stack_rows.made == stack_rows.split(2002, batch)
         # All of the first stack, while the pools fill, then a shrinking share over 2 sides x 2 ranks.
         assert rows[0] == 4 * batch
         assert sum(rows) < 4 * 2002 / 4
+
+
+class TestLongNullMemory:
+    """A replicate stack is one kernel block, so a long null's memory does not grow with n."""
+
+    def test_long_null_stacks_are_one_row(self):
+        stacks = simulators.replicate_stacks(calibration._null(50_000), 1, replicates=3)
+        assert [stack.shape for stack in stacks] == [(1, 50_001, 2)] * 3
+
+    def test_long_null_pass_peaks_near_the_block_budget(self):
+        # Measured with numpy 2.4: 4.7 MB in stacks of block_rows(5000, 2) = 6 rows, against
+        # 17.5 MB when every stack held 32 rows.
+        tracemalloc.start()
+        try:
+            calibration._null_pass(5000, 0.05, 1000, 7, window=(50, 25, 19))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * stats.KERNEL_BLOCK_BYTES
 
 
 class TestGoldenCutoffs:
@@ -265,10 +286,11 @@ class TestCalibrateBoth:
         again = calibration._null_pass(300, 0.05, REPS, 7, window=(30, 15, 12))
         assert again == pairs
 
-    def test_batch_size_does_not_change_result(self, pairs, monkeypatch):
-        for batch in (1, simulators.REPLICATE_BATCH, 7):
-            monkeypatch.setattr(simulators, "REPLICATE_BATCH", batch)
+    def test_batch_size_does_not_change_result(self, pairs, stack_rows):
+        for batch in (1, None, 7):
+            stack_rows(batch)
             assert calibration._null_pass(300, 0.05, REPS, 7, window=(30, 15, 12)) == pairs
+            assert stack_rows.made == stack_rows.split(REPS, batch, 300)
 
     def test_seed_changes_result(self, pairs):
         other = calibration._null_pass(300, 0.05, REPS, 8, window=(30, 15, 12))
@@ -298,10 +320,11 @@ class TestSegmentTest:
         with pytest.raises(InvalidParam):
             calibration._null_pass(100, 0.05, 10, 5, segment=True)
 
-    def test_batch_size_does_not_change_result(self, q100, monkeypatch):
-        for batch in (1, simulators.REPLICATE_BATCH, 7):
-            monkeypatch.setattr(simulators, "REPLICATE_BATCH", batch)
+    def test_batch_size_does_not_change_result(self, q100, stack_rows):
+        for batch in (1, None, 7):
+            stack_rows(batch)
             assert calibration._null_pass(100, 0.05, REPS, 5, segment=True)[SEGMENT_TEST] == q100
+            assert stack_rows.made == stack_rows.split(REPS, batch, 100)
 
 
 class TestThresholdTable:
@@ -509,20 +532,21 @@ class TestSharedNullPass:
         cache_get_or_calibrate(table, self.SIBLING)
         assert len(counted["passes"]) == 1
 
-    def test_sibling_independent_of_batch_size(self, tmp_path, monkeypatch):
+    def test_sibling_independent_of_batch_size(self, tmp_path, stack_rows):
         expected = calibration._null_pass(150, 0.05, REPS, 4, segment=True)[SEGMENT_TEST]
-        for batch in (1, 7, 32):
-            monkeypatch.setattr(simulators, "REPLICATE_BATCH", batch)
+        for batch in (1, None, 7):
+            stack_rows(batch)
             table = ThresholdTable(tmp_path / f"cache_{batch}.json")
             cache_get_or_calibrate(table, self.KEY)
             assert table.get(self.SIBLING) == expected
+            assert stack_rows.made == stack_rows.split(REPS, batch, 150)
 
     def test_one_scaling_per_stack(self, monkeypatch):
         calls = []
         unit_scaled = stats._unit_scaled
         monkeypatch.setattr(stats, "_unit_scaled", lambda pos: calls.append(pos.shape) or unit_scaled(pos))
         found = calibration._null_pass(150, 0.05, REPS, 4, window=(20, 10, 8), segment=True)
-        batch = simulators.REPLICATE_BATCH
+        batch = stats.block_rows(150, 2)
         assert calls == [(batch, 151, 2)] * (REPS // batch) + [(REPS % batch, 151, 2)]
         direct = calibration._null_pass(150, 0.05, REPS, 4, segment=True)
         assert found[SEGMENT_TEST] == direct[SEGMENT_TEST]
@@ -663,10 +687,11 @@ class TestType1Error:
         with pytest.raises(InvalidParam):
             estimate_type1_error(300, 30, 15, 12, ThresholdPair(0.7, 3.2), 100, seed=1)
 
-    def test_batch_size_does_not_change_result(self, monkeypatch):
+    def test_batch_size_does_not_change_result(self, stack_rows):
         args = (300, 30, 15, 12, ThresholdPair(0.74, 3.26), 500, 1)
         results = []
-        for batch in (1, simulators.REPLICATE_BATCH, 7):
-            monkeypatch.setattr(simulators, "REPLICATE_BATCH", batch)
+        for batch in (1, None, 7):
+            stack_rows(batch)
             results.append(estimate_type1_error(*args))
+            assert stack_rows.made == stack_rows.split(500, batch, 300)
         assert results[0] == results[1] == results[2]

@@ -15,7 +15,7 @@ from diffswitch import (
     gen_ou,
     scenario_preset,
 )
-from diffswitch import detection, simulators
+from diffswitch import detection, stats
 from diffswitch.errors import InvalidParam
 from diffswitch.rng import replicate_rng
 from diffswitch.simulators import (
@@ -425,8 +425,14 @@ class TestReplicateStacks:
         for n in (1, 100, 349):
             assert null(n).tobytes() == long[:, : n + 1].tobytes()
 
+    def test_null_stacks_are_kernel_blocks(self):
+        for n, rows in ((150, 217), (300, 108), (3000, 10)):
+            assert stats.block_rows(n, 2) == rows
+            stacks = replicate_stacks(ScenarioSpec(n, (), (RegimeSpec(BROWNIAN),)), 7, replicates=255)
+            assert [len(stack) for stack in stacks] == [rows] * (255 // rows) + [255 % rows]
+
     def test_rows_equal_one_row_compose_stack(self, monkeypatch):
-        monkeypatch.setattr(simulators, "REPLICATE_BATCH", 4)
+        monkeypatch.setattr(stats, "block_rows", lambda n, d: 4)
         spec = mixed_spec(2)
         stacks = list(replicate_stacks(spec, 11, 3, 5, replicates=10))
         assert [s.shape for s in stacks] == [(4, 121, 2), (4, 121, 2), (2, 121, 2)]
@@ -434,7 +440,7 @@ class TestReplicateStacks:
             assert np.array_equal(row, compose_stack(spec, [replicate_rng(11, 3, 5, r)])[0])
 
     def test_rows_equal_gen_brownian(self, monkeypatch):
-        monkeypatch.setattr(simulators, "REPLICATE_BATCH", 4)
+        monkeypatch.setattr(stats, "block_rows", lambda n, d: 4)
         spec = ScenarioSpec(60, (), (RegimeSpec(kind=BROWNIAN, sigma=2.0),), delta=0.5)
         stacks = list(replicate_stacks(spec, 11, replicates=10))
         assert [s.shape for s in stacks] == [(4, 61, 2), (4, 61, 2), (2, 61, 2)]

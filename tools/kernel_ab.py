@@ -9,11 +9,15 @@ package, e.g. the `src` of two checkouts. Both are imported side by side
 under distinct module names, every case is checked by value between
 them, and each round times the two trees back to back, alternating
 which one goes first. The kernel cases call `stats.backward_forward` on
-a random stack and compare B and A bit for bit; the null-pass case runs
-`calibration._null_pass` at (300, 30, 15, 12) with the segment test and
-compares its cut-offs; the type-I case runs `estimate_type1_error` at
-(300, 30, 15, 12) with the pair (0.74, 3.26), 2,000 replicates and seed
-1729, and compares the rate and its standard error bit for bit. The
+a random stack and compare B and A bit for bit. The null-pass cases run
+`calibration._null_pass` and compare its cut-offs: at (300, 30, 15, 12)
+with the segment test on 2,002 replicates, and on 10,001 as perfbench's
+`calibrate_cold` runs it (`null_pass_300_k30_10001`); and at
+(3000, 300, 150, 113) on 1,000 replicates without it
+(`null_pass_3000_k300`), where a stack is a few rows of a long null.
+The type-I case runs `estimate_type1_error` at (300, 30, 15, 12) with
+the pair (0.74, 3.26), 2,000 replicates and seed 1729, and compares the
+rate and its standard error bit for bit. The
 `compose_stack` case simulates 32 rows of the scenario-1 preset (v = 1),
 their 32 streams included, and compares the stacks bit for bit; the
 `run_cell` case runs one labelled scenario-2 cell (lam = 0.5, k = 30,
@@ -37,7 +41,7 @@ the merge of two labels calls it (segment [100, 300] of 1 x 301, and a
 bit for bit. Standard output is one JSON
 object: per case, the median parent and change times, the median of the
 per-round ratios change / parent, and each tree's tracemalloc peak for
-one call.
+one call, so a change that trades memory for time shows both.
 """
 
 import argparse
@@ -60,8 +64,12 @@ KERNEL_CASES = (
     ("1x50001_k300", 1, 50_001, 300, 1),
     ("1x100001_k300", 1, 100_001, 300, 1),
 )
-# The null-pass case: _null_pass arguments and calls per round.
-NULL_PASS = ((300, 0.05, 2002, 1), {"window": (30, 15, 12), "segment": True}, 1)
+# Null-pass cases: (name, _null_pass arguments, keywords, calls per round).
+NULL_PASSES = (
+    ("null_pass_300_k30", (300, 0.05, 2002, 1), {"window": (30, 15, 12), "segment": True}, 1),
+    ("null_pass_300_k30_10001", (300, 0.05, 10_001, 1), {"window": (30, 15, 12), "segment": True}, 1),
+    ("null_pass_3000_k300", (3000, 0.05, 1000, 1), {"window": (300, 150, 113)}, 1),
+)
 # The type-I case: estimate_type1_error's (n, k, c, c_star), pair, (replicates, seed), calls per round.
 TYPE1 = ((300, 30, 15, 12), (0.74, 3.26), (2000, 1729), 1)
 # Calls per round of the compose_stack and run_cell cases.
@@ -211,9 +219,9 @@ def main(argv=None):
         stack = np.random.default_rng(points).normal(size=(rows, points, 2)).cumsum(axis=1)
         kernels = [lambda tree=tree, stack=stack, k=k: tree.backward_forward(stack, k) for tree in trees]
         result[name] = run_case(name, kernels, calls, args.rounds)
-    pass_args, pass_kwargs, calls = NULL_PASS
-    passes = [lambda tree=tree: tree.calibration._null_pass(*pass_args, **pass_kwargs) for tree in trees]
-    result["null_pass_300_k30"] = run_case("null_pass_300_k30", passes, calls, args.rounds)
+    for name, pass_args, pass_kwargs, calls in NULL_PASSES:
+        passes = [lambda tree=tree: tree.calibration._null_pass(*pass_args, **pass_kwargs) for tree in trees]
+        result[name] = run_case(name, passes, calls, args.rounds)
     window, gammas, draws, calls = TYPE1
     type1 = [lambda tree=tree: tree.estimate_type1_error(*window, tree.ThresholdPair(*gammas), *draws)
              for tree in trees]
