@@ -126,37 +126,39 @@ def _run_external(prog, traj):
 
 
 def _diff_category(n_hat, n_true):
-    return DIFF_CATEGORIES[min(max(n_hat - n_true, -2), 2) + 2]
+    """Index into DIFF_CATEGORIES of n_hat - n_true; n_hat may be an array of counts."""
+    return np.clip(np.subtract(n_hat, n_true), -2, 2) + 2
 
 
 def _outcomes(spec, stack, delta, config, lookup):
-    """(change points, raw labels) per row of a stack, or None where detection failed.
+    """Parts (rows, each change point's row, change points, raw label codes or None) of a stack.
 
-    The built-in detector takes the whole stack, on time step `delta`,
+    The parts cover the rows in order; None is one failed row. The
+    built-in detector takes the whole stack, on time step `delta`,
     through one detection.raw_batch; if that raises, it takes each row
     again as its own stack[r:r+1], so only the rows that fail on their
-    own count as failures. The retry costs about twice the stack's own
-    run: 13 against 7 ms for 108 rows at n=300, k=30 (2-core x86-64, CPU
-    time). An external detector is called once per row, on a CSV file.
+    own count as failures. The retry costs about five times the stack's
+    own run: 58 against 12 ms for 108 rows at n=300, k=30 (2-core x86-64,
+    CPU time). An external detector is called once per row, on a CSV file.
     """
 
     def detect(rows):
         if spec.external_detector:
             grid = TimeGrid(t0=0.0, delta=delta, n_steps=rows.shape[1] - 1)
-            trajs = [Trajectory(grid=grid, positions=row) for row in rows]
-            return [(_run_external(spec.external_detector, traj), None) for traj in trajs]
-        points, labels = detection.raw_batch(SegmentStats(rows, delta), config, lookup)[2:]
-        return list(zip(points, labels))
+            points = _run_external(spec.external_detector, Trajectory(grid=grid, positions=rows[0]))
+            return 1, np.zeros(len(points), dtype=np.intp), np.array(points, dtype=float), None
+        _, clusters, points, labels = detection.raw_batch(SegmentStats(rows, delta), config, lookup)
+        return len(rows), clusters[0], points, None if labels is None else labels[3]
 
     if not spec.external_detector:
         try:
-            return detect(stack)
+            return [detect(stack)]
         except DiffswitchError:
             pass
     outcomes = []
     for r in range(len(stack)):
         try:
-            outcomes += detect(stack[r : r + 1])
+            outcomes.append(detect(stack[r : r + 1]))
         except DiffswitchError:
             outcomes.append(None)
     return outcomes
@@ -167,53 +169,55 @@ def run_cell(spec, param, k, thresholds, quantiles=None):
 
     Each replicate_stacks stack (one kernel block: 108 rows at n=300) goes
     as one array, with the scenario's time step, into the outcomes of its
-    rows: no per-replicate Trajectory, merge or report is built for the
-    built-in detector. Labels read one label_lookup for the whole cell.
-    Replicate rep always draws from replicate_rng(seed, *cell, rep), so
-    the result does not depend on how replicates are batched.
+    rows, tallied as arrays: no per-replicate Trajectory, label, merge or
+    report is built for the built-in detector. Labels read one label_lookup
+    for the whole cell. Replicate rep always draws from replicate_rng(seed,
+    *cell, rep), so the result does not depend on how replicates are batched.
     """
     scenario = _scenario_spec(spec, param)
-    truth = [r.diffusion_type() for r in scenario.regimes]
+    truth = [detection.LABELS.index(r.diffusion_type()) for r in scenario.regimes]
     n_true = len(scenario.change_points)
     config = detection.DetectionConfig(k=k, thresholds=thresholds)
     cell_tag = (spec.param_values.index(param), spec.k_values.index(k))
     lookup = detection.label_lookup(quantiles) if spec.label and quantiles is not None else None
 
-    counts = {cat: 0 for cat in DIFF_CATEGORIES}
-    qualifying_points = []
+    counts = np.zeros(len(DIFF_CATEGORIES), dtype=np.intp)
+    qualifying = [np.zeros((0, n_true))]  # the change points of each row with n_true of them
     label_hits = label_total = failures = 0
     start = time.perf_counter()
     for stack in replicate_stacks(scenario, spec.seed, *cell_tag, replicates=spec.replicates):
         # A scenario whose paths overflow is an error, not a cell of failed replicates.
         if not np.isfinite(stack).all():
             raise InvalidParam("positions contain NaN or Inf")
-        for outcome in _outcomes(spec, stack, scenario.delta, config, lookup):
-            if outcome is None:
+        for part in _outcomes(spec, stack, scenario.delta, config, lookup):
+            if part is None:
                 failures += 1
                 continue
-            points, labels = outcome
-            cat = _diff_category(len(points), n_true)
-            counts[cat] += 1
-            if cat == "0":
-                qualifying_points.append(points)
-                if labels is not None:
-                    label_total += 1
-                    label_hits += [s.label for s in labels] == truth
+            rows, point_row, points, codes = part
+            found = np.bincount(point_row, minlength=rows)
+            counts += np.bincount(_diff_category(found, n_true), minlength=len(DIFF_CATEGORIES))
+            hit = found == n_true
+            qualifying.append(points[hit[point_row]].reshape(hit.sum(), n_true))
+            if codes is not None:
+                label_total += int(hit.sum())
+                matches = codes[np.repeat(hit, found + 1)].reshape(-1, len(truth)) == truth
+                label_hits += int(matches.all(axis=1).sum())
     runtime = time.perf_counter() - start
 
     scored = spec.replicates - failures
-    proportions = {cat: (counts[cat] / scored if scored else 0.0) for cat in DIFF_CATEGORIES}
-    if qualifying_points:
-        arr = np.array(qualifying_points, dtype=float)
-        tau_mean = [float(m) for m in arr.mean(axis=0)]
-        tau_sd = [float(s) for s in arr.std(axis=0, ddof=1)] if len(arr) > 1 else [None] * arr.shape[1]
+    proportions = {cat: (count / scored if scored else 0.0)
+                   for cat, count in zip(DIFF_CATEGORIES, counts.tolist())}
+    arr = np.concatenate(qualifying)
+    if len(arr):
+        tau_mean = arr.mean(axis=0).tolist()
+        tau_sd = arr.std(axis=0, ddof=1).tolist() if len(arr) > 1 else [None] * n_true
     else:
         tau_mean, tau_sd = [], []
     return CellResult(
         param=param,
         k=k,
         proportions=proportions,
-        n_qualifying=len(qualifying_points),
+        n_qualifying=len(arr),
         tau_mean=tau_mean,
         tau_sd=tau_sd,
         label_accuracy=(label_hits / label_total) if label_total else None,

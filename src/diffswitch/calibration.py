@@ -176,6 +176,8 @@ def _null_pass(n, alpha, replicates, seed, window=None, segment=False):
             sides = np.stack([np.minimum(B, A), -np.maximum(B, A)])
             tau = np.take_along_axis(pools, reads, axis=-1)[..., None]
             side, rank, row = np.nonzero(_window_holds(sides[:, None], c, tau, side_ranks))
+            if not len(row):  # no row of this stack can move a pool
+                continue
             found = np.full(pools.shape[:2] + (len(B),), np.inf)
             found[side, rank, row] = _window_order_min(sides[side, row], c, side_ranks[side, rank, 0])
             pools = np.sort(np.concatenate([pools, found], axis=-1))[..., :pools.shape[-1]]

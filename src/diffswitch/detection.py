@@ -8,7 +8,7 @@ deletes change points whose flanking segments share a label.
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from .stats import REGIME_LABELS, SegmentStats, SlidingStats, ThresholdPair, phi
 from .stats import BROWNIAN, SUBDIFFUSIVE, SUPERDIFFUSIVE  # re-exported segment labels
 
 UNDETERMINED = "undetermined"
+LABELS = (*REGIME_LABELS, UNDETERMINED)  # indexed by label codes: phi's codes, then UNDETERMINED
 
 # Segments with fewer points carry too little signal to test.
 MIN_LABEL_POINTS = 10
@@ -88,6 +89,28 @@ class ChangePointReport:
     stats: object = field(repr=False, default=None)
 
 
+def _by_row(ends, items):
+    """Items in row order, cut into one list per row given where each row's items end."""
+    return [items[a:b] for a, b in zip([0, *ends], ends)]
+
+
+def _clusters(Q, c, c_star, first_index=0):
+    """(row, start, end) arrays of the clusters of every row of a 2-D Q, in row then index order."""
+    nz = Q != 0
+    rows, width = nz.shape
+    # Nonzero count of every length-c window, from one cumulative sum per row.
+    cs = np.zeros((rows, width + 1), dtype=np.intp)
+    nz.cumsum(axis=1, out=cs[:, 1:])
+    padded = np.zeros((rows, max(width - c + 1, 0) + 2), dtype=bool)
+    padded[:, 1:-1] = cs[:, c:] - cs[:, :-c] >= c_star
+    # A run of qualifying starts m .. stop - 1 flips its padded row at m and at stop.
+    row, flips = np.divmod(np.flatnonzero(padded[:, 1:] != padded[:, :-1]), padded.shape[1] - 1)
+    row, start, end = row[::2], flips[::2], flips[1::2] + (c - 2)
+    # End before the next cluster, counted from this row: one in a later row starts past width.
+    np.minimum(end[:-1], start[1:] + (row[1:] - row[:-1]) * width - 1, out=end[:-1])
+    return row, start + first_index, end + first_index
+
+
 def find_clusters(Q, c, c_star, first_index=0):
     """Clusters of potential change points from the Q signal.
 
@@ -100,23 +123,24 @@ def find_clusters(Q, c, c_star, first_index=0):
     cluster spans at least 2 indices, and c unless it was clipped.
     Indices are offset by first_index; a 2-D Q gives one list per row.
     """
-    nz = np.atleast_2d(np.asarray(Q) != 0)
-    clusters = [[] for _ in range(len(nz))]
-    if nz.shape[1] >= c:
-        # Nonzero count of every length-c window, from one cumulative sum per row.
-        cs = np.zeros((len(nz), nz.shape[1] + 1), dtype=np.intp)
-        np.cumsum(nz, axis=1, out=cs[:, 1:])
-        padded = np.zeros((len(nz), nz.shape[1] - c + 3), dtype=bool)
-        padded[:, 1:-1] = cs[:, c:] - cs[:, :-c] >= c_star
-        # A run of qualifying starts m .. stop - 1 flips its padded row at m and at stop.
-        rows, flips = np.nonzero(padded[:, 1:] != padded[:, :-1])
-        rows, starts, stops = rows[::2].tolist(), flips[::2].tolist(), flips[1::2].tolist()
-        for j, (r, m, stop) in enumerate(zip(rows, starts, stops)):
-            end = stop + c - 2
-            if j + 1 < len(rows) and rows[j + 1] == r:  # end before the row's next cluster
-                end = min(end, starts[j + 1] - 1)
-            clusters[r].append(Cluster(first_index + m, first_index + end))
+    row, start, end = _clusters(np.atleast_2d(Q), c, c_star, first_index)
+    ends = np.bincount(row, minlength=len(np.atleast_2d(Q))).cumsum().tolist()
+    clusters = _by_row(ends, list(map(Cluster, start.tolist(), end.tolist())))
     return clusters if np.ndim(Q) > 1 else clusters[0]
+
+
+def _change_points(stats, clusters):
+    """Per cluster (row, start, end) of one row or a stack, the first argmax of |B - A| in it."""
+    row, start, end = clusters
+    gap = np.abs(stats.B - stats.A).reshape(-1)
+    offset = row * stats.B.shape[-1] - stats.first_index  # a cluster's flat index less its index
+    size = end - start + 1
+    first = size.cumsum() - size
+    index = (start + offset - first).repeat(size)
+    index += np.arange(len(index))
+    values = gap[index]
+    top = values == np.maximum.reduceat(values, first).repeat(size)
+    return np.minimum.reduceat(np.where(top, index, gap.size), first) - offset
 
 
 def estimate_change_points(stats, clusters):
@@ -124,18 +148,17 @@ def estimate_change_points(stats, clusters):
 
     Ties break to the smallest index.
     """
-    gap, i0 = np.abs(stats.B - stats.A), stats.first_index
-    return [cl.start + int(gap[cl.start - i0 : cl.end - i0 + 1].argmax()) for cl in clusters]
+    start, end = np.array([(cl.start, cl.end) for cl in clusters], dtype=np.intp).reshape(-1, 2).T
+    return _change_points(stats, (0, start, end)).tolist()
+
+
+_pair = lru_cache(maxsize=256)(ThresholdPair)  # validated pairs by value, for every lookup
 
 
 def label_lookup(quantiles):
-    """Step count -> its (q1, q2) as a ThresholdPair, validated once per step count."""
-
-    @cache
-    def lookup(n_steps):
-        return ThresholdPair(*(quantiles(n_steps) if callable(quantiles) else quantiles))
-
-    return lookup
+    """Step count -> its (q1, q2) as a ThresholdPair: asked for once per step count, validated once."""
+    pairs = quantiles if callable(quantiles) else lambda n_steps: quantiles
+    return cache(lambda n_steps: _pair(*pairs(n_steps)))
 
 
 def _label(lo, hi, T, total, lookup):
@@ -147,13 +170,25 @@ def _label(lo, hi, T, total, lookup):
     return SegmentLabel(lo, hi, REGIME_LABELS[phi(T, lookup(hi - lo))], T)
 
 
-def _raw_labels(segments, points, lookup):
-    """Labels of the segments between each row's change points, one list per row."""
-    values = iter(segments.between(points))
-    return [
-        [_label(lo, hi, *next(values), lookup) for lo, hi in zip([0, *p], [*p, segments.n])]
-        for p in points
-    ]
+def _segment_codes(segments, bounds, lookup):
+    """(code, T) arrays of segments (row, lo, hi) that tile every row, by _label's rule; see LABELS."""
+    T, totals = segments.tiled(*bounds)
+    steps = bounds[2] - bounds[1]
+    labelled = (steps >= MIN_LABEL_POINTS - 1) & (totals != 0)
+    values = T[labelled]
+    if not np.isfinite(values).all():
+        raise InvalidParam("statistic is not finite; positions span too wide a range")
+    pairs = [lookup(s) for s in steps[labelled].tolist()]
+    codes = np.where(labelled, 0, len(REGIME_LABELS))
+    gammas = np.array([p.gamma1 for p in pairs]), np.array([p.gamma2 for p in pairs])
+    codes[labelled] = phi(values, gammas)
+    return codes, T
+
+
+def _segment_labels(lo, hi, codes, T):
+    """SegmentLabel objects of segment arrays; an undetermined one has T None."""
+    return [SegmentLabel(a, b, LABELS[c], None if c == len(REGIME_LABELS) else t)
+            for a, b, c, t in zip(lo.tolist(), hi.tolist(), codes.tolist(), T.tolist())]
 
 
 def _merge(segments, row, change_points, labels, lookup):
@@ -178,7 +213,9 @@ def label_segments(traj, change_points, quantiles):
     segment's step count to its pair (quantiles depend on length).
     Change points must be non-decreasing integers within 0 .. n.
     """
-    return _raw_labels(SegmentStats(traj), [change_points], label_lookup(quantiles))[0]
+    segments = SegmentStats(traj)
+    bounds = segments.bounds([change_points])
+    return _segment_labels(*bounds[1:], *_segment_codes(segments, bounds, label_lookup(quantiles)))
 
 
 def merge_same_label(traj, change_points, labels, quantiles):
@@ -194,41 +231,51 @@ def merge_same_label(traj, change_points, labels, quantiles):
 
 
 def raw_batch(segments, config, lookup=None):
-    """Detection up to the raw labels on every row of a SegmentStats, with no merge.
+    """Detection up to the raw labels on every row of a SegmentStats, with no merge, as arrays.
 
-    One sliding pass over the whole stack, one clustering pass, change
-    points estimated row by row and, given a label_lookup, one labelling
-    pass. Returns the lists (stats, clusters, change points, raw labels),
-    one entry per row; raw labels are None without a lookup. An error in
-    any row raises for the whole stack.
+    Returns (stats, clusters, points, labels): a SlidingStats of (rows, m)
+    arrays, (row, start, end) arrays in row then index order, one change
+    point per cluster and, given a label_lookup, (row, lo, hi, code, T)
+    arrays of the raw segments. An error in any row raises for the whole stack.
     """
-    batch = sliding_stats(segments, config.k, config.thresholds)
-    if config.c > batch.Q.shape[-1]:
+    stats = sliding_stats(segments, config.k, config.thresholds)
+    if config.c > stats.Q.shape[-1]:
         raise InvalidParam("cluster window c exceeds the statistic range")
-    stats = [SlidingStats(batch.k, *row) for row in zip(batch.B, batch.A, batch.Q)]
-    clusters = find_clusters(batch.Q, config.c, config.c_star, first_index=batch.first_index)
-    points = [estimate_change_points(s, cl) for s, cl in zip(stats, clusters)]
-    labels = [None] * len(points) if lookup is None else _raw_labels(segments, points, lookup)
-    return stats, clusters, points, labels
+    clusters = _clusters(stats.Q, config.c, config.c_star, stats.first_index)
+    points = _change_points(stats, clusters)
+    if lookup is None:
+        return stats, clusters, points, None
+    # A row's segments end at its change points, all in k .. n - k, and at n; each starts where
+    # the one before ends, or at 0 = n % n.
+    hi = np.full(len(points) + len(stats.Q), segments.n)
+    hi[np.arange(len(points)) + clusters[0]] = points
+    last = hi == segments.n
+    bounds = last.cumsum() - last, np.concatenate(([0], hi[:-1] % segments.n)), hi
+    return stats, clusters, points, (*bounds, *_segment_codes(segments, bounds, lookup))
 
 
 def run_batch(trajectories, config, labelling=False, quantiles=None):
     """Run the full detection procedure on trajectories of one length and time step.
 
-    raw_batch on one SegmentStats of the whole batch, then labels merged
-    and reports built trajectory by trajectory. Report r equals
-    run_procedure(trajectories[r], ...) exactly. An error in any
+    raw_batch on one SegmentStats of the whole batch, its arrays cut into
+    one report per trajectory, with that row's labels merged. Report r
+    equals run_procedure(trajectories[r], ...) exactly. An error in any
     trajectory raises for the whole batch.
     """
     if labelling and quantiles is None:
         raise InvalidParam("labelling requires segment quantiles")
     segments = SegmentStats(list(trajectories))
     lookup = label_lookup(quantiles) if labelling else None
-    stats, clusters, points, raw = raw_batch(segments, config, lookup)
+    stats, (row, start, end), points, labels = raw_batch(segments, config, lookup)
+    ends = np.bincount(row, minlength=len(stats.Q)).cumsum().tolist()  # of each row's clusters
+    clusters = _by_row(ends, list(map(Cluster, start.tolist(), end.tolist())))
+    points = _by_row(ends, points.tolist())
+    raw = ([None] * len(ends) if labels is None  # row r has r + 1 more segments than clusters so far
+           else _by_row([e + r + 1 for r, e in enumerate(ends)], _segment_labels(*labels[1:])))
     merged = [(None, None) if l is None else _merge(segments, r, p, l, lookup)
               for r, (p, l) in enumerate(zip(points, raw))]
-    return [ChangePointReport(config, cl, p, l, *m, s)
-            for cl, p, l, m, s in zip(clusters, points, raw, merged, stats)]
+    return [ChangePointReport(config, cl, p, l, *m, SlidingStats(stats.k, *s))
+            for cl, p, l, m, s in zip(clusters, points, raw, merged, zip(stats.B, stats.A, stats.Q))]
 
 
 def run_procedure(traj, config, labelling=False, quantiles=None):

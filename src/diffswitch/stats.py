@@ -77,12 +77,15 @@ def phi(x, thresholds):
     """Three-level step function: 1 below gamma1, 2 above gamma2, else 0.
 
     Each code indexes its label in REGIME_LABELS; NaN is 0. A scalar
-    gives a plain int, an array an array of codes.
+    gives a plain int, an array an array of codes; an array may also take
+    a (gamma1, gamma2) pair of arrays that broadcast against it.
     """
     if isinstance(x, float) or np.ndim(x) == 0:
         return 1 if x < thresholds.gamma1 else 2 if x > thresholds.gamma2 else 0
+    if isinstance(thresholds, ThresholdPair):
+        thresholds = thresholds.gamma1, thresholds.gamma2
     x = np.asarray(x)
-    return np.where(x < thresholds.gamma1, 1, np.where(x > thresholds.gamma2, 2, 0))
+    return np.where(x < thresholds[0], 1, np.where(x > thresholds[1], 2, 0))
 
 
 def _unit_scaled(positions):
@@ -146,7 +149,7 @@ class SegmentStats:
         self.n = length - 1
 
     def bounds(self, points):
-        """(row, lo, hi) lists of the segments between each row's change points, in row order.
+        """(row, lo, hi) arrays of the segments between each row's change points, in row order.
 
         `points` holds one list of change points per row. Raises
         OutOfBounds unless each list holds integers non-decreasing within
@@ -156,24 +159,29 @@ class SegmentStats:
         hi = [c for p in points for c in (*p, self.n)]
         if not all(isinstance(b, (int, np.integer)) and a <= b for a, b in zip(lo, hi)):
             raise OutOfBounds(f"change points must be non-decreasing integers within 0 .. {self.n}")
-        return [r for r, p in enumerate(points) for _ in range(len(p) + 1)], lo, hi
+        row = np.repeat(np.arange(len(points)), [len(p) + 1 for p in points])
+        return row, np.array(lo, dtype=np.intp), np.array(hi, dtype=np.intp)
 
     def between(self, points):
-        """(T, step sum) of each segment of bounds(points), in the same order.
+        """(T, step sum) of each segment of bounds(points), in the same order."""
+        T, totals = self.tiled(*self.bounds(points))
+        return list(zip(T.tolist(), totals.tolist()))
+
+    def tiled(self, row, lo, hi):
+        """(T, step sum) arrays of segments (row, lo, hi) that tile steps 1 .. n of every row in order.
 
         One _exact_sums call gives every step sum: a stack takes its vectorised pass.
         """
-        row, lo, hi = self.bounds(points)
-        totals = _exact_sums(self.ssq, row, lo, hi)
-        steps = np.subtract(hi, lo)
+        totals = np.array(_exact_sums(self.ssq, row, lo, hi))
+        steps = hi - lo
         # The segments tile steps 1 .. n of each row, so each point meets its own segment's start.
-        starts = np.repeat(self.pos[row, lo], steps, axis=0).reshape(len(points), self.n, -1)
+        starts = self.pos[row, lo].repeat(steps, axis=0).reshape(len(self.pos), self.n, -1)
         disp = self.pos[:, 1:] - starts
         # The last 0 keeps the offset of a zero-length last segment in range.
-        sq = np.zeros(len(points) * self.n + 1)
+        sq = np.zeros(disp.shape[0] * self.n + 1)
         np.einsum("...i,...i->...", disp, disp, out=sq[:-1].reshape(disp.shape[:-1]))
-        peaks = np.maximum.reduceat(sq, np.cumsum(steps) - steps)
-        return list(zip(self._statistics(steps, peaks, totals).tolist(), totals))
+        peaks = np.maximum.reduceat(sq, steps.cumsum() - steps)
+        return self._statistics(steps, peaks, totals), totals
 
     def segment(self, row, lo, hi):
         """(T, step sum) of segment [lo, hi] of one row."""
@@ -212,11 +220,12 @@ class SegmentStats:
 def _exact_sums(x, row, lo, hi):
     """Sum of x[row, lo:hi] per segment of a 2-D array of nonnegative floats, as math.fsum gives it.
 
-    A call that sums fewer than EXACT_SUM_CUTOVER values takes math.fsum
-    segment by segment. Larger calls use Rump-Ogita-Oishi extraction. For a
-    row of n values and sigma = 2**e > 4 (n + 2) max(row), q = (sigma + x) - sigma
-    is a multiple of ulp(sigma) below sigma, so x - q and every partial sum of
-    q are exact in any order, while |x - q| <= u sigma (u = 2**-53). The m
+    The segments of every caller cover x, so a call on fewer than
+    EXACT_SUM_CUTOVER values takes math.fsum segment by segment. Larger
+    calls use Rump-Ogita-Oishi extraction. For a row of n values and
+    sigma = 2**e > 4 (n + 2) max(row), q = (sigma + x) - sigma is a multiple
+    of ulp(sigma) below sigma, so x - q and every partial sum of q are
+    exact in any order, while |x - q| <= u sigma (u = 2**-53). The m
     residues of a segment then sum with an error under B = 2 m**2 u**2 sigma.
     One np.add.reduceat per part over (start, stop) index pairs sums every
     segment, and s = sum(q) + sum(x - q) is the exactly rounded sum if
@@ -224,7 +233,7 @@ def _exact_sums(x, row, lo, hi):
     The rare segment near such a tie goes to math.fsum. Values must stay
     below 2**(1021 - log2(n + 2)), as unit-scaled squared steps do.
     """
-    if sum(hi) - sum(lo) < EXACT_SUM_CUTOVER:
+    if x.size < EXACT_SUM_CUTOVER:
         return [math.fsum(x[r, a:b].data) for r, a, b in zip(row, lo, hi)]
     exponent = np.frexp(x.max(axis=-1, initial=0.0))[1] + 2 + (x.shape[-1] + 1).bit_length()
     sigma = np.ldexp(1.0, exponent)[:, None]
@@ -331,13 +340,12 @@ def backward_forward(traj, k):
         raise WindowTooLarge(f"need 1 <= k <= n/2 = {n // 2}, got {k}")
     m = n - 2 * k + 1
 
-    # win[t] = sum of squared steps t .. t+k-1 (step t links points t, t+1),
-    # accumulated left to right like a naive sequential loop over the window.
-    # Rows run end to end: a sum that straddles two rows is never read.
-    win = ssq.copy()
-    sums, steps = win.reshape(-1)[: ssq.size - k + 1], ssq.reshape(-1)
-    for j in range(1, k):
-        sums += steps[j : j + sums.size]
+    # win[t] = sum of squared steps t .. t+k-1 (step t links points t, t+1), added left to right
+    # like a naive sequential loop: a reduce over the leading axis of a (k, size) view adds its
+    # rows in order. Rows run end to end: a sum that straddles two rows is never read.
+    win, steps = np.zeros_like(ssq), ssq.reshape(-1)
+    windows = np.ndarray((k, steps.size - k + 1), float, steps, 0, (8, 8))  # row j: steps j, j + 1, ..
+    np.add.reduce(windows, axis=0, out=win.reshape(-1)[: steps.size - k + 1])
     win /= k * d * segments.delta
     sig2_back, sig2_fwd = win[:, :m], win[:, k : k + m]
     bad = (sig2_back == 0) | (sig2_fwd == 0)
@@ -354,7 +362,7 @@ def backward_forward(traj, k):
     cols = max(1, KERNEL_BLOCK_BYTES // (8 * d))
     rows = block_rows(n, d)
     for r in range(0, len(ssq), rows):
-        pt = np.moveaxis(segments.pos[r : r + rows], -1, 0).copy().reshape(d, -1)
+        pt = segments.pos[r : r + rows].transpose(2, 0, 1).copy().reshape(d, -1)
         width = pt.shape[1] - 2 * k
         tile = _even_part(width, max(k, cols - k))
         lags = _even_part(k, cols // (tile + k))

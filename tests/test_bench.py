@@ -60,12 +60,13 @@ class TestSpecValidation:
 
 class TestDiffCategory:
     def test_buckets(self):
-        assert _diff_category(0, 2) == "-2"
-        assert _diff_category(1, 2) == "-1"
-        assert _diff_category(2, 2) == "0"
-        assert _diff_category(3, 2) == "1"
-        assert _diff_category(5, 2) == "2+"
-        assert _diff_category(0, 3) == "-2"
+        assert DIFF_CATEGORIES[_diff_category(0, 2)] == "-2"
+        assert DIFF_CATEGORIES[_diff_category(1, 2)] == "-1"
+        assert DIFF_CATEGORIES[_diff_category(2, 2)] == "0"
+        assert DIFF_CATEGORIES[_diff_category(3, 2)] == "1"
+        assert DIFF_CATEGORIES[_diff_category(5, 2)] == "2+"
+        assert DIFF_CATEGORIES[_diff_category(0, 3)] == "-2"
+        assert _diff_category(np.array([0, 1, 2, 3, 5]), 2).tolist() == [0, 1, 2, 3, 4]
 
 
 class TestRunCell:
@@ -159,7 +160,7 @@ def oracle_cell(spec, param, k, thresholds, quantiles=None, fail=()):
             continue
         traj, _ = compose_scenario(scenario, rng=replicate_rng(spec.seed, *tag, rep))
         report = run_procedure(traj, config, labelling=quantiles is not None, quantiles=quantiles)
-        cat = _diff_category(len(report.change_points), len(scenario.change_points))
+        cat = DIFF_CATEGORIES[_diff_category(len(report.change_points), len(scenario.change_points))]
         counts[cat] += 1
         if cat == "0":
             points.append(report.change_points)
@@ -193,6 +194,15 @@ class TestBatchedCell:
         assert stack_rows.made == [32, 8]
         assert cell_fields(cell) == oracle_cell(spec, param, 30, THRESHOLDS, quantiles)
 
+    @pytest.mark.parametrize("scenario,param", [(2, 0.5), (CUSTOM, 0.0)])
+    def test_default_stack_matches_per_replicate_oracle(self, scenario, param, stack_rows):
+        # 120 replicates: one full stack of the byte budget (108 rows at n=300) and 12 more.
+        spec = spec_1(scenario=scenario, param_values=(param,), replicates=120, label=True)
+        stack_rows(None)
+        cell = run_cell(spec, param, 30, THRESHOLDS, quantiles=(0.60, 2.60))
+        assert stack_rows.made == [108, 12]
+        assert cell_fields(cell) == oracle_cell(spec, param, 30, THRESHOLDS, (0.60, 2.60))
+
     def test_batch_size_does_not_change_cell(self, stack_rows):
         # 120 replicates: a full default stack and a partial one.
         spec = spec_1(scenario=2, param_values=(0.5, 1.0), replicates=120, label=True)
@@ -211,14 +221,14 @@ class TestBatchedCell:
         for rep in (5, 113):
             traj, _ = compose_scenario(_scenario_spec(spec, 2.0), rng=replicate_rng(spec.seed, 0, 0, rep))
             targets.add(run_procedure(traj, DetectionConfig(k=30, thresholds=THRESHOLDS)).stats.B[0])
-        original = detection.estimate_change_points
+        original = detection._change_points
 
-        def failing(stats, clusters):
-            if stats.B[0] in targets:
+        def failing(stats, clusters):  # once per stack: a stack that holds a target fails
+            if np.isin(stats.B[:, 0], list(targets)).any():
                 raise NoMotion("injected failure")
             return original(stats, clusters)
 
-        monkeypatch.setattr(detection, "estimate_change_points", failing)
+        monkeypatch.setattr(detection, "_change_points", failing)
         stack_rows(None)
         cell = run_cell(spec, 2.0, 30, THRESHOLDS, quantiles=(0.6, 2.6))
         assert stack_rows.made == [108, 12]
@@ -240,21 +250,27 @@ class TestRawBatch:
         reports = detection.run_batch([Trajectory(grid=grid, positions=row) for row in stack],
                                       config, labelling=label, quantiles=quantiles)
         rows = []
-        original = detection.estimate_change_points
+        original = detection._change_points
 
         def counting(stats, clusters):
-            rows.append(stats.B[0])
+            rows.extend(stats.B[:, 0].tolist())
             return original(stats, clusters)
 
-        # The raw stage finds estimate_change_points through the module, where tests inject faults.
-        monkeypatch.setattr(detection, "estimate_change_points", counting)
+        # The raw stage finds _change_points, its one per-stack call, through the module, where
+        # tests inject faults.
+        monkeypatch.setattr(detection, "_change_points", counting)
         lookup = detection.label_lookup(quantiles) if label else None
         segments = SegmentStats(stack, scenario.delta)
-        _, _, points, labels = detection.raw_batch(segments, config, lookup)
+        _, (row, _, _), points, labels = detection.raw_batch(segments, config, lookup)
         assert rows == [report.stats.B[0] for report in reports]
-        assert points == [report.change_points for report in reports]
-        assert labels == [report.raw_labels for report in reports]
-        assert any(points) and (any(labels) if label else not any(labels))
+        assert [points[row == r].tolist() for r in range(len(stack))] == [
+            report.change_points for report in reports]
+        if label:
+            segment_row, lo, hi, codes, T = labels
+            assert [(r, a, b, detection.LABELS[c], t if c < 3 else None) for r, a, b, c, t in
+                    zip(segment_row.tolist(), lo.tolist(), hi.tolist(), codes.tolist(), T.tolist())] == [
+                (r, l.start, l.end, l.label, l.T) for r, report in enumerate(reports) for l in report.raw_labels]
+        assert points.size and (labels is not None) == label
 
 
 class TestRunExperiment:

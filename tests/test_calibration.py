@@ -220,6 +220,22 @@ class TestTailPools:
         assert rows[0] == 4 * batch
         assert sum(rows) < 4 * 2002 / 4
 
+    def test_stack_that_cannot_move_a_pool_is_not_reduced(self, monkeypatch, stack_rows):
+        # One-row stacks: once the pools fill, most rows reach no order statistic that is read.
+        rows = []
+        order_min = calibration._window_order_min
+        monkeypatch.setattr(calibration, "_window_order_min",
+                            lambda x, c, q: rows.append(len(x)) or order_min(x, c, q))
+        stack_rows(1)
+        pairs = calibration._null_pass(150, 0.05, 1000, DEFAULT_SEED, window=(20, 10, 8))
+        assert stack_rows.made == [1] * 1000
+        assert 0 not in rows and len(rows) < 1000
+        # The pins of TestGoldenCutoffs, which runs the default stacks.
+        assert pairs[STRICT] == ThresholdPair(
+            float.fromhex("0x1.3170cce391758p-1"), float.fromhex("0x1.aeafbb51043fdp+1"))
+        assert pairs[RELAXED] == ThresholdPair(
+            float.fromhex("0x1.73a03219222f4p-1"), float.fromhex("0x1.87c6be98d6d6ep+1"))
+
 
 class TestLongNullMemory:
     """A replicate stack is one kernel block, so a long null's memory does not grow with n."""

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffswitch import (
     Cluster,
@@ -22,9 +24,10 @@ from diffswitch import (
     sliding_stats,
     statistic_T,
 )
-from diffswitch import stats
+from diffswitch import detection, stats
 from diffswitch.detection import (
     BROWNIAN,
+    LABELS,
     MIN_LABEL_POINTS,
     REGIME_LABELS,
     SUBDIFFUSIVE,
@@ -35,6 +38,7 @@ from diffswitch.detection import (
 )
 from diffswitch.errors import InvalidParam, NoMotion, NoMotionWindow, OutOfBounds
 from diffswitch.rng import replicate_rng
+from diffswitch.stats import SegmentStats
 from diffswitch.trajectory import TimeGrid
 
 # A 64-entry classification signal with one dense run of nonzero values
@@ -569,3 +573,84 @@ class TestRunBatchLabels:
             assert as_tuples(report.raw_labels) == raw
             assert report.merged_change_points == points
             assert as_tuples(report.merged_labels) == merged
+
+
+@st.composite
+def cluster_stacks(draw):
+    """(stats, c, c_star) of a small stack: Q dense enough to clip clusters, gaps with many ties.
+
+    Some rows are all zero, and c may equal the statistic range.
+    """
+    rows, m = draw(st.integers(1, 4)), draw(st.integers(2, 60))
+    c = draw(st.sampled_from([1, 2, m]) | st.integers(1, m))
+    c_star = draw(st.integers(1, c))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Q = np.where(rng.random((rows, m)) < draw(st.floats(0.0, 1.0)), rng.choice([-2, -1, 1, 2], (rows, m)), 0)
+    Q[rng.random(rows) < 0.3] = 0
+    values = np.array([0.0, 0.5, 1.0, 2.5])  # few distinct values, so |B - A| ties often
+    B, A = values[rng.integers(0, 4, (rows, m))], values[rng.integers(0, 4, (rows, m))]
+    return stats.SlidingStats(draw(st.integers(0, 40)), B, A, Q), c, c_star
+
+
+class TestArrayTail:
+    """raw_batch's stack arrays against the per-cluster and per-segment rules they replace."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cluster_stacks())
+    def test_change_points_are_first_argmax_per_cluster(self, case):
+        sliding, c, c_star = case
+        i0 = sliding.first_index
+        row, start, end = clusters = detection._clusters(sliding.Q, c, c_star, i0)
+        assert [list(zip(start[row == r].tolist(), end[row == r].tolist())) for r in range(len(sliding.Q))] == [
+            [(cl.start, cl.end) for cl in found] for found in find_clusters(sliding.Q, c, c_star, i0)]
+        gap = np.abs(sliding.B - sliding.A)
+        expected = [a + int(np.argmax(gap[r, a - i0 : b - i0 + 1])) for r, a, b in zip(row, start, end)]
+        assert detection._change_points(sliding, clusters).tolist() == expected
+        for r in range(len(sliding.Q)):  # and each row alone, through the public per-row call
+            one = stats.SlidingStats(i0, sliding.B[r], sliding.A[r], sliding.Q[r])
+            found = find_clusters(sliding.Q[r], c, c_star, i0)
+            assert estimate_change_points(one, found) == [p for p, q in zip(expected, row) if q == r]
+
+    def test_label_codes_follow_the_scalar_rule(self):
+        rng = np.random.default_rng(17)
+        stack = rng.normal(size=(3, 201, 2)).cumsum(axis=1)
+        stack[1, 60:121] = stack[1, 60]  # a still segment [60, 120], step sum 0
+        segments = SegmentStats(stack)
+        # [0, 8] holds MIN_LABEL_POINTS - 1 points, [8, 17] MIN_LABEL_POINTS; row 2 has no point.
+        points = [[8, 17, 100], [60, 120], []]
+        bounds = segments.bounds(points)
+        T, totals = segments.tiled(*bounds)
+        steps = (bounds[2] - bounds[1]).tolist()
+        assert MIN_LABEL_POINTS - 2 in steps and MIN_LABEL_POINTS - 1 in steps and 0.0 in totals
+        # Each step count's pair puts one of its segments' T exactly at q1 or at q2.
+        pairs = {}
+        for s, t in zip(steps, T.tolist()):
+            if s + 1 >= MIN_LABEL_POINTS and t == t and s not in pairs:
+                pairs[s] = (t, t + 1.0) if len(pairs) % 2 else (t / 2, t)
+        calls = []
+        lookup = detection.label_lookup(lambda n: calls.append(n) or pairs[n])
+        codes, T_codes = detection._segment_codes(segments, bounds, lookup)
+        assert T_codes.tobytes() == T.tobytes() and sorted(calls) == sorted(pairs)
+        expected = [detection._label(lo, hi, t, total, lookup) for lo, hi, t, total in
+                    zip(bounds[1].tolist(), bounds[2].tolist(), T.tolist(), totals.tolist())]
+        got = detection._segment_labels(bounds[1], bounds[2], codes, T)
+        assert got == expected
+        assert [l.label for l in got].count(UNDETERMINED) == 2
+        assert {l.label for l in got} >= {BROWNIAN, UNDETERMINED}
+
+    def test_non_finite_labelled_statistic_raises(self, brownian_300):
+        # Finite positions, but a time step this large leaves each segment's T not finite.
+        segments = SegmentStats(brownian_300.positions[None], delta=1e307)
+        bounds = segments.bounds([[100, 175]])
+        with pytest.raises(InvalidParam, match="statistic is not finite"):
+            detection._segment_codes(segments, bounds, detection.label_lookup((0.6, 2.6)))
+
+    def test_lookup_validates_each_pair_once_across_calls(self, brownian_300, monkeypatch):
+        cfg, built = DetectionConfig(k=30, thresholds=ThresholdPair(0.74, 3.26)), []
+        original = stats.ThresholdPair.__post_init__
+        monkeypatch.setattr(stats.ThresholdPair, "__post_init__", lambda self: built.append(self) or original(self))
+        detection._pair.cache_clear()
+        for _ in range(3):
+            run_batch([brownian_300], cfg, labelling=True, quantiles=(0.61, 2.61))
+            run_procedure(brownian_300, cfg, labelling=True, quantiles=lambda n: (0.62, 2.62))
+        assert [(p.gamma1, p.gamma2) for p in built] == [(0.61, 2.61), (0.62, 2.62)]

@@ -438,6 +438,21 @@ class TestBackwardForward:
         B_ref, A_ref = lag_einsum_backward_forward(pos, k)
         assert np.array_equal(B, B_ref) and np.array_equal(A, A_ref)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_window_sums_add_in_sequence_on_stacks(self, dim):
+        # Steps from about 1e-12 to 1e12, where only the oracle's left-to-right loop over each
+        # window gives these bits. A third coordinate is 0, so every squared distance is exact.
+        rng = np.random.default_rng(dim)
+        for n in (301, 57, 15):
+            for k in sorted({1, 2, n // 2}):
+                pos = np.zeros((3, n + 1, dim))
+                scale = 10.0 ** rng.uniform(-12, 12, size=(3, n + 1, 1))
+                pos[..., :2] = rng.normal(size=(3, n + 1, min(dim, 2))) * scale
+                B, A = backward_forward(pos, k)
+                for row, B_row, A_row in zip(pos, B, A):
+                    B_ref, A_ref = lag_einsum_backward_forward(row, k)
+                    assert np.array_equal(B_row, B_ref) and np.array_equal(A_row, A_ref)
+
     def test_output_length(self, brownian_300):
         B, A = backward_forward(brownian_300, 30)
         assert len(B) == len(A) == 300 - 2 * 30 + 1

@@ -17,9 +17,13 @@ with the segment test on 2,002 replicates, and on 10,001 as perfbench's
 (`null_pass_3000_k300`), where a stack is a few rows of a long null.
 The type-I case runs `estimate_type1_error` at (300, 30, 15, 12) with
 the pair (0.74, 3.26), 2,000 replicates and seed 1729, and compares the
-rate and its standard error bit for bit. The
-`compose_stack` case simulates 32 rows of the scenario-1 preset (v = 1),
-their 32 streams included, and compares the stacks bit for bit; the
+rate and its standard error bit for bit. Stack cases take the rows of
+one Monte Carlo stack at n=300, `stats.block_rows(300, 2)` (108). The
+`compose_stack` case simulates a stack of the scenario-1 preset (v = 1),
+its streams included, and compares the stacks bit for bit; the
+`raw_batch` case runs `SegmentStats` and `detection.raw_batch` with
+labels on a random-walk stack (k = 30, pair (0.74, 3.26), quantiles
+(0.6, 2.6)) and compares each row's change points and raw labels; the
 `run_cell` case runs one labelled scenario-2 cell (lam = 0.5, k = 30,
 200 replicates, quantiles (0.6, 2.6)) and compares the cell's fields
 other than `runtime_s`. The `detect` case runs `run_procedure` with
@@ -34,8 +38,9 @@ parse leaves to the `float` conversion: the LF file with ", " between
 fields, and with a blank line after its 150th row.
 The segment cases call
 `SegmentStats.between` on random walks (1 x 301 with change points
-[100, 175], 32 x 301 with two random change points per row, 1 x 50,001
-with 19), `SegmentStats.whole` (32 x 301) or `SegmentStats.segment`, as
+[100, 175], a stack of 301 points with two random change points per
+row, 1 x 50,001 with 19), `SegmentStats.whole` (a stack of 301 points)
+or `SegmentStats.segment`, as
 the merge of two labels calls it (segment [100, 300] of 1 x 301, and a
 15,000-step segment of 1 x 50,001), and compare every T and step sum
 bit for bit. Standard output is one JSON
@@ -57,10 +62,12 @@ from pathlib import Path
 
 import numpy as np
 
+# Rows of one Monte Carlo stack at n=300 in the plane, as stats.block_rows(300, 2) gives them.
+STACK = 108
 # Kernel cases: (name, rows, points, k, calls per round).
 KERNEL_CASES = (
     ("1x301_k30", 1, 301, 30, 200),
-    ("32x301_k30", 32, 301, 30, 20),
+    (f"{STACK}x301_k30", STACK, 301, 30, 6),
     ("1x50001_k300", 1, 50_001, 300, 1),
     ("1x100001_k300", 1, 100_001, 300, 1),
 )
@@ -72,8 +79,8 @@ NULL_PASSES = (
 )
 # The type-I case: estimate_type1_error's (n, k, c, c_star), pair, (replicates, seed), calls per round.
 TYPE1 = ((300, 30, 15, 12), (0.74, 3.26), (2000, 1729), 1)
-# Calls per round of the compose_stack and run_cell cases.
-COMPOSE_CALLS, CELL_CALLS = 50, 1
+# Calls per round of the compose_stack, raw_batch and run_cell cases.
+COMPOSE_CALLS, RAW_CALLS, CELL_CALLS = 15, 6, 1
 # The per-track detection case: pair, segment quantiles and calls per round.
 DETECT = ((0.74, 3.26), (0.6, 2.6), 200)
 # Calls per round of the load_csv case.
@@ -95,9 +102,9 @@ def segment_cases():
 
     return (
         ("between_1x301", walk(1, 301), [[100, 175]], 2000),
-        ("between_32x301", walk(32, 301), [cuts(300, 2) for _ in range(32)], 200),
+        (f"between_{STACK}x301", walk(STACK, 301), [cuts(300, 2) for _ in range(STACK)], 60),
         ("between_1x50001", walk(1, 50_001), [cuts(50_000, 19)], 20),
-        ("whole_32x301", walk(32, 301), None, 200),
+        (f"whole_{STACK}x301", walk(STACK, 301), None, 60),
         ("segment_1x301", walk(1, 301), (0, 100, 300), 2000),
         ("segment_1x50001", walk(1, 50_001), (0, 20_000, 35_000), 20),
     )
@@ -138,6 +145,8 @@ def peak_bytes(call):
 
 def by_value(result):
     """A view of a case's result that compares equal across the two trees' classes."""
+    if isinstance(result, tuple) and len(result) == 4:  # raw_batch
+        return raw_rows(*result)
     if isinstance(result, str):
         return result
     if isinstance(result, dict):
@@ -149,9 +158,33 @@ def by_value(result):
     return [np.asarray(array).tobytes() for array in result]
 
 
+def raw_rows(stats, clusters, points, labels):
+    """Per row, the change points and raw labels of a raw_batch result.
+
+    Takes both of its forms: (row, start, end) and (row, lo, hi, code, T)
+    arrays, or the lists of one list per row that trees before the array
+    form return.
+    """
+    if isinstance(points, list):
+        return points, [[(l.start, l.end, l.label, l.T) for l in row] for row in labels]
+    rows = range(len(stats.Q))
+    row, lo, hi, code, T = (a.tolist() for a in labels)
+    names = ("brownian", "subdiffusive", "superdiffusive", "undetermined")
+    segments = [(r, a, b, names[c], None if c == 3 else t) for r, a, b, c, t in zip(row, lo, hi, code, T)]
+    return ([[p for p, q in zip(points.tolist(), clusters[0].tolist()) if q == r] for r in rows],
+            [[s[1:] for s in segments if s[0] == r] for r in rows])
+
+
 def compose_call(tree):
     spec = tree.scenario_preset(1, v=1.0)
-    return lambda: tree.compose_stack(spec, tree.rng.replicate_rngs(1, reps=range(32)))
+    return lambda: tree.compose_stack(spec, tree.rng.replicate_rngs(1, reps=range(STACK)))
+
+
+def raw_call(tree, stack):
+    gammas, quantiles, _ = DETECT
+    config = tree.DetectionConfig(30, tree.ThresholdPair(*gammas))
+    lookup = tree.detection.label_lookup(quantiles)
+    return lambda: tree.detection.raw_batch(tree.stats.SegmentStats(stack), config, lookup)
 
 
 def cell_call(tree):
@@ -226,8 +259,13 @@ def main(argv=None):
     type1 = [lambda tree=tree: tree.estimate_type1_error(*window, tree.ThresholdPair(*gammas), *draws)
              for tree in trees]
     result["type1_300_k30"] = run_case("type1_300_k30", type1, calls, args.rounds)
-    result["compose_stack_s1_32"] = run_case(
-        "compose_stack_s1_32", [compose_call(tree) for tree in trees], COMPOSE_CALLS, args.rounds)
+    if trees[0].stats.block_rows(300, 2) != STACK:
+        raise SystemExit(f"a stack at n=300 now holds {trees[0].stats.block_rows(300, 2)} rows, not {STACK}")
+    result[f"compose_stack_s1_{STACK}"] = run_case(
+        f"compose_stack_s1_{STACK}", [compose_call(tree) for tree in trees], COMPOSE_CALLS, args.rounds)
+    stack = np.random.default_rng(STACK).normal(size=(STACK, 301, 2)).cumsum(axis=1)
+    result[f"raw_batch_{STACK}x301_k30"] = run_case(
+        f"raw_batch_{STACK}x301_k30", [raw_call(tree, stack) for tree in trees], RAW_CALLS, args.rounds)
     result["run_cell_s2_lam0.5"] = run_case(
         "run_cell_s2_lam0.5", [cell_call(tree) for tree in trees], CELL_CALLS, args.rounds)
     result["detect_1x301_k30"] = run_case(
