@@ -134,12 +134,13 @@ def _outcomes(spec, stack, delta, config, lookup):
     """Parts (rows, each change point's row, change points, raw label codes or None) of a stack.
 
     The parts cover the rows in order; None is one failed row. The
-    built-in detector takes the whole stack, on time step `delta`,
-    through one detection.raw_batch; if that raises, it takes each row
-    again as its own stack[r:r+1], so only the rows that fail on their
-    own count as failures. The retry costs about five times the stack's
-    own run: 58 against 12 ms for 108 rows at n=300, k=30 (2-core x86-64,
-    CPU time). An external detector is called once per row, on a CSV file.
+    built-in detector takes the whole stack as positions only, since no
+    statistic reads the time step, through one detection.raw_batch; if
+    that raises, it takes each row again as its own stack[r:r+1], so only
+    the rows that fail on their own count as failures. The retry costs
+    about five times the stack's own run: 58 against 12 ms for 108 rows at
+    n=300, k=30 (2-core x86-64, CPU time). An external detector is called
+    once per row, on a CSV file of a grid with time step `delta`.
     """
 
     def detect(rows):
@@ -147,7 +148,7 @@ def _outcomes(spec, stack, delta, config, lookup):
             grid = TimeGrid(t0=0.0, delta=delta, n_steps=rows.shape[1] - 1)
             points = _run_external(spec.external_detector, Trajectory(grid=grid, positions=rows[0]))
             return 1, np.zeros(len(points), dtype=np.intp), np.array(points, dtype=float), None
-        _, clusters, points, labels = detection.raw_batch(SegmentStats(rows, delta), config, lookup)
+        _, clusters, points, labels = detection.raw_batch(SegmentStats(rows), config, lookup)
         return len(rows), clusters[0], points, None if labels is None else labels[3]
 
     if not spec.external_detector:
@@ -168,11 +169,11 @@ def run_cell(spec, param, k, thresholds, quantiles=None):
     """All replicates of one grid cell, tallied into a CellResult.
 
     Each replicate_stacks stack (one kernel block: 108 rows at n=300) goes
-    as one array, with the scenario's time step, into the outcomes of its
-    rows, tallied as arrays: no per-replicate Trajectory, label, merge or
-    report is built for the built-in detector. Labels read one label_lookup
-    for the whole cell. Replicate rep always draws from replicate_rng(seed,
-    *cell, rep), so the result does not depend on how replicates are batched.
+    as one array into the outcomes of its rows, tallied as arrays: no
+    per-replicate Trajectory, label, merge or report is built for the
+    built-in detector. Labels read one label_lookup for the whole cell.
+    Replicate rep always draws from replicate_rng(seed, *cell, rep), so
+    the result does not depend on how replicates are batched.
     """
     scenario = _scenario_spec(spec, param)
     truth = [detection.LABELS.index(r.diffusion_type()) for r in scenario.regimes]

@@ -1,9 +1,9 @@
 """Monte Carlo calibration of the detection cut-offs.
 
 Cut-off pairs (gamma1, gamma2) are empirical quantiles, under the fully
-Brownian null with sigma = 1 and delta = 1, of extremes of windowed
-order statistics of d_i = min(B_i, A_i) and D_i = max(B_i, A_i). The
-strict variant uses rank ceil(c_star/2) and controls the false-detection
+Brownian null with sigma = 1 (B and A read no time step), of extremes of
+windowed order statistics of d_i = min(B_i, A_i) and D_i = max(B_i, A_i).
+The strict variant uses rank ceil(c_star/2) and controls the false-detection
 probability conservatively; the relaxed variant uses rank c_star and is
 the recommended default. A JSON cache keyed by the full calibration key
 makes repeated runs free.
@@ -92,7 +92,7 @@ def _quantile_index(p, n):
 
 
 def _null(n):
-    """The fully Brownian null of the calibrations: n planar steps, sigma = delta = 1."""
+    """The fully Brownian null of the calibrations: n planar steps, sigma = 1; no statistic reads delta."""
     return ScenarioSpec(n, (), (RegimeSpec(BROWNIAN),))
 
 

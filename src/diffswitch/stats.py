@@ -1,11 +1,12 @@
 """Maximum-excursion statistic and its sliding backward/forward variants.
 
 The scalar statistic is the maximal distance from the start point,
-scaled by the elapsed time and the estimated diffusion coefficient; it
-is invariant to position scaling and to the time step. The sliding pass
-computes the same statistic on the k-point windows ending (B) and
-starting (A) at every admissible index, classifies each against two
-cut-offs, and emits the difference signal Q.
+scaled by the elapsed time and the estimated diffusion coefficient. The
+estimate divides a step sum by the elapsed time, so the time step
+cancels: every statistic here reads positions only, and none moves under
+position scaling. The sliding pass computes the same statistic on the
+k-point windows ending (B) and starting (A) at every admissible index,
+classifies each against two cut-offs, and emits the difference signal Q.
 """
 
 import math
@@ -103,8 +104,8 @@ def _unit_scaled(positions):
     return np.ldexp(positions, -exponent), exponent
 
 
-def _positions(traj, delta=1.0):
-    """(positions, delta) of a Trajectory, a list of them or a stack on time step `delta`.
+def _positions(traj):
+    """(positions, time step) of a Trajectory, a list of them or a stack, which is on a unit grid.
 
     A list of trajectories on one time step is stacked.
     """
@@ -118,7 +119,7 @@ def _positions(traj, delta=1.0):
     pos = np.asarray(traj, dtype=float)
     if pos.ndim < 2:
         raise InvalidParam(f"need positions of shape (..., points, dim), got shape {pos.shape}")
-    return pos, delta
+    return pos, 1.0
 
 
 def _require_finite(*values):
@@ -135,12 +136,12 @@ class SegmentStats:
     step sum. A segment's T equals
     statistic_T of that segment cut out as its own trajectory bit for bit,
     unless a value goes subnormal under the row's scale but not under the
-    segment's own: steps below 2**-500 of the row's largest. `delta` is
-    the time step of a stack of positions; a Trajectory carries its own.
+    segment's own: steps below 2**-500 of the row's largest. No statistic
+    reads the time step, so a Trajectory's grid is dropped.
     """
 
-    def __init__(self, traj, delta=1.0):
-        pos, self.delta = _positions(traj, delta)
+    def __init__(self, traj):
+        pos = _positions(traj)[0]
         self.shape, (length, self.dim) = pos.shape[:-2], pos.shape[-2:]
         self.pos, exponent = _unit_scaled(pos.reshape(-1, length, self.dim))
         self.exponent = exponent.reshape(self.shape)
@@ -161,11 +162,6 @@ class SegmentStats:
             raise OutOfBounds(f"change points must be non-decreasing integers within 0 .. {self.n}")
         row = np.repeat(np.arange(len(points)), [len(p) + 1 for p in points])
         return row, np.array(lo, dtype=np.intp), np.array(hi, dtype=np.intp)
-
-    def between(self, points):
-        """(T, step sum) of each segment of bounds(points), in the same order."""
-        T, totals = self.tiled(*self.bounds(points))
-        return list(zip(T.tolist(), totals.tolist()))
 
     def tiled(self, row, lo, hi):
         """(T, step sum) arrays of segments (row, lo, hi) that tile steps 1 .. n of every row in order.
@@ -208,13 +204,13 @@ class SegmentStats:
         """T of segments of m = `steps` steps, given each one's largest squared distance and step sum.
 
         T = max_i ||X_{t_i} - X_{t_lo}|| / sqrt((t_hi - t_lo) sigma2_hat),
-        with sigma2_hat = sum / (m d delta) over the m steps; sqrt is
+        with sigma2_hat = sum / (m d delta) over the m steps, is
+        sqrt(peak) / sqrt(m (sum / (m d))): delta cancels, and sqrt is
         monotonic, so the root of the peak is the largest distance. T is
         NaN (0/0) for a segment without steps or motion.
         """
-        with np.errstate(all="ignore"):  # an extreme delta gives inf or NaN
-            spread = steps * self.delta * (np.asarray(totals) / (steps * self.dim * self.delta))
-            return np.sqrt(peaks) / np.sqrt(spread)
+        with np.errstate(all="ignore"):  # a still segment gives 0/0
+            return np.sqrt(peaks) / np.sqrt(steps * (np.asarray(totals) / (steps * self.dim)))
 
 
 def _exact_sums(x, row, lo, hi):
@@ -272,8 +268,9 @@ def estimate_sigma2(traj):
     underflows to zero. Like statistic_T, a list or stack of trajectories
     gives an array, one trajectory a float.
     """
-    segments = SegmentStats(traj)
-    unit = segments.whole()[1] / (segments.n * segments.dim * segments.delta)
+    pos, delta = _positions(traj)
+    segments = SegmentStats(pos)
+    unit = segments.whole()[1] / (segments.n * segments.dim * delta)
     with np.errstate(over="ignore", under="ignore"):
         sigma2 = np.ldexp(unit, 2 * segments.exponent)
     if not np.isfinite(sigma2).all() or (sigma2 == 0.0).any():
@@ -288,7 +285,7 @@ def statistic_T(traj):
     Under the Brownian null its law depends only on the number of steps.
 
     `traj` is a Trajectory, a stack of positions of shape (..., n+1, d)
-    on a unit time grid, or a SegmentStats of either; a stack gives a
+    or a SegmentStats of either; the time step cancels. A stack gives a
     (...) array whose entries equal the single-trajectory results
     exactly. Raises NoMotion if any trajectory has no motion.
     """
@@ -315,22 +312,21 @@ def backward_forward(traj, k):
     """Arrays (B, A) of the windowed statistics for i = k .. n-k.
 
     B_i uses the window X_{t_{i-k}} .. X_{t_i} with reference point
-    X_{t_i}; A_i mirrors it forward. Both denominators use the window
-    span k*delta and the diffusion estimate from that window's own
-    steps. Raises NoMotionWindow if any window has zero motion.
+    X_{t_i}; A_i mirrors it forward. Both denominators are sqrt(k delta
+    sigma2_hat) = sqrt(k (sum / (k d))), from the window's own k steps:
+    delta cancels. Raises NoMotionWindow if any window has zero motion.
 
     `traj` is a Trajectory, a list of trajectories of one length and time
-    step, a stack of positions of shape (..., n+1, d) on a unit time
-    grid, or a SegmentStats of one of these; a list or stack gives
-    (..., n-2k+1) arrays whose rows equal the single-trajectory results
-    exactly. Memory is O(n) per trajectory: one pass per lag j = 1..k
-    shares the squared distances s_j[t] = ||X_{t+j} - X_t||^2 between B
-    (which reads s_j[i-j]) and A (which reads s_j[i]). A block of rows is
-    laid end to end, coordinate-major, so each pass runs over one
-    contiguous array; differences that straddle two rows are never read.
-    The room that a block of rows leaves in a buffer of KERNEL_BLOCK_BYTES
-    goes to more lags per pass, and a row too long for it is cut into
-    column tiles.
+    step, a stack of positions of shape (..., n+1, d), or a SegmentStats
+    of one of these; a list or stack gives (..., n-2k+1) arrays whose
+    rows equal the single-trajectory results exactly. Memory is O(n) per
+    trajectory: one pass per lag j = 1..k shares the squared distances
+    s_j[t] = ||X_{t+j} - X_t||^2 between B (which reads s_j[i-j]) and A
+    (which reads s_j[i]). A block of rows is laid end to end,
+    coordinate-major, so each pass runs over one contiguous array;
+    differences that straddle two rows are never read. The room that a
+    block of rows leaves in a buffer of KERNEL_BLOCK_BYTES goes to more
+    lags per pass, and a row too long for it is cut into column tiles.
     """
     segments = traj if isinstance(traj, SegmentStats) else SegmentStats(traj)
     n, d, ssq = segments.n, segments.dim, segments.ssq
@@ -346,7 +342,7 @@ def backward_forward(traj, k):
     win, steps = np.zeros_like(ssq), ssq.reshape(-1)
     windows = np.ndarray((k, steps.size - k + 1), float, steps, 0, (8, 8))  # row j: steps j, j + 1, ..
     np.add.reduce(windows, axis=0, out=win.reshape(-1)[: steps.size - k + 1])
-    win /= k * d * segments.delta
+    win /= k * d
     sig2_back, sig2_fwd = win[:, :m], win[:, k : k + m]
     bad = (sig2_back == 0) | (sig2_fwd == 0)
     if bad.any():
@@ -387,8 +383,8 @@ def backward_forward(traj, k):
                     best = lag_values[0] if lags == 1 else np.maximum.reduce(lag_values)
                     np.maximum(peak, best, out=peak)
 
-    # In place, so the window sums turn into the denominators sqrt(k delta sigma2_hat).
-    np.sqrt(np.multiply(k * segments.delta, win, out=win), out=win)
+    # In place, so the window sums over k d turn into the denominators sqrt(k delta sigma2_hat).
+    np.sqrt(np.multiply(k, win, out=win), out=win)
     B = np.sqrt(max_b[:, :m]) / win[:, :m]
     A = np.sqrt(max_f[:, :m]) / win[:, k : k + m]
     _require_finite(B, A)

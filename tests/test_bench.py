@@ -237,7 +237,8 @@ class TestBatchedCell:
 
 
 class TestRawBatch:
-    # A time step of 0.1, unlike 0.25, is not a power of two: it changes the bits of B, A and T.
+    # A time step of 0.1, unlike 0.25, is not a power of two; no statistic reads it, so the run_batch
+    # reports on its grid must equal raw_batch on the bare stack all the same.
     @pytest.mark.parametrize("scenario", [simulators.scenario_preset(2, lam=0.5), CUSTOM,
                                           dataclasses.replace(CUSTOM, delta=0.1)],
                              ids=["preset2", "custom", "custom_delta0.1"])
@@ -260,7 +261,7 @@ class TestRawBatch:
         # tests inject faults.
         monkeypatch.setattr(detection, "_change_points", counting)
         lookup = detection.label_lookup(quantiles) if label else None
-        segments = SegmentStats(stack, scenario.delta)
+        segments = SegmentStats(stack)
         _, (row, _, _), points, labels = detection.raw_batch(segments, config, lookup)
         assert rows == [report.stats.B[0] for report in reports]
         assert [points[row == r].tolist() for r in range(len(stack))] == [

@@ -52,6 +52,13 @@ EXAMPLE_Q = np.array(
 )
 
 
+def outlier_positions(traj, exponent):
+    """The positions of traj with every step from step 200 on scaled by 2**exponent."""
+    steps = np.diff(traj.positions, axis=0)
+    steps[200:] *= 2.0**exponent
+    return np.vstack([traj.positions[:1], traj.positions[0] + steps.cumsum(axis=0)])
+
+
 class TestDetectionConfig:
     def test_defaults_derive_from_k(self):
         cfg = DetectionConfig(k=30, thresholds=ThresholdPair(0.7, 3.2))
@@ -346,11 +353,45 @@ class TestRunProcedure:
         assert a.change_points == b.change_points
 
 
+class TestTimeStep:
+    """B, A and T divide a distance by sqrt(span * sum / (m d delta)) with span m delta: no statistic
+    reads delta, so every result is bit-equal to the one at delta = 1."""
+
+    CONFIG = DetectionConfig(k=20, thresholds=ThresholdPair(0.74, 3.26))
+
+    def results(self, traj, points):
+        B, A = backward_forward(traj, 20)
+        labels = label_segments(traj, points, (0.6, 2.6))
+        report = run_procedure(traj, self.CONFIG, labelling=True, quantiles=(0.6, 2.6))
+        return (B.tobytes(), A.tobytes(), statistic_T(traj).hex(), [l.T for l in labels],
+                report_to_dict(report), report.stats.B.tobytes(), report.stats.A.tobytes())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-300, 300), st.integers(2, 3), st.integers(0, 2**32 - 1))  # a Trajectory is 2-D or 3-D
+    def test_any_time_step_gives_the_unit_step_results(self, log_delta, dim, seed):
+        # A random walk that drifts over its middle third, so the report holds change points.
+        steps = np.random.default_rng(seed).normal(size=(150, dim))
+        steps[50:100] += 1.5
+        pos = np.vstack([np.zeros((1, dim)), steps.cumsum(axis=0)])
+        unit = Trajectory(grid=TimeGrid(0.0, 1.0, 150), positions=pos)
+        scaled = Trajectory(grid=TimeGrid(0.0, 10.0**log_delta, 150), positions=pos)
+        assert self.results(scaled, [50, 100]) == self.results(unit, [50, 100])
+
+    def test_largest_time_step_detects_as_the_unit_step(self, relaxed_300_30):
+        # k d delta overflows a float at this time step: a window sum divided by it would read 0.
+        traj, _ = compose_scenario(scenario_preset(1, v=2.0, seed=41))
+        huge = Trajectory(grid=TimeGrid(0.0, 1e307, 300), positions=traj.positions)
+        cfg = DetectionConfig(k=30, thresholds=relaxed_300_30)
+        report, expected = (report_to_dict(run_procedure(t, cfg, labelling=True, quantiles=(0.6, 2.6)))
+                            for t in (huge, traj))
+        assert report == expected and expected["change_points"] == [100, 175]
+
+
 class TestRunBatch:
     @pytest.mark.parametrize("delta", [1.0, 0.03])
     @pytest.mark.parametrize("labelling", [False, True])
     def test_rows_equal_run_procedure(self, relaxed_300_30, delta, labelling):
-        # A non-unit time step must reach the stacked kernel exactly.
+        # No statistic reads the time step; a non-unit one goes through both paths all the same.
         spec = scenario_preset(1, v=1.0)
         trajs = []
         for r in range(6):
@@ -518,10 +559,11 @@ class TestSegmentPass:
                 merge_same_label(brownian_300, points, labels, (0.6, 2.6))
 
     def test_non_finite_segment_statistic_raises(self, brownian_300):
-        # Finite positions, but a time step this large leaves each segment's T not finite.
-        traj = Trajectory(grid=TimeGrid(0.0, 1e307, 300), positions=brownian_300.positions)
+        # Under the row's unit scale the first 200 steps square to subnormals: their step sum
+        # over m d underflows to 0 while their largest distance does not, so T is x / 0.
+        traj = Trajectory(grid=brownian_300.grid, positions=outlier_positions(brownian_300, 536))
         with pytest.raises(InvalidParam, match="statistic is not finite"):
-            label_segments(traj, [100, 175], (0.6, 2.6))
+            label_segments(traj, [200], (0.6, 2.6))
 
     def test_immobile_segment_undetermined_between_labelled(self, brownian_300):
         pos = brownian_300.positions.copy()
@@ -639,9 +681,9 @@ class TestArrayTail:
         assert {l.label for l in got} >= {BROWNIAN, UNDETERMINED}
 
     def test_non_finite_labelled_statistic_raises(self, brownian_300):
-        # Finite positions, but a time step this large leaves each segment's T not finite.
-        segments = SegmentStats(brownian_300.positions[None], delta=1e307)
-        bounds = segments.bounds([[100, 175]])
+        # As in TestSegmentPass: segment [0, 200] of this track has a T of x / 0.
+        segments = SegmentStats(outlier_positions(brownian_300, 536)[None])
+        bounds = segments.bounds([[200]])
         with pytest.raises(InvalidParam, match="statistic is not finite"):
             detection._segment_codes(segments, bounds, detection.label_lookup((0.6, 2.6)))
 

@@ -175,8 +175,8 @@ class TestSegmentStats:
         pos[100:161] = pos[100]  # 60 still steps
         segments = SegmentStats(make(pos))
         # [0, 100], [100, 100] without steps, [100, 160] still, [160, 300]
-        values = segments.between([[100, 100, 160]])
-        assert [math.isnan(T) for T, _ in values] == [False, True, True, False]
+        T, _ = segments.tiled(*segments.bounds([[100, 100, 160]]))
+        assert np.isnan(T).tolist() == [False, True, True, False]
         for lo, hi in ((100, 100), (100, 160), (120, 150)):
             T, total = segments.segment(0, lo, hi)
             assert math.isnan(T) and total == 0.0
@@ -190,7 +190,7 @@ class TestSegmentStats:
         segments = SegmentStats(trajs)
         paths = [
             segments.whole()[0].tolist(),
-            [T for T, _ in segments.between([[]] * rows)],
+            segments.tiled(*segments.bounds([[]] * rows))[0].tolist(),
             [segments.segment(r, 0, 300)[0] for r in range(rows)],
             [statistic_T(t) for t in trajs],
             statistic_T(trajs).tolist(),
@@ -214,8 +214,9 @@ class TestStatisticT:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_matches_definition_bit_for_bit(self, dim):
-        # The definition in float arithmetic on the unscaled positions: power-of-two
-        # scaling and an exactly rounded step sum leave every bit of T as it is.
+        # The definition, with the time step cancelled, in float arithmetic on the unscaled
+        # positions: power-of-two scaling and an exactly rounded step sum leave every bit
+        # of T as it is, at any time step.
         rng = np.random.default_rng(dim)
         for delta in (1.0, 0.03):
             for n in (2, 3, *rng.integers(4, 400, size=20).tolist()):
@@ -224,7 +225,7 @@ class TestStatisticT:
                 total = math.fsum(np.einsum("...i,...i->...", steps, steps).tolist())
                 disp = pos[1:] - pos[0]
                 peak = np.sqrt(np.einsum("...i,...i->...", disp, disp)).max()
-                expected = peak / math.sqrt(n * delta * (total / (n * dim * delta)))
+                expected = peak / math.sqrt(n * (total / (n * dim)))
                 assert statistic_T(make(pos, delta)) == expected
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -235,9 +236,7 @@ class TestStatisticT:
 
     def test_delta_invariant(self):
         pos = np.random.default_rng(4).normal(size=(60, 2)).cumsum(axis=0)
-        assert statistic_T(make(pos, delta=1.0)) == pytest.approx(
-            statistic_T(make(pos, delta=0.01)), rel=1e-12
-        )
+        assert statistic_T(make(pos, delta=1.0)) == statistic_T(make(pos, delta=0.01))
 
     def test_too_short(self):
         with pytest.raises(TooShort):
@@ -364,7 +363,8 @@ class TestRowSums:
         if isinstance(points, tuple):  # one segment, as the merge asks for it
             sums, (row, lo, hi) = [segments.segment(*points)[1]], ([p] for p in points)
         else:
-            sums, (row, lo, hi) = [total for _, total in segments.between(points)], segments.bounds(points)
+            row, lo, hi = segments.bounds(points)
+            sums = segments.tiled(row, lo, hi)[1].tolist()
         assert sums == [math.fsum(segments.ssq[r, a:b].tolist()) for r, a, b in zip(row, lo, hi)]
 
     def test_brownian_stacks_never_fall_back(self, monkeypatch):
@@ -375,8 +375,8 @@ class TestRowSums:
             segments = SegmentStats(next(simulators.replicate_stacks(null, 3, replicates=rows)))
             assert segments.ssq.size >= stats.EXACT_SUM_CUTOVER
             points = [np.sort(rng.choice(n, count - 1, replace=False)).tolist() for _ in range(rows)]
-            totals = [segments.whole()[1].tolist(), [total for _, total in segments.between(points)]]
             row, lo, hi = segments.bounds(points)
+            totals = [segments.whole()[1].tolist(), segments.tiled(row, lo, hi)[1].tolist()]
             assert calls == []
             assert totals == [[fsum(r) for r in segments.ssq.tolist()],
                               [fsum(segments.ssq[r, a:b].tolist()) for r, a, b in zip(row, lo, hi)]]
@@ -388,8 +388,8 @@ class TestRowSums:
         stack[9, 120:181] = stack[9, 120]  # a 60-step still stretch
         segments = SegmentStats(stack)
         points = [[120, 180] if r == 9 else [50 + r, 200 + r] for r in range(32)]
-        totals = [total for _, total in segments.between(points)]
         row, lo, hi = segments.bounds(points)
+        totals = segments.tiled(row, lo, hi)[1].tolist()
         assert calls == []
         assert totals == [math.fsum(segments.ssq[r, a:b].tolist()) for r, a, b in zip(row, lo, hi)]
         assert totals.count(0.0) == 4
@@ -459,12 +459,16 @@ class TestBackwardForward:
 
     def test_scale_invariance(self, brownian_300):
         B, A = backward_forward(brownian_300, 25)
-        # A time step other than 1 cancels between the window span and the diffusion estimate.
         for scale, delta in ((100.0, 1.0), (1e160, 1.0), (1e-160, 1.0), (3.0, 0.1)):
             scaled = make(brownian_300.positions * scale, delta=delta)
             B2, A2 = backward_forward(scaled, 25)
             assert np.allclose(B, B2, rtol=1e-12)
             assert np.allclose(A, A2, rtol=1e-12)
+        # The time step cancels between the window span and the diffusion estimate, so no
+        # statistic reads it: a change of time step alone keeps every bit.
+        for delta in (0.1, 0.03, 1e-300, 1e307):
+            B2, A2 = backward_forward(make(brownian_300.positions, delta=delta), 25)
+            assert np.array_equal(B, B2) and np.array_equal(A, A2)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_raises(self):

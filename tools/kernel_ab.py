@@ -37,9 +37,10 @@ The `load_csv_fallback` case does the same for two files that numpy's
 parse leaves to the `float` conversion: the LF file with ", " between
 fields, and with a blank line after its 150th row.
 The segment cases call
-`SegmentStats.between` on random walks (1 x 301 with change points
-[100, 175], a stack of 301 points with two random change points per
-row, 1 x 50,001 with 19), `SegmentStats.whole` (a stack of 301 points)
+`SegmentStats.tiled` on the `SegmentStats.bounds` of change points in
+random walks (1 x 301 with change points [100, 175], a stack of 301
+points with two random change points per row, 1 x 50,001 with 19),
+`SegmentStats.whole` (a stack of 301 points)
 or `SegmentStats.segment`, as
 the merge of two labels calls it (segment [100, 300] of 1 x 301, and a
 15,000-step segment of 1 x 50,001), and compare every T and step sum
@@ -101,9 +102,9 @@ def segment_cases():
         return np.sort(rng.choice(np.arange(1, n), count, replace=False)).tolist()
 
     return (
-        ("between_1x301", walk(1, 301), [[100, 175]], 2000),
-        (f"between_{STACK}x301", walk(STACK, 301), [cuts(300, 2) for _ in range(STACK)], 60),
-        ("between_1x50001", walk(1, 50_001), [cuts(50_000, 19)], 20),
+        ("tiled_1x301", walk(1, 301), [[100, 175]], 2000),
+        (f"tiled_{STACK}x301", walk(STACK, 301), [cuts(300, 2) for _ in range(STACK)], 60),
+        ("tiled_1x50001", walk(1, 50_001), [cuts(50_000, 19)], 20),
         (f"whole_{STACK}x301", walk(STACK, 301), None, 60),
         ("segment_1x301", walk(1, 301), (0, 100, 300), 2000),
         ("segment_1x50001", walk(1, 50_001), (0, 20_000, 35_000), 20),
@@ -114,7 +115,7 @@ def segment_call(tree, stack, points):
     segments = tree.stats.SegmentStats(stack)
     if isinstance(points, tuple):
         return lambda: segments.segment(*points)
-    return segments.whole if points is None else lambda: segments.between(points)
+    return segments.whole if points is None else lambda: segments.tiled(*segments.bounds(points))
 
 
 def load(src, name):
