@@ -7,10 +7,6 @@ from .simulators import (
     ScenarioSpec,
     compose_scenario,
     compose_stack,
-    gen_brownian,
-    gen_brownian_drift,
-    gen_fbm,
-    gen_ou,
     replicate_stacks,
     scenario_preset,
 )
@@ -48,7 +44,7 @@ __all__ = [
     "__version__",
     "TimeGrid", "Trajectory", "load_csv", "save_csv",
     "RegimeSpec", "ScenarioSpec", "compose_scenario", "compose_stack", "replicate_stacks",
-    "scenario_preset", "gen_brownian", "gen_brownian_drift", "gen_ou", "gen_fbm",
+    "scenario_preset",
     "SlidingStats", "ThresholdPair", "phi", "backward_forward",
     "estimate_sigma2", "statistic_T", "sliding_stats",
     "CalibrationKey", "ThresholdTable", "SegmentQuantiles",

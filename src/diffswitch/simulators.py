@@ -1,11 +1,10 @@
 """Exact-distribution simulators for the three diffusion regimes.
 
 Brownian motion is the null model; Brownian motion with drift models
-superdiffusion (drift vector (v, v)/sqrt(2) so its norm equals v); the
-Ornstein-Uhlenbeck process models subdiffusion and is sampled with its
-exact AR(1) Gaussian transition, not Euler-Maruyama. Fractional Brownian
-motion uses exact Davies-Harte circulant embedding of the increment
-covariance.
+superdiffusion (v/sqrt(d) per coordinate, so the drift has norm v); the
+Ornstein-Uhlenbeck process models subdiffusion, with its exact AR(1)
+Gaussian transition, not Euler-Maruyama. Fractional Brownian motion uses
+exact Davies-Harte circulant embedding. compose_stack builds every path.
 """
 
 import json
@@ -61,6 +60,9 @@ class RegimeSpec:
             if theta.ndim != 1 or not all(isinstance(x, numbers.Real) for x in theta):
                 raise InvalidParam(f"theta must be a flat sequence of numbers, got {self.theta!r}")
             object.__setattr__(self, "theta", tuple(map(float, theta)))
+        for name in ("sigma", "v", "lam", "theta", "hurst"):
+            if not np.isfinite(getattr(self, name) or ()).all():  # an unset theta is ()
+                raise InvalidParam(f"{name} must be finite, got {getattr(self, name)}")
 
     def diffusion_type(self):
         if self.kind == FRACTIONAL_BROWNIAN:
@@ -150,8 +152,9 @@ def _piece(start, out, regime, delta, fbm_noise):
     """
     n, dim = out.shape[-2:]
     if regime.kind == ORNSTEIN_UHLENBECK:
-        # Exact AR(1) transition, one step of every row at a time, on a step-major copy
-        # (so each step is contiguous) with every ufunc writing into a buffer.
+        # The exact transition X' = theta + (X - theta) a + sd N(0, 1), a = e^(-lam delta) and
+        # sd = sigma sqrt((1 - a^2) / (2 lam)), one step of every row at a time, on a step-major
+        # copy (so each step is contiguous) with every ufunc writing into a buffer.
         if regime.theta is not None and len(regime.theta) != dim:
             raise InvalidParam(f"theta has {len(regime.theta)} coordinates, the path has {dim}")
         a = math.exp(-regime.lam * delta)
@@ -170,7 +173,9 @@ def _piece(start, out, regime, delta, fbm_noise):
         out[...] = steps.swapaxes(0, 1)
         return
     if regime.kind == FRACTIONAL_BROWNIAN:
-        # rho[j] is the lag-j autocovariance of unit fGn (rho[0] = 1).
+        # Exact Davies-Harte embedding, O(n log n) at any n and hurst: the real part of the FFT
+        # of complex normals weighted by the eigenvalues of a 2n-point circulant that holds the
+        # covariance of unit fGn, whose lag-j autocovariance is rho[j] (rho[0] = 1).
         idx = np.arange(n + 1, dtype=float)
         two_h = 2.0 * regime.hurst
         rho = 0.5 * ((idx + 1) ** two_h - 2 * idx**two_h + np.abs(idx - 1) ** two_h)
@@ -200,58 +205,6 @@ def _piece(start, out, regime, delta, fbm_noise):
     # Repeated rows add much faster than a broadcast start; paths from the origin need neither.
     if start.any():
         out += np.repeat(start, n, axis=1)
-
-
-def _one_path(grid, dim, regime, rng, start):
-    stack = np.zeros((1, grid.n_steps + 1, dim))
-    if start is not None:
-        stack[0, 0] = start
-    _advance(stack, (0, grid.n_steps), (regime,), grid.delta, [rng])
-    return Trajectory(grid=grid, positions=stack[0])
-
-
-def gen_brownian(grid, dim, sigma, rng, start=None):
-    """Brownian path: i.i.d. Gaussian increments of variance sigma^2 * delta."""
-    return _one_path(grid, dim, RegimeSpec(kind=BROWNIAN, sigma=sigma), rng, start)
-
-
-def gen_brownian_drift(grid, sigma, v, rng, dim=2, start=None):
-    """Brownian motion with constant drift of norm v (superdiffusion model).
-
-    Each coordinate drifts at v/sqrt(2) per unit time, so the drift
-    vector (v, v)/sqrt(2) has euclidean norm exactly v (2-D convention;
-    in d dimensions the per-coordinate rate is v/sqrt(d)).
-    """
-    regime = RegimeSpec(kind=BROWNIAN_DRIFT, sigma=sigma, v=v)
-    return _one_path(grid, dim, regime, rng, start)
-
-
-def gen_ou(grid, sigma, lam, rng, theta=None, dim=2, start=None):
-    """Ornstein-Uhlenbeck path via the exact Gaussian transition.
-
-    X_{k+1} = theta + (X_k - theta) e^{-lam delta}
-              + sigma sqrt((1 - e^{-2 lam delta}) / (2 lam)) N(0, 1)
-
-    Starts at theta unless a start point is supplied; theta defaults to
-    the start point (or the origin).
-    """
-    regime = RegimeSpec(kind=ORNSTEIN_UHLENBECK, sigma=sigma, lam=lam, theta=theta)
-    if theta is not None and len(regime.theta) != dim:
-        raise InvalidParam(f"theta has {len(regime.theta)} coordinates, the path has {dim}")
-    return _one_path(grid, dim, regime, rng, regime.theta if start is None else start)
-
-
-def gen_fbm(grid, dim, sigma, hurst, rng, start=None):
-    """Fractional Brownian path scaled by sigma, one independent fBm per axis.
-
-    Exact Davies-Harte circulant embedding: the n x n Toeplitz covariance
-    of unit fractional Gaussian noise sits in a 2n-point circulant whose
-    eigenvalues come from one FFT, and the real part of the FFT of
-    eigenvalue-weighted complex normals has exactly that covariance.
-    O(n log n) time, O(n) memory, any path length and any hurst.
-    """
-    regime = RegimeSpec(kind=FRACTIONAL_BROWNIAN, sigma=sigma, hurst=hurst)
-    return _one_path(grid, dim, regime, rng, start)
 
 
 def compose_stack(spec, rngs, dim=2):

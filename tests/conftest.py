@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from diffswitch import ThresholdPair, gen_brownian, simulators, stats
-from diffswitch.trajectory import TimeGrid
+from diffswitch import RegimeSpec, ScenarioSpec, ThresholdPair, compose_scenario, simulators, stats
 
 
 @pytest.fixture
 def brownian_300():
-    grid = TimeGrid(t0=0.0, delta=1.0, n_steps=300)
-    return gen_brownian(grid, 2, 1.0, np.random.default_rng(12345))
+    spec = ScenarioSpec(300, (), (RegimeSpec(simulators.BROWNIAN),))
+    return compose_scenario(spec, rng=np.random.default_rng(12345))[0]
 
 
 @pytest.fixture

@@ -15,6 +15,8 @@ import pytest
 from diffswitch import (
     DetectionConfig,
     ExperimentSpec,
+    RegimeSpec,
+    ScenarioSpec,
     SegmentQuantiles,
     ThresholdPair,
     Trajectory,
@@ -22,10 +24,6 @@ from diffswitch import (
     compose_scenario,
     estimate_type1_error,
     find_clusters,
-    gen_brownian,
-    gen_brownian_drift,
-    gen_fbm,
-    gen_ou,
     load_csv,
     run_procedure,
     save_csv,
@@ -35,7 +33,7 @@ from diffswitch import calibration
 from diffswitch.bench import run_cell
 from diffswitch.calibration import RELAXED, STRICT, default_cluster_params
 from diffswitch.rng import DEFAULT_SEED
-from diffswitch.trajectory import TimeGrid
+from diffswitch.simulators import BROWNIAN, BROWNIAN_DRIFT, FRACTIONAL_BROWNIAN, ORNSTEIN_UHLENBECK
 
 CALIB_REPLICATES = 10_001
 
@@ -82,6 +80,11 @@ def calibrated():
 def verdict(criterion, ok, detail):
     print(f"acceptance criterion {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, detail
+
+
+def regime_path(kind, n, rng, **params):
+    """A unit-step path of one regime from the origin, drawn from rng."""
+    return compose_scenario(ScenarioSpec(n, (), (RegimeSpec(kind, **params),)), rng=rng)[0]
 
 
 def bench_spec(**kw):
@@ -236,28 +239,27 @@ def test_criterion_7_property_suite(tmp_path, stack_rows):
     checks["csv round-trip"] = bool(np.array_equal(load_csv(path).positions, traj.positions))
 
     # Simulator moments within 4 standard errors of the Monte Carlo mean.
-    grid_big = TimeGrid(0.0, 1.0, 100_000)
     rng = np.random.default_rng(77)
 
-    ssq = np.sum(np.diff(gen_brownian(grid_big, 2, 1.0, rng).positions, axis=0) ** 2, axis=1)
+    ssq = np.sum(np.diff(regime_path(BROWNIAN, 100_000, rng).positions, axis=0) ** 2, axis=1)
     checks["brownian step variance"] = bool(
         abs(ssq.mean() - 2.0) < 4 * ssq.std(ddof=1) / math.sqrt(len(ssq))
     )
 
-    steps = np.diff(gen_brownian_drift(grid_big, 1.0, 2.0, rng).positions, axis=0)
+    steps = np.diff(regime_path(BROWNIAN_DRIFT, 100_000, rng, v=2.0).positions, axis=0)
     se_drift = steps.std(ddof=1) / math.sqrt(len(steps))
     checks["drift norm"] = bool(
         abs(np.linalg.norm(steps.mean(axis=0)) - 2.0) < 4 * se_drift
     )
 
-    ou = gen_ou(grid_big, 1.0, 1.0, rng).positions[1000:]
+    ou = regime_path(ORNSTEIN_UHLENBECK, 100_000, rng).positions[1000:]
     # Correlated samples: inflate the naive SE by the integrated
     # autocorrelation time, roughly 1/(lambda delta) = 1 here -> use a
     # conservative effective sample size of n/10.
     se_ou = ou[:, 0].var() * math.sqrt(2 / (len(ou) / 10))
     checks["ou stationary variance"] = bool(abs(ou.var(axis=0).mean() - 0.5) < 4 * se_ou)
 
-    fbm_half = gen_fbm(TimeGrid(0.0, 1.0, 5000), 2, 1.0, 0.5, rng)
+    fbm_half = regime_path(FRACTIONAL_BROWNIAN, 5000, rng)
     inc = np.diff(fbm_half.positions, axis=0).ravel()
     checks["fbm h=1/2 reduction"] = bool(
         abs(inc.var() - 1.0) < 4 * math.sqrt(2 / len(inc))
@@ -266,7 +268,7 @@ def test_criterion_7_property_suite(tmp_path, stack_rows):
 
     rs = []
     for rep in range(4):
-        inc = np.diff(gen_fbm(TimeGrid(0.0, 1.0, 10_000), 2, 1.0, 0.8, rng).positions, axis=0)
+        inc = np.diff(regime_path(FRACTIONAL_BROWNIAN, 10_000, rng, hurst=0.8).positions, axis=0)
         # Known-mean (zero) estimator: corrcoef's sample mean biases it low.
         rs += [np.dot(inc[:-1, a], inc[1:, a]) / np.dot(inc[:, a], inc[:, a]) for a in range(2)]
     checks["fgn lag-1 correlation"] = bool(
@@ -278,7 +280,7 @@ def test_criterion_7_property_suite(tmp_path, stack_rows):
 
 
 def test_criterion_8_single_detection_speed():
-    traj = gen_brownian(TimeGrid(0.0, 1.0, 300), 2, 1.0, np.random.default_rng(0))
+    traj = regime_path(BROWNIAN, 300, np.random.default_rng(0))
     cfg = DetectionConfig(k=30, thresholds=ThresholdPair(0.74, 3.26))
     run_procedure(traj, cfg)  # warm-up excluded from timing
     best = min(

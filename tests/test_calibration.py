@@ -17,13 +17,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from diffswitch import (
     CalibrationKey,
+    RegimeSpec,
+    ScenarioSpec,
     SegmentQuantiles,
     ThresholdPair,
     ThresholdTable,
     cache_get_or_calibrate,
+    compose_scenario,
     default_key,
     estimate_type1_error,
-    gen_brownian,
     statistic_T,
 )
 from diffswitch import calibration, simulators, stats
@@ -41,7 +43,6 @@ from diffswitch.calibration import (
 )
 from diffswitch.errors import Degenerate, InvalidParam, IoFailure
 from diffswitch.rng import DEFAULT_SEED, replicate_rng
-from diffswitch.trajectory import TimeGrid
 
 # Small but honest replicate counts keep the unit suite fast; the
 # acceptance suite re-derives published values at full size.
@@ -321,10 +322,10 @@ class TestCalibrateBoth:
 class TestSegmentTest:
     def test_coverage(self, q100):
         # About 95% of fresh Brownian segments fall between q1 and q2.
-        grid = TimeGrid(0.0, 1.0, 100)
+        spec = ScenarioSpec(100, (), (RegimeSpec(simulators.BROWNIAN),))
         inside = 0
         for rep in range(400):
-            T = statistic_T(gen_brownian(grid, 2, 1.0, replicate_rng(999, rep)))
+            T = statistic_T(compose_scenario(spec, rng=replicate_rng(999, rep))[0])
             inside += q100.gamma1 <= T <= q100.gamma2
         assert 0.90 <= inside / 400 <= 0.99
 

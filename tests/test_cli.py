@@ -138,9 +138,13 @@ class TestScenarioFile:
         ("null", "InvalidParam: {}: not a scenario document: the document is not a JSON object: None\n"),
         ('{"n": 300, "regimes": ["brownian"]}',
          "InvalidParam: {}: not a scenario document: regime 0 is not a JSON object: 'brownian'\n"),
+        ('{"n": 300, "regimes": [{"kind": "ornstein_uhlenbeck", "lam": Infinity}]}',
+         "InvalidParam: lam must be finite, got inf\n"),
+        ('{"n": 300, "regimes": [{"kind": "brownian", "sigma": NaN}]}',
+         "InvalidParam: sigma must be finite, got nan\n"),
     ], ids=["missing", "malformed", "no-regimes", "misspelled-regime-key", "misspelled-top-level-key",
             "no-n", "no-kind", "null-seed", "float-seed", "negative-seed", "list-document",
-            "null-document", "string-regime"])
+            "null-document", "string-regime", "infinite-lam", "nan-sigma"])
     def test_bad_file_is_one_line_domain_error(self, tmp_path, capsys, command, content, error):
         path = tmp_path / "scenario.json"
         if content is not None:
@@ -170,17 +174,6 @@ class TestScenarioFile:
         assert stderr.startswith("InvalidParam: n and change points must be integers")
         assert stderr.count("\n") == 1 and stderr.endswith("\n")
         assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("seed", [1.5, None], ids=["float", "null"])
-    def test_bad_seed_is_one_line_domain_error(self, tmp_path, capsys, seed):
-        doc = json.loads(scenario_to_json(scenario_preset(1, v=1.0)))
-        doc["seed"] = seed
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(doc))
-        code, _, stderr = run(capsys, "simulate", "--scenario", str(path), "--out", str(tmp_path / "t.csv"))
-        assert code == 1
-        assert stderr == f"InvalidParam: seed must be a nonnegative integer, got {seed!r}\n"
-        assert not (tmp_path / "t.csv").exists()
 
     def test_scenario_file_runs(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
@@ -415,6 +408,19 @@ class TestBench:
             assert (out / name).exists()
         doc = json.loads((out / "report.json").read_text())
         assert doc["cells"][0]["n"] == 300
+
+    @pytest.mark.parametrize("scenario, value, error", [
+        ("2", "inf", "lam must be finite, got inf"), ("1", "nan", "v must be finite, got nan"),
+    ], ids=["infinite-lam", "nan-v"])
+    def test_non_finite_sweep_value_is_one_line_domain_error(
+        self, tmp_path, capsys, scenario, value, error
+    ):
+        out = tmp_path / "bench"
+        code, _, stderr = run(capsys, "bench", "--scenario", scenario, "--sweep", value,
+                              "--replicates", "20", "--no-label", "--out", str(out))
+        assert code == 1
+        assert stderr == f"InvalidParam: {error}\n"
+        assert not out.exists()
 
     def test_experiment_mode_reads_a_warm_cache(self, tmp_path, capsys, monkeypatch):
         cache, out = tmp_path / "cache.json", tmp_path / "bench"

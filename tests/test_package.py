@@ -2,6 +2,7 @@
 reaches into another module's private names."""
 
 import ast
+import re
 from pathlib import Path
 
 import diffswitch
@@ -21,6 +22,17 @@ def test_star_import():
     exec("from diffswitch import *", namespace)
     assert set(diffswitch.__all__) <= set(namespace)
 
+
+def test_readme_examples_import_only_public_names():
+    # Each python block is parsed, not run, so an example that imports a removed name fails here.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    imported = [alias.name for block in blocks for node in ast.walk(ast.parse(block))
+                if isinstance(node, ast.ImportFrom) and node.module == "diffswitch"
+                for alias in node.names]
+    assert blocks and imported
+    assert [name for name in imported
+            if name not in diffswitch.__all__ or not hasattr(diffswitch, name)] == []
 
 
 def test_no_module_imports_another_modules_private_names():

@@ -9,13 +9,9 @@ from diffswitch import (
     ScenarioSpec,
     compose_scenario,
     compose_stack,
-    gen_brownian,
-    gen_brownian_drift,
-    gen_fbm,
-    gen_ou,
     scenario_preset,
 )
-from diffswitch import detection, stats
+from diffswitch import detection, simulators, stats
 from diffswitch.errors import InvalidParam
 from diffswitch.rng import replicate_rng
 from diffswitch.simulators import (
@@ -30,55 +26,62 @@ from diffswitch.simulators import (
 from diffswitch.trajectory import TimeGrid
 
 
-def grid(n, delta=1.0):
-    return TimeGrid(t0=0.0, delta=delta, n_steps=n)
+def path(kind, n, rng, delta=1.0, **params):
+    """A planar one-regime path from the origin: compose_scenario on a one-regime spec."""
+    spec = ScenarioSpec(n, (), (RegimeSpec(kind, **params),), delta=delta)
+    return compose_scenario(spec, rng=rng)[0]
+
+
+def normal_walk(rng, n, sd):
+    """The planar reference path from the origin: a cumulative sum of Generator.normal(0.0, sd) steps."""
+    return np.concatenate([np.zeros((1, 2)), np.cumsum(rng.normal(0.0, sd, (n, 2)), axis=0)])
 
 
 class TestBrownian:
     def test_step_variance(self):
         # E||dX||^2 = d sigma^2 delta = 2 for sigma=1, delta=1, d=2.
-        traj = gen_brownian(grid(100_000), 2, 1.0, np.random.default_rng(0))
+        traj = path(BROWNIAN, 100_000, np.random.default_rng(0))
         ssq = np.sum(np.diff(traj.positions, axis=0) ** 2, axis=1)
         se = ssq.std(ddof=1) / math.sqrt(len(ssq))
         assert abs(ssq.mean() - 2.0) < 4 * se
         assert abs(ssq.mean() - 2.0) < 0.03
 
     def test_deterministic_given_seed(self):
-        a = gen_brownian(grid(50), 2, 1.0, replicate_rng(9, 0))
-        b = gen_brownian(grid(50), 2, 1.0, replicate_rng(9, 0))
+        a = path(BROWNIAN, 50, replicate_rng(9, 0))
+        b = path(BROWNIAN, 50, replicate_rng(9, 0))
         assert np.array_equal(a.positions, b.positions)
 
     def test_sigma_scales_steps(self):
-        a = gen_brownian(grid(50), 2, 1.0, replicate_rng(9, 0))
-        b = gen_brownian(grid(50), 2, 2.0, replicate_rng(9, 0))
+        a = path(BROWNIAN, 50, replicate_rng(9, 0))
+        b = path(BROWNIAN, 50, replicate_rng(9, 0), sigma=2.0)
         assert np.allclose(b.positions, 2 * a.positions)
 
     def test_invalid_sigma(self):
         with pytest.raises(InvalidParam):
-            gen_brownian(grid(10), 2, 0.0, np.random.default_rng(0))
+            path(BROWNIAN, 10, np.random.default_rng(0), sigma=0.0)
 
 
 class TestBrownianDrift:
     def test_drift_norm(self):
         # Mean displacement per unit time has euclidean norm v.
-        traj = gen_brownian_drift(grid(100_000), 1.0, 2.0, np.random.default_rng(1))
+        traj = path(BROWNIAN_DRIFT, 100_000, np.random.default_rng(1), v=2.0)
         mean_step = np.diff(traj.positions, axis=0).mean(axis=0)
         assert abs(np.linalg.norm(mean_step) - 2.0) < 0.02
 
     def test_zero_drift_matches_brownian(self):
-        a = gen_brownian(grid(50), 2, 1.0, replicate_rng(3, 0))
-        b = gen_brownian_drift(grid(50), 1.0, 0.0, replicate_rng(3, 0))
+        a = path(BROWNIAN, 50, replicate_rng(3, 0))
+        b = path(BROWNIAN_DRIFT, 50, replicate_rng(3, 0), v=0.0)
         assert np.array_equal(a.positions, b.positions)
 
     def test_negative_drift_rejected(self):
         with pytest.raises(InvalidParam):
-            gen_brownian_drift(grid(10), 1.0, -1.0, np.random.default_rng(0))
+            path(BROWNIAN_DRIFT, 10, np.random.default_rng(0), v=-1.0)
 
 
 class TestOrnsteinUhlenbeck:
     def test_stationary_variance(self):
         # sigma^2 / (2 lambda) = 0.5 per coordinate for sigma = lambda = 1.
-        traj = gen_ou(grid(100_000), 1.0, 1.0, np.random.default_rng(2))
+        traj = path(ORNSTEIN_UHLENBECK, 100_000, np.random.default_rng(2))
         var = traj.positions[1000:].var(axis=0)
         assert np.allclose(var, 0.5, atol=0.02)
 
@@ -92,13 +95,9 @@ class TestOrnsteinUhlenbeck:
         # Reference parameter set: lambda = 7.3870 at delta = 0.05.
         assert round(math.exp(-7.3870 * 0.05), 4) == 0.6912
 
-    def test_starts_at_theta(self):
-        traj = gen_ou(grid(10), 1.0, 1.0, np.random.default_rng(0), theta=(3.0, -1.0))
-        assert np.array_equal(traj.positions[0], [3.0, -1.0])
-
     def test_invalid_lambda(self):
         with pytest.raises(InvalidParam):
-            gen_ou(grid(10), 1.0, 0.0, np.random.default_rng(0))
+            path(ORNSTEIN_UHLENBECK, 10, np.random.default_rng(0), lam=0.0)
 
     def test_theta_is_a_tuple_of_floats(self):
         as_list = RegimeSpec(kind=ORNSTEIN_UHLENBECK, theta=[1, 2])
@@ -113,8 +112,6 @@ class TestOrnsteinUhlenbeck:
             RegimeSpec(kind=ORNSTEIN_UHLENBECK, theta=theta)
 
     def test_theta_of_another_dimension_is_rejected(self):
-        with pytest.raises(InvalidParam, match="theta has 3 coordinates, the path has 2"):
-            gen_ou(grid(10), 1.0, 1.0, np.random.default_rng(0), theta=(0, 0, 0))
         spec = ScenarioSpec(n=30, change_points=(10, 20), regimes=(
             RegimeSpec(kind=BROWNIAN),
             RegimeSpec(kind=ORNSTEIN_UHLENBECK, lam=0.5, theta=(0, 0, 0)),
@@ -132,7 +129,7 @@ def lag1_autocorrelation(x):
 class BasisRng:
     """Stands in for a Generator whose normal draws are unit vectors.
 
-    gen_fbm draws normals of shape (2, dim, 2n), real then imaginary
+    An fBm piece draws normals of shape (2, dim, 2n), real then imaginary
     parts, so there are 4n unit vectors in all; each draw hands the next
     one to each axis. After 2n planar paths every unit vector has been
     used once, and the Gram matrix of all their increments is the
@@ -148,7 +145,7 @@ class BasisRng:
 
 class TestFractionalBrownian:
     def test_half_hurst_uncorrelated_increments(self):
-        traj = gen_fbm(grid(5000), 2, 1.0, 0.5, np.random.default_rng(4))
+        traj = path(FRACTIONAL_BROWNIAN, 5000, np.random.default_rng(4))
         inc = np.diff(traj.positions, axis=0)
         r = np.corrcoef(inc[:-1, 0], inc[1:, 0])[0, 1]
         assert abs(r) < 0.05
@@ -158,7 +155,7 @@ class TestFractionalBrownian:
         # fGn lag-1 autocorrelation is 2^{2h-1} - 1.
         rs = []
         for seed in range(3):
-            traj = gen_fbm(grid(10_000), 2, 1.0, 0.8, np.random.default_rng(seed))
+            traj = path(FRACTIONAL_BROWNIAN, 10_000, np.random.default_rng(seed), hurst=0.8)
             inc = np.diff(traj.positions, axis=0)
             rs += [lag1_autocorrelation(inc[:, a]) for a in range(2)]
         assert abs(np.mean(rs) - (2**0.6 - 1)) < 0.02
@@ -168,7 +165,8 @@ class TestFractionalBrownian:
     def test_exact_increment_covariance(self, hurst, n):
         sigma, delta = 1.5, 0.25
         rng = BasisRng(n)
-        paths = [gen_fbm(grid(n, delta), 2, sigma, hurst, rng) for _ in range(2 * n)]
+        paths = [path(FRACTIONAL_BROWNIAN, n, rng, delta=delta, sigma=sigma, hurst=hurst)
+                 for _ in range(2 * n)]
         inc = np.hstack([np.diff(p.positions, axis=0) for p in paths])
         lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
         two_h = 2 * hurst
@@ -178,11 +176,11 @@ class TestFractionalBrownian:
 
     def test_invalid_hurst(self):
         with pytest.raises(InvalidParam):
-            gen_fbm(grid(10), 2, 1.0, 1.2, np.random.default_rng(0))
+            path(FRACTIONAL_BROWNIAN, 10, np.random.default_rng(0), hurst=1.2)
 
     @pytest.mark.parametrize("hurst", [0.2, 0.8])
     def test_long_path(self, hurst):
-        traj = gen_fbm(grid(100_000), 2, 1.0, hurst, np.random.default_rng(0))
+        traj = path(FRACTIONAL_BROWNIAN, 100_000, np.random.default_rng(0), hurst=hurst)
         inc = np.diff(traj.positions, axis=0)
         assert traj.positions.shape == (100_001, 2)
         assert abs(np.mean(inc**2) - 1.0) < 0.1
@@ -217,20 +215,16 @@ EVERY_KIND = ScenarioSpec(
 class TestScenario:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_pieces_chain_the_plain_generators(self, dim):
+        # Each piece on a one-row stack of its own, from the last point of the piece before.
         spec = mixed_spec(dim)
         traj, _ = compose_scenario(spec, dim=dim, rng=replicate_rng(9))
-        rng, start, pieces = replicate_rng(9), np.zeros(dim), [np.zeros((1, dim))]
+        rng, pieces = replicate_rng(9), [np.zeros((1, dim))]
         bounds = (0,) + spec.change_points + (spec.n,)
         for lo, hi, r in zip(bounds, bounds[1:], spec.regimes):
-            g = TimeGrid(t0=lo * spec.delta, delta=spec.delta, n_steps=hi - lo)
-            if r.kind == BROWNIAN_DRIFT:
-                piece = gen_brownian_drift(g, r.sigma, r.v, rng, dim=dim, start=start)
-            elif r.kind == ORNSTEIN_UHLENBECK:
-                piece = gen_ou(g, r.sigma, r.lam, rng, theta=r.theta, dim=dim, start=start)
-            else:
-                piece = gen_fbm(g, dim, r.sigma, r.hurst, rng, start=start)
-            pieces.append(piece.positions[1:])
-            start = piece.positions[-1]
+            piece = np.zeros((1, hi - lo + 1, dim))
+            piece[0, 0] = pieces[-1][-1]
+            simulators._advance(piece, (0, hi - lo), (r,), spec.delta, [rng])
+            pieces.append(piece[0, 1:])
         assert np.array_equal(traj.positions, np.concatenate(pieces))
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -321,9 +315,9 @@ class TestScenario:
     def test_single_regime_matches_plain_generator(self):
         spec = ScenarioSpec(n=80, change_points=(), regimes=(RegimeSpec(kind=BROWNIAN),), seed=3)
         traj, truth = compose_scenario(spec)
-        plain = gen_brownian(grid(80), 2, 1.0, replicate_rng(3))
         assert truth == []
-        assert np.array_equal(traj.positions, plain.positions)
+        assert traj.grid == TimeGrid(0.0, 1.0, 80)
+        assert traj.positions.tobytes() == normal_walk(replicate_rng(3), 80, 1.0).tobytes()
 
     def test_deterministic(self):
         spec = scenario_preset(1, v=0.8, seed=21)
@@ -360,8 +354,15 @@ class TestScenario:
         (lambda: ScenarioSpec(300, (), (RegimeSpec(BROWNIAN),), seed=None), "seed must be a nonneg"),
         (lambda: scenario_preset(2), "scenario 2 needs a restoring force lam"),
         (lambda: scenario_preset(3, v=1.0), "unknown scenario preset 3"),
+        (lambda: RegimeSpec(BROWNIAN, sigma=math.inf), "sigma must be finite, got inf"),
+        (lambda: RegimeSpec(BROWNIAN_DRIFT, v=math.nan), "v must be finite, got nan"),
+        (lambda: scenario_preset(2, lam=math.inf), "lam must be finite, got inf"),
+        (lambda: RegimeSpec(ORNSTEIN_UHLENBECK, theta=(0, -math.inf)),
+         r"theta must be finite, got \(0.0, -inf\)"),
+        (lambda: RegimeSpec(BROWNIAN, hurst=math.nan), "hurst must be finite, got nan"),
     ], ids=["unknown-kind", "regime-count", "decreasing-change-points", "null-seed", "no-lam",
-            "unknown-preset"])
+            "unknown-preset", "infinite-sigma", "nan-v", "infinite-lam", "infinite-theta",
+            "nan-hurst"])
     def test_bad_spec_rejected(self, build, message):
         with pytest.raises(InvalidParam, match=message):
             build()
@@ -439,11 +440,10 @@ class TestReplicateStacks:
         for r, row in enumerate(np.concatenate(stacks)):
             assert np.array_equal(row, compose_stack(spec, [replicate_rng(11, 3, 5, r)])[0])
 
-    def test_rows_equal_gen_brownian(self, monkeypatch):
+    def test_rows_equal_normal_walk(self, monkeypatch):
         monkeypatch.setattr(stats, "block_rows", lambda n, d: 4)
         spec = ScenarioSpec(60, (), (RegimeSpec(kind=BROWNIAN, sigma=2.0),), delta=0.5)
         stacks = list(replicate_stacks(spec, 11, replicates=10))
         assert [s.shape for s in stacks] == [(4, 61, 2), (4, 61, 2), (2, 61, 2)]
         for r, row in enumerate(np.concatenate(stacks)):
-            expected = gen_brownian(grid(60, 0.5), 2, 2.0, replicate_rng(11, r)).positions
-            assert np.array_equal(row, expected)
+            assert row.tobytes() == normal_walk(replicate_rng(11, r), 60, 2.0 * math.sqrt(0.5)).tobytes()

@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffswitch import (
+    RegimeSpec,
+    ScenarioSpec,
     ThresholdPair,
     Trajectory,
     backward_forward,
+    compose_scenario,
     estimate_sigma2,
-    gen_brownian,
     label_segments,
     phi,
     sliding_stats,
@@ -76,6 +78,12 @@ def lag_einsum_backward_forward(pos, k):
     return B, A
 
 
+def brownian(n, rng, dim=2, sigma=1.0, delta=1.0):
+    """A Brownian path from the origin: compose_scenario on a one-regime spec."""
+    spec = ScenarioSpec(n, (), (RegimeSpec(simulators.BROWNIAN, sigma=sigma),), delta=delta)
+    return compose_scenario(spec, dim=dim, rng=rng)[0]
+
+
 def make(positions, delta=1.0):
     positions = np.asarray(positions, dtype=float)
     return Trajectory(
@@ -126,8 +134,7 @@ class TestSigma2:
         assert estimate_sigma2(traj2) == pytest.approx(2 * estimate_sigma2(traj1))
 
     def test_unbiased_for_brownian(self):
-        grid = TimeGrid(0.0, 1.0, 50_000)
-        traj = gen_brownian(grid, 2, 1.5, np.random.default_rng(0))
+        traj = brownian(50_000, np.random.default_rng(0), sigma=1.5)
         assert estimate_sigma2(traj) == pytest.approx(1.5**2, rel=0.02)
 
     def test_no_motion(self):
@@ -136,8 +143,7 @@ class TestSigma2:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_list_and_stack_give_arrays(self, dim):
-        grid = TimeGrid(0.0, 0.25, 80)
-        trajs = [gen_brownian(grid, dim, 1.0, np.random.default_rng(seed)) for seed in range(6)]
+        trajs = [brownian(80, np.random.default_rng(seed), dim, delta=0.25) for seed in range(6)]
         single = [estimate_sigma2(t) for t in trajs]
         assert all(type(v) is float for v in single)
         assert np.array_equal(estimate_sigma2(trajs), single)
@@ -157,7 +163,7 @@ class TestSigma2:
     @pytest.mark.parametrize("scale", [1e160, 1e-170])
     def test_out_of_range_estimate_raises(self, scale):
         # The track moves, but its estimate overflows or underflows to zero.
-        traj = gen_brownian(TimeGrid(0.0, 1.0, 100), 2, 1.0, np.random.default_rng(7))
+        traj = brownian(100, np.random.default_rng(7))
         with pytest.raises(InvalidParam):
             estimate_sigma2(make(traj.positions * scale))
         with pytest.raises(InvalidParam):
@@ -207,7 +213,7 @@ class TestStatisticT:
 
     def test_scale_invariant(self):
         rng = np.random.default_rng(3)
-        traj = gen_brownian(TimeGrid(0.0, 1.0, 100), 2, 1.0, rng)
+        traj = brownian(100, rng)
         for scale in (7.3, 1e160, 1e-160):
             scaled = make(traj.positions * scale)
             assert statistic_T(scaled) == pytest.approx(statistic_T(traj), rel=1e-12)
@@ -244,8 +250,7 @@ class TestStatisticT:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_stack_rows_match_single_trajectory(self, dim):
-        grid = TimeGrid(0.0, 1.0, 80)
-        trajs = [gen_brownian(grid, dim, 1.0, np.random.default_rng(seed)) for seed in range(6)]
+        trajs = [brownian(80, np.random.default_rng(seed), dim) for seed in range(6)]
         trajs[4] = make(trajs[4].positions * 1e160)
         stack = np.stack([t.positions for t in trajs]).reshape(3, 2, 81, dim)
         T = statistic_T(stack)
@@ -479,8 +484,7 @@ class TestBackwardForward:
             backward_forward(make(pos), 5)
 
     def test_stack_rows_match_single_trajectory(self):
-        grid = TimeGrid(0.0, 1.0, 120)
-        trajs = [gen_brownian(grid, 2, 1.0, np.random.default_rng(seed)) for seed in range(6)]
+        trajs = [brownian(120, np.random.default_rng(seed)) for seed in range(6)]
         stack = np.stack([t.positions for t in trajs]).reshape(2, 3, 121, 2)
         B, A = backward_forward(stack, 20)
         assert B.shape == A.shape == (2, 3, 120 - 2 * 20 + 1)
@@ -490,7 +494,7 @@ class TestBackwardForward:
             assert np.array_equal(A[row // 3, row % 3], A1)
 
     def test_memory_linear_in_length(self):
-        traj = gen_brownian(TimeGrid(0.0, 1.0, 100_000), 2, 1.0, np.random.default_rng(1))
+        traj = brownian(100_000, np.random.default_rng(1))
         tracemalloc.start()
         try:
             backward_forward(traj, 300)
@@ -523,8 +527,7 @@ class TestBackwardForward:
 
     @pytest.mark.parametrize("form", ["trajectory", "list", "stack"])
     def test_segment_stats_input_equals_raw_input(self, form):
-        grid = TimeGrid(0.0, 0.5, 60)
-        trajs = [gen_brownian(grid, 2, 1.0, np.random.default_rng(seed)) for seed in range(6)]
+        trajs = [brownian(60, np.random.default_rng(seed), delta=0.5) for seed in range(6)]
         traj = {"trajectory": trajs[0], "list": trajs,
                 "stack": np.stack([t.positions for t in trajs]).reshape(2, 3, 61, 2)}[form]
         pair = ThresholdPair(0.74, 3.26)

@@ -194,9 +194,15 @@ def cell_call(tree):
     return lambda: tree.bench.run_cell(spec, 0.5, 30, pair, quantiles=(0.6, 2.6))
 
 
+def brownian_track(tree, seed):
+    """One n=300 Brownian track drawn from default_rng(seed): a one-regime compose_scenario."""
+    spec = tree.ScenarioSpec(300, (), (tree.RegimeSpec("brownian"),))
+    return tree.compose_scenario(spec, rng=np.random.default_rng(seed))[0]
+
+
 def detect_call(tree):
     gammas, quantiles, _ = DETECT
-    traj = tree.gen_brownian(tree.TimeGrid(0.0, 1.0, 300), 2, 1.0, np.random.default_rng(300))
+    traj = brownian_track(tree, 300)
     config = tree.DetectionConfig(30, tree.ThresholdPair(*gammas))
     return lambda: json.dumps(tree.detection.report_to_dict(tree.run_procedure(traj, config, True, quantiles)))
 
@@ -204,7 +210,7 @@ def detect_call(tree):
 def write_tracks(tree, directory):
     """One n=300 track as perfbench's write_track writes it (LF, repr) and as save_csv does (CRLF),
     then the LF file with ", " between fields and with a blank line mid-file."""
-    traj = tree.gen_brownian(tree.TimeGrid(0.0, 1.0, 300), 2, 1.0, np.random.default_rng(301))
+    traj = brownian_track(tree, 301)
     lf, crlf, spaced, blank = (Path(directory) / f"{name}.csv" for name in ("lf", "crlf", "spaced", "blank"))
     rows = [f"{t},{x!r},{y!r}\n" for t, (x, y) in enumerate(traj.positions.tolist())]
     lf.write_text("t,x,y\n" + "".join(rows), encoding="utf-8")
